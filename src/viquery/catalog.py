@@ -49,6 +49,7 @@ class Catalog:
 
 _REQUIRED_KEYS = ("title", "authors", "publisher", "year", "subject",
                   "place", "price", "currency")
+_STRING_KEYS = ("publisher", "subject", "place", "currency")
 
 
 def load_catalog(document: str) -> Catalog:
@@ -79,6 +80,9 @@ def load_catalog(document: str) -> Catalog:
             raise CatalogError(f"record {index}: year must be a 4-digit integer")
         if not isinstance(price, (int, float)) or isinstance(price, bool) or price < 0:
             raise CatalogError(f"record {index}: price must be a non-negative number")
+        for key in _STRING_KEYS:
+            if not isinstance(item[key], str):
+                raise CatalogError(f"record {index}: {key} must be a string")
         records.append(BookRecord(
             title=title,
             authors=tuple(authors),

@@ -3,7 +3,8 @@
 Rules are flat patterns over category slots — no nonterminal cascades.  A
 rule body is a sequence of ``<category>`` slots, ``[ ... ]`` optionals,
 ``{ ... }`` zero-or-more groups and double-quoted terminals.  File order is
-priority order for the parser.
+priority order for the parser.  Each rule compiles, when it is built, to the
+flat program the parser's matcher runs.
 """
 
 from __future__ import annotations
@@ -40,11 +41,60 @@ class RuleTerm:
     body: tuple["RuleTerm", ...] = field(default=())
 
 
+#: Matcher instructions, as ``(op, arg, alt)`` triples.  ``LIT s`` consumes
+#: one token group whose surface is ``s``; ``CAT c`` consumes one constituent
+#: of category ``c``; ``SPLIT a b`` tries ``a`` first and ``b`` on failure;
+#: ``JUMP a`` continues at ``a``; ``MATCH`` accepts at the end of the stream.
+LIT, CAT, SPLIT, JUMP, MATCH = range(5)
+
+
+def _emit(terms: tuple[RuleTerm, ...], program: list) -> None:
+    for term in terms:
+        if term.kind is TermKind.LITERAL:
+            program.append((LIT, term.literal, 0))
+        elif term.kind is TermKind.CATEGORY:
+            program.append((CAT, term.category, 0))
+        else:
+            # [body]: SPLIT body, after (present before absent)
+            # {body}: L: SPLIT body, after; body; JUMP L (one more iteration
+            # before exit)
+            split = len(program)
+            program.append(None)
+            _emit(term.body, program)
+            if term.kind is TermKind.GROUP:
+                program.append((JUMP, split, 0))
+            program[split] = (SPLIT, split + 1, len(program))
+
+
+def compile_terms(terms: tuple[RuleTerm, ...]) -> tuple[tuple, ...]:
+    """Compile a rule body to its matcher program, ending in ``MATCH``."""
+    program: list = []
+    _emit(terms, program)
+    program.append((MATCH, None, 0))
+    return tuple(program)
+
+
 @dataclass(frozen=True)
 class SyntacticRule:
     id: str
     family: str
     terms: tuple[RuleTerm, ...]
+    #: the compiled body, see :func:`compile_terms`
+    program: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    #: ``(LIT, s)`` and ``(CAT, c)`` for every top-level literal and
+    #: non-template category: a stream lacking any of them cannot match
+    required: frozenset[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "program", compile_terms(self.terms))
+        required = set()
+        for term in self.terms:
+            if term.kind is TermKind.LITERAL:
+                required.add((LIT, term.literal))
+            elif (term.kind is TermKind.CATEGORY
+                  and term.category not in TEMPLATE_CATEGORIES):
+                required.add((CAT, term.category))
+        object.__setattr__(self, "required", frozenset(required))
 
 
 class Grammar:

@@ -203,7 +203,8 @@ class Lexicon:
 
     def __init__(self, entries: list[LexiconEntry]):
         self._entries: dict[tuple[Category, str], LexiconEntry] = {}
-        self._by_first: dict[str, list[LexiconEntry]] = {}
+        # first syllable -> (syllables, entry), longest first
+        self._by_first: dict[str, list[tuple[tuple[str, ...], LexiconEntry]]] = {}
         self._by_category: dict[Category, list[LexiconEntry]] = {}
         for entry in entries:
             key = (entry.category, entry.surface)
@@ -212,10 +213,11 @@ class Lexicon:
                     f"duplicate entry ({entry.category.value}, {entry.surface!r})"
                 )
             self._entries[key] = entry
-            self._by_first.setdefault(entry.syllables[0], []).append(entry)
+            syllables = entry.syllables
+            self._by_first.setdefault(syllables[0], []).append((syllables, entry))
             self._by_category.setdefault(entry.category, []).append(entry)
         for bucket in self._by_first.values():
-            bucket.sort(key=lambda e: (-len(e.syllables), e.category.value))
+            bucket.sort(key=lambda item: (-len(item[0]), item[1].category.value))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -241,11 +243,11 @@ class Lexicon:
         are all returned (identical length)."""
         best: list[LexiconEntry] = []
         best_len = 0
-        for entry in self._by_first.get(syllables[at], ()):
-            n = len(entry.syllables)
+        for entry_syllables, entry in self._by_first.get(syllables[at], ()):
+            n = len(entry_syllables)
             if n < best_len:
                 break  # buckets are length-sorted
-            if tuple(syllables[at:at + n]) == entry.syllables:
+            if tuple(syllables[at:at + n]) == entry_syllables:
                 if n > best_len:
                     best, best_len = [entry], n
                 else:

@@ -1,17 +1,33 @@
-"""Backtracking matcher: tokens against flat rule patterns, full span only.
+"""Compiled matcher: tokens against flat rule patterns, full span only.
 
-Matching is left-to-right with chronological backtracking over optionals
-(present first) and groups (more repetitions first); category slots consume
-constituents greedily via :func:`viquery.lexicon.scan_constituent`.  The
-first complete assignment in this search order wins, so results are
-deterministic.
+Each rule compiles once, when it is built, to a flat program of ``LIT``,
+``CAT``, ``SPLIT``, ``JUMP`` and ``MATCH`` instructions (see
+:func:`viquery.grammar.compile_terms`).  An optional ``[body]`` becomes
+``SPLIT body, after`` and a group ``{body}`` becomes
+``L: SPLIT body, after; body; JUMP L``, so an optional is tried present
+before absent and a group tries one more iteration before it exits.
+
+:func:`match_rule` runs a program as an iterative depth-first search that
+takes the first branch of every ``SPLIT`` first, so the first complete match
+it finds is the first in that priority order and results are deterministic.
+A visited set over (instruction, position) explores no state twice: the
+search is bounded by program length times stream length, and a group
+iteration that consumes nothing is rejected when it returns to its ``SPLIT``.
+Bindings are kept in a parent-linked chain, so a step copies nothing.
+
+Category slots consume one constituent each via
+:func:`viquery.lexicon.scan_constituent`.  :func:`parse` shares one table of
+scan results, by (position, category), among all rules of a query, and skips
+a rule unless the stream holds every literal and every non-template category
+the rule's top-level terms require.  Template categories never filter, so a
+skipped rule is one that cannot match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import Grammar, RuleTerm, SyntacticRule, TermKind
+from .grammar import CAT, JUMP, LIT, SPLIT, Grammar, SyntacticRule
 from .lexicon import (
     Category,
     Lexicon,
@@ -41,54 +57,68 @@ class ParseResult:
     bindings: tuple[ConstituentBinding, ...]
 
 
-@dataclass(frozen=True)
-class _Progress:
-    """Guard pseudo-term: group iterations must consume at least one group."""
-
-    at: int
+_UNSCANNED = object()
 
 
-def match_rule(stream: TokenStream, rule: SyntacticRule,
-               lexicon: Lexicon) -> ParseResult | None:
-    """Match the whole token stream against one rule, or return None."""
-    n = len(stream)
+def match_rule(stream: TokenStream, rule: SyntacticRule, lexicon: Lexicon,
+               scans: dict | None = None) -> ParseResult | None:
+    """Match the whole token stream against one rule, or return None.
 
-    def match_seq(terms: tuple, pos: int):
-        if not terms:
-            return [] if pos == n else None
-        head, rest = terms[0], terms[1:]
-        if isinstance(head, _Progress):
-            return match_seq(rest, pos) if pos > head.at else None
-        if head.kind is TermKind.LITERAL:
-            if pos < n and stream.surface_at(pos) == head.literal:
-                return match_seq(rest, pos + 1)
-            return None
-        if head.kind is TermKind.CATEGORY:
-            found = scan_constituent(stream, pos, head.category, lexicon)
-            if found is None:
-                return None
-            value, after = found
-            tail = match_seq(rest, after)
-            if tail is None:
-                return None
-            return [(head.category, value, pos, after)] + tail
-        if head.kind is TermKind.OPTIONAL:
-            present = match_seq(head.body + rest, pos)
-            if present is not None:
-                return present
-            return match_seq(rest, pos)
-        # GROUP: one more iteration first, then exit
-        again = match_seq(head.body + (_Progress(pos), head) + rest, pos)
-        if again is not None:
-            return again
-        return match_seq(rest, pos)
+    ``scans`` caches :func:`scan_constituent` results by (position,
+    category); :func:`parse` passes one table for all rules of a query.
+    """
+    if scans is None:
+        scans = {}
+    program = rule.program
+    groups = stream.groups
+    n = len(groups)
+    width = n + 1
+    visited: set[int] = set()
+    stack = [(0, 0, None)]
+    while stack:
+        pc, pos, chain = stack.pop()
+        while True:
+            state = pc * width + pos
+            if state in visited:
+                break
+            visited.add(state)
+            op, arg, alt = program[pc]
+            if op == SPLIT:
+                stack.append((alt, pos, chain))
+                pc = arg
+            elif op == CAT:
+                key = (pos, arg)
+                found = scans.get(key, _UNSCANNED)
+                if found is _UNSCANNED:
+                    found = scans[key] = scan_constituent(stream, pos, arg, lexicon)
+                if found is None:
+                    break
+                value, after = found
+                chain = (arg, value, pos, after, chain)
+                pc += 1
+                pos = after
+            elif op == LIT:
+                if pos >= n or groups[pos].surface != arg:
+                    break
+                pc += 1
+                pos += 1
+            elif op == JUMP:
+                pc = arg
+            elif pos == n:  # MATCH
+                return _result(rule, stream, chain)
+            else:
+                break
+    return None
 
-    matched = match_seq(rule.terms, 0)
-    if matched is None:
-        return None
+
+def _result(rule: SyntacticRule, stream: TokenStream, chain) -> ParseResult:
+    matched = []
+    while chain is not None:
+        category, value, start, end, chain = chain
+        matched.append((category, value, start, end))
     counters: dict[Category, int] = {}
     bindings = []
-    for category, value, start, end in matched:
+    for category, value, start, end in reversed(matched):
         ordinal = counters.get(category, 0)
         counters[category] = ordinal + 1
         bindings.append(
@@ -108,11 +138,18 @@ def parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
     if not normalized:
         raise BlankQueryError("query is empty or blank")
     stream = tokenize(normalized, lexicon)
+    present = set()
+    for group in stream.groups:
+        present.add((LIT, group.surface))
+        for token in group.tokens:
+            present.add((CAT, token.category))
+    scans: dict = {}
     results = []
     for rule in grammar.rules:
-        result = match_rule(stream, rule, lexicon)
-        if result is not None:
-            results.append(result)
+        if rule.required <= present:
+            result = match_rule(stream, rule, lexicon, scans)
+            if result is not None:
+                results.append(result)
     return results
 
 

@@ -3,11 +3,15 @@
 The parse oracle replaces the parser's backtracking control with explicit
 enumeration: it expands every optional/repetition assignment of a rule into
 a flat term list (in the parser's preference order) and linearly matches
-each expansion.  The evaluation oracle re-derives answers per record by
-walking the semantic tree directly instead of compiling a filter list.
+each expansion.  The legacy parser is the recursive backtracker that the
+compiled matcher replaced, kept as a fast differential reference.  The
+evaluation oracle re-derives answers per record by walking the semantic tree
+directly instead of compiling a filter list.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from viquery.catalog import Answer, BookRecord, Catalog, format_price
 from viquery.grammar import Grammar, SyntacticRule, TermKind
@@ -43,6 +47,17 @@ def _expansions(terms: tuple, budget: int, capacity: int):
         yield from _expansions(rest, budget, capacity)
 
 
+def _bind(rule: SyntacticRule, stream: TokenStream, matched) -> ParseResult:
+    counters: dict = {}
+    bindings = []
+    for category, value, start, end in matched:
+        ordinal = counters.get(category, 0)
+        counters[category] = ordinal + 1
+        bindings.append(ConstituentBinding(
+            category, value, stream.span_text(start, end), ordinal))
+    return ParseResult(rule.id, rule.family, tuple(bindings))
+
+
 def _match_flat(flat: tuple, stream: TokenStream, lexicon: Lexicon):
     pos = 0
     matched = []
@@ -68,16 +83,8 @@ def oracle_match_rule(stream: TokenStream, rule: SyntacticRule,
     n = len(stream)
     for flat in _expansions(rule.terms, n + 1, n):
         matched = _match_flat(flat, stream, lexicon)
-        if matched is None:
-            continue
-        counters: dict = {}
-        bindings = []
-        for category, value, start, end in matched:
-            ordinal = counters.get(category, 0)
-            counters[category] = ordinal + 1
-            bindings.append(ConstituentBinding(
-                category, value, stream.span_text(start, end), ordinal))
-        return ParseResult(rule.id, rule.family, tuple(bindings))
+        if matched is not None:
+            return _bind(rule, stream, matched)
     return None
 
 
@@ -86,6 +93,67 @@ def oracle_parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseRe
     results = []
     for rule in grammar.rules:
         result = oracle_match_rule(stream, rule, lexicon)
+        if result is not None:
+            results.append(result)
+    return results
+
+
+# --- legacy parser ------------------------------------------------------------
+#
+# The recursive backtracker the parser used before rules were compiled.  It
+# recurses a few frames per token group, so it raises RecursionError on
+# questions with about 200 coordinated books; tests keep below that.
+
+@dataclass(frozen=True)
+class _Progress:
+    """Guard pseudo-term: group iterations must consume at least one group."""
+
+    at: int
+
+
+def legacy_match_rule(stream: TokenStream, rule: SyntacticRule,
+                      lexicon: Lexicon) -> ParseResult | None:
+    n = len(stream)
+
+    def match_seq(terms: tuple, pos: int):
+        if not terms:
+            return [] if pos == n else None
+        head, rest = terms[0], terms[1:]
+        if isinstance(head, _Progress):
+            return match_seq(rest, pos) if pos > head.at else None
+        if head.kind is TermKind.LITERAL:
+            if pos < n and stream.surface_at(pos) == head.literal:
+                return match_seq(rest, pos + 1)
+            return None
+        if head.kind is TermKind.CATEGORY:
+            found = scan_constituent(stream, pos, head.category, lexicon)
+            if found is None:
+                return None
+            value, after = found
+            tail = match_seq(rest, after)
+            if tail is None:
+                return None
+            return [(head.category, value, pos, after)] + tail
+        if head.kind is TermKind.OPTIONAL:
+            present = match_seq(head.body + rest, pos)
+            if present is not None:
+                return present
+            return match_seq(rest, pos)
+        # GROUP: one more iteration first, then exit
+        again = match_seq(head.body + (_Progress(pos), head) + rest, pos)
+        if again is not None:
+            return again
+        return match_seq(rest, pos)
+
+    matched = match_seq(rule.terms, 0)
+    return None if matched is None else _bind(rule, stream, matched)
+
+
+def legacy_parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
+    stream = tokenize(normalize(query), lexicon)
+    results = []
+    for rule in grammar.rules:
+        result = legacy_match_rule(stream, rule, lexicon)
         if result is not None:
             results.append(result)
     return results

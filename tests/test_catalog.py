@@ -45,6 +45,12 @@ def test_load_missing_title_indexed():
         _catalog(_record(), bad)
 
 
+@pytest.mark.parametrize("field", ["publisher", "subject", "place", "currency"])
+def test_load_rejects_non_string_field(field):
+    with pytest.raises(CatalogError, match=f"record 1: {field} must be a string"):
+        _catalog(_record(), _record(**{field: 5}))
+
+
 def test_load_rejects_bad_year():
     with pytest.raises(CatalogError, match="year"):
         _catalog(_record(year=99))

@@ -1,6 +1,6 @@
 import json
 
-from viquery.cli import main
+from viquery.cli import data_path, main
 
 S1 = "Tác giả A có viết sách B vào năm 2008 không?"
 
@@ -117,3 +117,15 @@ def test_batch_unreadable_file(capsys):
 
 def test_missing_data_file(tmp_path, capsys):
     assert main(["--grammar", str(tmp_path / "nope.bnf"), "parse", S1]) == 1
+
+
+def test_ask_non_string_catalog_field_is_load_error(tmp_path, capsys):
+    records = json.loads(data_path("catalog_sample.json").read_text(encoding="utf-8"))
+    records[0]["publisher"] = 5
+    f = tmp_path / "catalog.json"
+    f.write_text(json.dumps(records), encoding="utf-8")
+    code = main(["--catalog", str(f), "ask", "Nhà xuất bản nào đã xuất bản sách B?"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: record 0: publisher must be a string")
+    assert "Traceback" not in err

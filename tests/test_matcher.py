@@ -1,0 +1,158 @@
+"""The compiled matcher: agreement with the recursive backtracker it replaced,
+questions with hundreds of coordinated books, and scan counts."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import legacy_parse
+from viquery import parser
+from viquery.cli import derive_seed, main
+from viquery.grammar import CAT, JUMP, LIT, MATCH, SPLIT, compile_terms, parse_rule_dsl
+from viquery.lexicon import Category
+from viquery.parser import parse
+
+HEADS = ("sách", "cuốn sách", "quyển", "truyện", "tiểu thuyết")
+JOINS = ("và", "cùng", "cùng với", None)
+#: catalogued titles alternate with runs of unknown syllables
+TITLES = ("số đỏ", "lan", "chí phèo", "mây sông", "b", "gió núi trăng biển")
+
+
+def _books(count: int, unknown_only: bool = False) -> str:
+    words = []
+    for i in range(count):
+        if i and JOINS[i % len(JOINS)]:
+            words.append(JOINS[i % len(JOINS)])
+        title = f"x{i}" if unknown_only else TITLES[i % len(TITLES)]
+        words.append(f"{HEADS[i % len(HEADS)]} {title}")
+    return " ".join(words)
+
+
+def _active(count: int, unknown_only: bool = False) -> str:
+    return f"ai đã viết {_books(count, unknown_only)} ?"
+
+
+def _passive(count: int, unknown_only: bool = False) -> str:
+    return f"{_books(count, unknown_only)} đã được ai viết ?"
+
+
+@pytest.fixture(scope="module")
+def generated(grammar, lexicon):
+    """What ``viquery generate all 20 --seed 0`` prints: 1140 sentences."""
+    from viquery.grammar import sample
+    return [sample(grammar, rule.id, derive_seed(0, rule.id, i), lexicon)
+            for rule in grammar.rules for i in range(20)]
+
+
+def test_compile_priority_order():
+    rule = parse_rule_dsl('<R> = <book> {[<conjunction>] <book>} "?"\n').rules[0]
+    assert rule.program == (
+        (CAT, Category.BOOK, 0),
+        (SPLIT, 2, 6),                 # group: one more iteration first
+        (SPLIT, 3, 4),                 # optional: present first
+        (CAT, Category.CONJUNCTION, 0),
+        (CAT, Category.BOOK, 0),
+        (JUMP, 1, 0),
+        (LIT, "?", 0),
+        (MATCH, None, 0),
+    )
+    assert rule.required == {(LIT, "?")}  # <book> is a template: never required
+    assert compile_terms(rule.terms) == rule.program
+
+
+@pytest.mark.parametrize("body", ["[<interrogative1>] [<verb_have>]",
+                                  "{<interrogative1>} {<verb_have>}"])
+def test_tie_goes_to_present_optional_and_more_iterations(lexicon, body):
+    # "có" is both interrogative1 and verb_have: the first term takes it
+    grammar = parse_rule_dsl(f'<R> = {body} "?"\n')
+    results = parse("có ?", grammar, lexicon)
+    assert results == legacy_parse("có ?", grammar, lexicon)
+    assert [b.category for b in results[0].bindings] == [Category.INTERROGATIVE1]
+
+
+def test_group_that_can_match_empty(lexicon):
+    grammar = parse_rule_dsl('<R> = <verb_write> {[<vperfect>] [","]} "?"\n')
+    for query in ("viết ?", "viết đã , ?", "viết , đã đã ?", "viết đã viết ?"):
+        assert parse(query, grammar, lexicon) == legacy_parse(query, grammar, lexicon), query
+    assert len(parse("viết , đã đã ?", grammar, lexicon)[0].bindings) == 3
+
+
+def test_matches_legacy_on_generated_corpus(grammar, lexicon, generated):
+    for sentence in generated:
+        assert parse(sentence, grammar, lexicon) == legacy_parse(sentence, grammar, lexicon), sentence
+
+
+def _mutate(words: list[str], op: str, at: int) -> list[str]:
+    at %= len(words)
+    if op == "drop":
+        return words[:at] + words[at + 1:]
+    if op == "duplicate":
+        return words[:at + 1] + words[at:]
+    if op == "swap":
+        return words[:at] + words[at + 1:at + 2] + words[at:at + 1] + words[at + 2:]
+    return [w for w in words if w != "?"]  # strip "?"
+
+
+@given(index=st.integers(0, 1139), op=st.sampled_from(["drop", "duplicate", "swap", "strip"]),
+       at=st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_matches_legacy_on_mutated_sentences(grammar, lexicon, generated, index, op, at):
+    words = _mutate(generated[index].split(" "), op, at)
+    query = " ".join(words) or "?"
+    assert parse(query, grammar, lexicon) == legacy_parse(query, grammar, lexicon), query
+
+
+@pytest.mark.parametrize("form", [_active, _passive])
+def test_matches_legacy_on_coordinated_books(grammar, lexicon, form):
+    for count in (*range(1, 150, 7), 150):
+        query = form(count)
+        assert parse(query, grammar, lexicon) == legacy_parse(query, grammar, lexicon), count
+
+
+@pytest.mark.parametrize("count", [250, 1000])
+@pytest.mark.parametrize("form, rule_ids", [(_active, ["Q1.1a", "Q1.1b"]),
+                                            (_passive, ["Q1.1c", "Q1.1d"])])
+def test_many_coordinated_books_parse(grammar, lexicon, count, form, rule_ids):
+    results = parse(form(count), grammar, lexicon)
+    assert [r.rule_id for r in results] == rule_ids
+    books = [b for b in results[0].bindings if b.category is Category.BOOK]
+    assert [b.ordinal for b in books] == list(range(count))
+
+
+def test_ask_200_books_answers(capsys):
+    assert main(["ask", _active(200, unknown_only=True)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "Không tìm thấy."
+    assert captured.err == ""
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """(position, category) of every scan_constituent call the parser makes."""
+    calls = []
+    original = parser.scan_constituent
+
+    def counting(stream, at, category, lexicon):
+        calls.append((at, category))
+        return original(stream, at, category, lexicon)
+
+    monkeypatch.setattr(parser, "scan_constituent", counting)
+    return calls
+
+
+def test_each_scan_made_once_per_parse(grammar, lexicon, corpus, scans):
+    queries = [s for _, s in corpus] + [_active(40), _passive(40)]
+    for query in queries:
+        scans.clear()
+        parse(query, grammar, lexicon)
+        assert len(scans) == len(set(scans)), query
+
+
+@pytest.mark.parametrize("form", [_active, _passive])
+def test_scans_grow_linearly_with_books(grammar, lexicon, form, scans):
+    counts = []
+    for books in (25, 50, 100, 200, 400):
+        scans.clear()
+        assert parse(form(books), grammar, lexicon)
+        counts.append(len(scans))
+    for fewer, more in zip(counts, counts[1:]):
+        assert more <= 2.2 * fewer, counts
