@@ -12,7 +12,6 @@ from .catalog import (
     Catalog,
     CatalogError,
     EvaluationError,
-    answer_question,
     evaluate,
     format_answer,
     load_catalog,
@@ -72,7 +71,7 @@ __all__ = [
     "EvaluationError", "FAMILY_SKELETONS", "Grammar", "GrammarError",
     "Lexicon", "LexiconEntry", "LexiconError", "ParseResult", "QuestionType",
     "RuleTerm", "SemanticNode", "SyntacticRule", "TermKind", "TimeConstraint",
-    "TimeValue", "Token", "TokenStream", "TransformError", "answer_question",
+    "TimeValue", "Token", "TokenStream", "TransformError",
     "classify", "constituents", "evaluate", "format_answer", "load_catalog",
     "load_lexicon", "match_rule", "normalize", "parse", "parse_rule_dsl",
     "render_dsl", "render_full", "render_skeleton", "resolve_time", "sample",

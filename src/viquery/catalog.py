@@ -2,15 +2,17 @@
 
 Evaluation is a linear scan: every bound argument of the semantic tree is a
 conjunctive filter over record fields (nested nodes flatten onto the same
-record), the focused element decides the answer shape.
+record), the focused element decides the answer shape.  A yes/no question
+that names several books is read once per book.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
-from .semantics import QuestionType, SemanticNode, classify
+from .semantics import QuestionType, SemanticNode
 
 
 class CatalogError(ValueError):
@@ -115,23 +117,36 @@ _FIELDS = {
 }
 
 
-def _collect(node: SemanticNode, filters: list, focus: list) -> None:
+def _names_book(arg) -> bool:
+    if arg.kind == "nested":
+        return arg.nested.predicate == "is_of" and any(
+            a.kind == "entity" and a.role == "book" for a, _ in arg.nested.args)
+    return arg.kind == "entity" and arg.role == "book"
+
+
+def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
+    """Filter lists, one per reading of ``node``.  With ``split``, a node
+    that names several books keeps one of them in each reading, nested nodes
+    alike; without it there is one reading, of every filter."""
+    parts = []       # per argument, the filter lists it may contribute
+    books = []
     for arg, _relation in node.args:
         if arg.kind == "nested":
-            _collect(arg.nested, filters, focus)
-        elif arg.kind == "time":
-            if arg.focus:
-                focus.append(("time", None))
-            elif arg.time.year is not None:
-                filters.append(("year", arg.time.relation, arg.time.year))
-        elif arg.kind == "amount":
-            if arg.focus:
-                focus.append(("amount", None))
-        else:  # entity
-            if arg.focus:
-                focus.append(("entity", arg.role))
-            elif arg.value is not None and arg.role != "source":
-                filters.append(("role", arg.role, arg.value))
+            options = _readings(arg.nested, focus, split)
+        elif arg.focus:
+            focus.append((arg.kind, arg.role))
+            options = [[]]
+        elif arg.kind == "time" and arg.time.year is not None:
+            options = [[("year", arg.time.relation, arg.time.year)]]
+        elif arg.kind == "entity" and arg.value is not None and arg.role != "source":
+            options = [[("role", arg.role, arg.value)]]
+        else:
+            options = [[]]
+        (books if split and _names_book(arg) else parts).append(options)
+    if len(books) > 1:
+        books = [[f for options in books for f in options]]
+    return [[f for filters in choice for f in filters]
+            for choice in itertools.product(*parts, *books)]
 
 
 def _satisfies(record: BookRecord, filters: list) -> bool:
@@ -154,16 +169,17 @@ def _satisfies(record: BookRecord, filters: list) -> bool:
 def evaluate(sem: SemanticNode, catalog: Catalog) -> Answer:
     """Answer a question against the catalog.
 
-    Yes/no questions report whether any record satisfies all filters;
-    wh-questions collect the focused role's values over satisfying records;
-    amount questions count satisfying records.
+    A yes/no question holds when each of its one-book readings is satisfied
+    by some record.  Wh-questions collect the focused role's values over the
+    records that satisfy every filter; amount questions count those records.
     """
-    filters: list = []
     focus: list = []
-    _collect(sem, filters, focus)
-    matching = [r for r in catalog.records if _satisfies(r, filters)]
+    readings = _readings(sem, focus, split=sem.focused)
     if sem.focused:
-        return Answer("boolean", bool(matching))
+        return Answer("boolean", all(
+            any(_satisfies(r, filters) for r in catalog.records) for filters in readings))
+    [filters] = readings
+    matching = [r for r in catalog.records if _satisfies(r, filters)]
     if not focus:
         raise EvaluationError("no focused element to answer")
     focus_kind, focus_role = focus[0]
@@ -192,8 +208,3 @@ def format_answer(answer: Answer, qtype: QuestionType) -> str:
     if answer.kind == "count":
         return str(answer.value)
     return ", ".join(answer.value) if answer.value else "Không tìm thấy."
-
-
-def answer_question(sem: SemanticNode, catalog: Catalog) -> str:
-    """Convenience wrapper: evaluate and format in one step."""
-    return format_answer(evaluate(sem, catalog), classify(sem))

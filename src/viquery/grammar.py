@@ -17,7 +17,7 @@ from enum import Enum
 from .lexicon import (
     Category,
     GRAMMAR_CATEGORIES,
-    TEMPLATE_CATEGORIES,
+    TEMPLATES,
     Lexicon,
 )
 
@@ -92,7 +92,7 @@ class SyntacticRule:
             if term.kind is TermKind.LITERAL:
                 required.add((LIT, term.literal))
             elif (term.kind is TermKind.CATEGORY
-                  and term.category not in TEMPLATE_CATEGORIES):
+                  and term.category not in TEMPLATES):
                 required.add((CAT, term.category))
         object.__setattr__(self, "required", frozenset(required))
 
@@ -229,7 +229,7 @@ def validate(grammar: Grammar, lexicon: Lexicon) -> list[str]:
     diagnostics: list[str] = []
     for rule in grammar.rules:
         for category in _categories_of(rule.terms):
-            if category in TEMPLATE_CATEGORIES or lexicon.has_entries(category):
+            if category in TEMPLATES or lexicon.has_entries(category):
                 continue
             diagnostics.append(
                 f"{rule.id}: category <{category.value}> has no lexicon entries"
@@ -242,51 +242,27 @@ def validate(grammar: Grammar, lexicon: Lexicon) -> list[str]:
 
 # --- sentence sampling -------------------------------------------------------
 
-def _pick_name(rng: random.Random, lexicon: Lexicon, kind: Category) -> str:
-    surfaces = lexicon.surfaces(kind)
+def _realize(rng: random.Random, lexicon: Lexicon, part) -> str:
+    """Sample a surface for a rule slot or a template part.
+
+    A template realizes its first alternative.  A token part picks one of
+    its categories' sorted surfaces, one list after another, except that a
+    year is drawn from 1900-2025.
+    """
+    if isinstance(part, Category):
+        if part not in TEMPLATES:
+            return _realize(rng, lexicon, (part,))
+        parts, _build = TEMPLATES[part][0]
+        return " ".join(_realize(rng, lexicon, p) for p in parts)
+    if isinstance(part, str):
+        return part
+    if part == (Category.YEAR,):
+        return str(rng.randint(1900, 2025))
+    surfaces = [s for category in part for s in lexicon.surfaces(category)]
     if not surfaces:
-        raise GrammarError(f"no gazetteer entries for {kind.value}")
+        names = "|".join(f"<{category.value}>" for category in part)
+        raise GrammarError(f"category {names} has no realizable surface")
     return rng.choice(surfaces)
-
-
-def _pick_surface(rng: random.Random, lexicon: Lexicon, category: Category) -> str:
-    surfaces = lexicon.surfaces(category)
-    if not surfaces:
-        raise GrammarError(f"category <{category.value}> has no realizable surface")
-    return rng.choice(surfaces)
-
-
-def _realize(rng: random.Random, lexicon: Lexicon, category: Category) -> str:
-    if category is Category.AUTHOR:
-        return (_pick_surface(rng, lexicon, Category.CREATOR) + " "
-                + _pick_name(rng, lexicon, Category.NAME_AUTHOR))
-    if category is Category.PUBLISHER:
-        return (_pick_surface(rng, lexicon, Category.PUBLISHER) + " "
-                + _pick_name(rng, lexicon, Category.NAME_PUBLISHER))
-    if category is Category.BOOK:
-        return (_pick_surface(rng, lexicon, Category.BOOK_TYPE) + " "
-                + _pick_name(rng, lexicon, Category.NAME_BOOK))
-    if category is Category.SUBJECT:
-        return (_pick_surface(rng, lexicon, Category.SUBJECT) + " "
-                + _pick_name(rng, lexicon, Category.NAME_SUBJECT))
-    if category is Category.TIME_PHRASE:
-        prep = _pick_surface(rng, lexicon, Category.PREP_TIME)
-        noun = _pick_surface(rng, lexicon, Category.NOUN_TIME)
-        return f"{prep} {noun} {rng.randint(1900, 2025)}"
-    if category is Category.OF_AUTHOR:
-        return (_pick_surface(rng, lexicon, Category.POSSESSIVE) + " "
-                + _realize(rng, lexicon, Category.AUTHOR))
-    if category is Category.BY_AUTHOR:
-        marker = rng.choice(
-            lexicon.surfaces(Category.POSSESSIVE) + lexicon.surfaces(Category.AGENT)
-        )
-        return marker + " " + _realize(rng, lexicon, Category.AUTHOR)
-    if category is Category.BY_PUBLISHER:
-        marker = rng.choice(
-            lexicon.surfaces(Category.POSSESSIVE) + lexicon.surfaces(Category.AGENT)
-        )
-        return marker + " " + _realize(rng, lexicon, Category.PUBLISHER)
-    return _pick_surface(rng, lexicon, category)
 
 
 def _contains_time(term: RuleTerm) -> bool:

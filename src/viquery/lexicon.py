@@ -96,13 +96,6 @@ NAME_KINDS = (
     Category.NAME_PLACE,
 )
 
-#: Categories matched by a phrase template instead of a single lexicon entry.
-TEMPLATE_CATEGORIES = frozenset({
-    Category.AUTHOR, Category.PUBLISHER, Category.BOOK, Category.SUBJECT,
-    Category.TIME_PHRASE, Category.OF_AUTHOR, Category.BY_AUTHOR,
-    Category.BY_PUBLISHER,
-})
-
 _YEAR_RE = re.compile(r"^[1-9]\d{3}$")
 _PUNCT_RE = re.compile(r"\s*([?,])\s*")
 _WS_RE = re.compile(r"\s+")
@@ -173,14 +166,6 @@ class TokenStream:
     def __len__(self) -> int:
         return len(self.groups)
 
-    def __iter__(self):
-        for group in self.groups:
-            yield from group.tokens
-
-    @property
-    def tokens(self) -> list[Token]:
-        return list(self)
-
     def token_at(self, pos: int, category: Category) -> Token | None:
         if pos >= len(self.groups):
             return None
@@ -199,7 +184,8 @@ class TokenStream:
 
 
 class Lexicon:
-    """Immutable lookup structure over entries and gazetteers."""
+    """Immutable lookup structure over entries and gazetteers; entries are
+    unique by (category, surface), as :func:`load_lexicon` checks."""
 
     def __init__(self, entries: list[LexiconEntry]):
         self._entries: dict[tuple[Category, str], LexiconEntry] = {}
@@ -207,12 +193,7 @@ class Lexicon:
         self._by_first: dict[str, list[tuple[tuple[str, ...], LexiconEntry]]] = {}
         self._by_category: dict[Category, list[LexiconEntry]] = {}
         for entry in entries:
-            key = (entry.category, entry.surface)
-            if key in self._entries:
-                raise LexiconError(
-                    f"duplicate entry ({entry.category.value}, {entry.surface!r})"
-                )
-            self._entries[key] = entry
+            self._entries[(entry.category, entry.surface)] = entry
             syllables = entry.syllables
             self._by_first.setdefault(syllables[0], []).append((syllables, entry))
             self._by_category.setdefault(entry.category, []).append(entry)
@@ -225,22 +206,15 @@ class Lexicon:
     def lookup(self, category: Category, surface: str) -> LexiconEntry | None:
         return self._entries.get((category, surface))
 
-    def entries(self, category: Category) -> list[LexiconEntry]:
-        return list(self._by_category.get(category, ()))
-
     def surfaces(self, category: Category) -> list[str]:
         return sorted(e.surface for e in self._by_category.get(category, ()))
 
     def has_entries(self, category: Category) -> bool:
         return bool(self._by_category.get(category))
 
-    def gazetteer(self, kind: Category) -> dict[str, str]:
-        """surface -> canonical id for one proper-name kind."""
-        return {e.surface: e.canonical for e in self._by_category.get(kind, ())}
-
-    def match_at(self, syllables: list[str], at: int) -> list[LexiconEntry]:
-        """Longest-match entries starting at ``at``; ties across categories
-        are all returned (identical length)."""
+    def match_at(self, syllables: list[str], at: int) -> tuple[int, list[LexiconEntry]]:
+        """Longest-match entries starting at ``at`` and their length in
+        syllables (0 when none); ties across categories are all returned."""
         best: list[LexiconEntry] = []
         best_len = 0
         for entry_syllables, entry in self._by_first.get(syllables[at], ()):
@@ -252,7 +226,7 @@ class Lexicon:
                     best, best_len = [entry], n
                 else:
                     best.append(entry)
-        return best
+        return best_len, best
 
 
 def normalize(text: str) -> str:
@@ -315,9 +289,8 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
             groups.append(TokenGroup(i, i + 1, syl, (token,)))
             i += 1
             continue
-        matches = lexicon.match_at(syllables, i)
+        length, matches = lexicon.match_at(syllables, i)
         if matches:
-            length = len(matches[0].syllables)
             span = " ".join(syllables[i:i + length])
             tokens = tuple(
                 Token(span, span, e.category, e.canonical, i, i + length)
@@ -328,7 +301,7 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
             continue
         # maximal unknown run -> proper-name candidates
         j = i
-        while j < n and syllables[j] not in ("?", ",") and not lexicon.match_at(syllables, j):
+        while j < n and syllables[j] not in ("?", ",") and not lexicon.match_at(syllables, j)[0]:
             j += 1
         run = " ".join(syllables[i:j])
         tokens = [Token(run, run, kind, run, i, j) for kind in NAME_KINDS]
@@ -341,113 +314,81 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
 
 # --- constituent templates ---------------------------------------------------
 #
-# Positions passed to the scanners are group indices into the TokenStream.
+# A template category maps to its ordered alternatives, each a tuple of parts
+# and a function that builds the constituent's value from the parts' values.
+# A part is a tuple of token categories (one token of any of them; its value
+# is the token's canonical form), a literal surface (its value is itself) or a
+# Category (a nested constituent).  Templates are atomic: the first
+# alternative that matches wins and no later one is tried.  The sampler
+# realizes the first alternative.  Positions are group indices into the
+# TokenStream.
 
-def _scan_name(stream: TokenStream, at: int, kind: Category):
-    token = stream.token_at(at, kind)
-    if token is None:
-        return None
-    return token.canonical, at + 1
-
-
-def _scan_author(stream: TokenStream, at: int, lexicon: Lexicon):
-    if stream.token_at(at, Category.CREATOR) is None:
-        return None
-    return _scan_name(stream, at + 1, Category.NAME_AUTHOR)
+def _last(*values):
+    return values[-1]
 
 
-def _scan_publisher(stream: TokenStream, at: int, lexicon: Lexicon):
-    if stream.token_at(at, Category.PUBLISHER) is None:
-        return None
-    return _scan_name(stream, at + 1, Category.NAME_PUBLISHER)
+def _any_book(*_values):
+    return BookValue()
 
 
-def _scan_subject(stream: TokenStream, at: int, lexicon: Lexicon):
-    # head + name, else a bare name (the head may have been absorbed by a
-    # multi-syllable is_of surface such as "thuộc chủ đề")
-    if stream.token_at(at, Category.SUBJECT) is not None:
-        found = _scan_name(stream, at + 1, Category.NAME_SUBJECT)
-        if found:
-            return found
-    return _scan_name(stream, at, Category.NAME_SUBJECT)
-
-
-def _scan_book(stream: TokenStream, at: int, lexicon: Lexicon):
-    if stream.token_at(at, Category.BOOK_TYPE) is None:
-        return None
-    name = stream.token_at(at + 1, Category.NAME_BOOK)
-    if name is not None:
-        return BookValue(title=name.canonical), at + 2
+_C = Category
+TEMPLATES = {
+    _C.AUTHOR: [(((_C.CREATOR,), (_C.NAME_AUTHOR,)), _last)],
+    _C.PUBLISHER: [(((_C.PUBLISHER,), (_C.NAME_PUBLISHER,)), _last)],
+    # a bare name follows a multi-syllable is_of surface such as "thuộc chủ
+    # đề", which absorbs the head
+    _C.SUBJECT: [(((_C.SUBJECT,), (_C.NAME_SUBJECT,)), _last),
+                 (((_C.NAME_SUBJECT,),), _last)],
     # "nào" after the head marks an unbound book ("any/which book"), which
     # may carry a subject qualifier: "sách nào thuộc chủ đề T"
-    nao = stream.token_at(at + 1, Category.INTERROGATIVE4)
-    if nao is not None and nao.normalized == "nào":
-        j = at + 2
-        if stream.token_at(j, Category.IS_OF) is not None:
-            qualified = _scan_subject(stream, j + 1, lexicon)
-            if qualified:
-                subject, after = qualified
-                return BookValue(subject=subject), after
-        return BookValue(), j
-    return BookValue(), at + 1
-
-
-def _scan_time_phrase(stream: TokenStream, at: int, lexicon: Lexicon):
-    prep = stream.token_at(at, Category.PREP_TIME)
-    if prep is None:
-        return None
-    if stream.token_at(at + 1, Category.NOUN_TIME) is None:
-        return None
-    year = stream.token_at(at + 2, Category.YEAR)
-    if year is None:
-        return None
-    return TimeValue(prep.canonical, int(year.canonical)), at + 3
-
-
-def _scan_marked(stream: TokenStream, at: int, inner, markers: tuple[Category, ...]):
-    if not any(stream.token_at(at, m) is not None for m in markers):
-        return None
-    return inner(stream, at + 1, None)
-
-
-def _scan_of_author(stream: TokenStream, at: int, lexicon: Lexicon):
-    return _scan_marked(stream, at, _scan_author, (Category.POSSESSIVE,))
-
-
-def _scan_by_author(stream: TokenStream, at: int, lexicon: Lexicon):
-    return _scan_marked(stream, at, _scan_author, (Category.POSSESSIVE, Category.AGENT))
-
-
-def _scan_by_publisher(stream: TokenStream, at: int, lexicon: Lexicon):
-    return _scan_marked(stream, at, _scan_publisher, (Category.POSSESSIVE, Category.AGENT))
-
-
-_SCANNERS = {
-    Category.AUTHOR: _scan_author,
-    Category.PUBLISHER: _scan_publisher,
-    Category.BOOK: _scan_book,
-    Category.SUBJECT: _scan_subject,
-    Category.TIME_PHRASE: _scan_time_phrase,
-    Category.OF_AUTHOR: _scan_of_author,
-    Category.BY_AUTHOR: _scan_by_author,
-    Category.BY_PUBLISHER: _scan_by_publisher,
+    _C.BOOK: [(((_C.BOOK_TYPE,), (_C.NAME_BOOK,)),
+               lambda _head, title: BookValue(title=title)),
+              (((_C.BOOK_TYPE,), "nào", (_C.IS_OF,), _C.SUBJECT),
+               lambda *values: BookValue(subject=values[-1])),
+              (((_C.BOOK_TYPE,), "nào"), _any_book),
+              (((_C.BOOK_TYPE,),), _any_book)],
+    _C.TIME_PHRASE: [(((_C.PREP_TIME,), (_C.NOUN_TIME,), (_C.YEAR,)),
+                      lambda prep, _noun, year: TimeValue(prep, int(year)))],
+    _C.OF_AUTHOR: [(((_C.POSSESSIVE,), _C.AUTHOR), _last)],
+    _C.BY_AUTHOR: [(((_C.POSSESSIVE, _C.AGENT), _C.AUTHOR), _last)],
+    _C.BY_PUBLISHER: [(((_C.POSSESSIVE, _C.AGENT), _C.PUBLISHER), _last)],
 }
 
 
-def scan_constituent(stream: TokenStream, at: int, category: Category,
-                     lexicon: Lexicon):
+def _scan_part(stream: TokenStream, at: int, part):
+    if type(part) is tuple:
+        for category in part:
+            token = stream.token_at(at, category)
+            if token is not None:
+                return token.canonical, at + 1
+        return None
+    if isinstance(part, Category):
+        return scan_constituent(stream, at, part)
+    return (part, at + 1) if stream.surface_at(at) == part else None
+
+
+def scan_constituent(stream: TokenStream, at: int, category: Category):
     """Match one constituent of ``category`` starting at group index ``at``.
 
-    Returns (canonical value, first unconsumed position) or None.  Matching
-    is greedy within the category's phrase template; categories without a
-    template consume a single token of that category.
+    Returns (canonical value, first unconsumed position) or None.  A template
+    category matches its first matching alternative in :data:`TEMPLATES`;
+    other categories consume a single token of that category.
     """
     if at >= len(stream):
         return None
-    scanner = _SCANNERS.get(category)
-    if scanner is not None:
-        return scanner(stream, at, lexicon)
-    token = stream.token_at(at, category)
-    if token is None:
-        return None
-    return token.canonical, at + 1
+    alternatives = TEMPLATES.get(category)
+    if alternatives is None:
+        token = stream.token_at(at, category)
+        return None if token is None else (token.canonical, at + 1)
+    for parts, build in alternatives:
+        values = []
+        pos = at
+        for part in parts:
+            found = _scan_part(stream, pos, part)
+            if found is None:
+                break
+            value, pos = found
+            values.append(value)
+        else:
+            return build(*values), pos
+    return None

@@ -60,7 +60,7 @@ class ParseResult:
 _UNSCANNED = object()
 
 
-def match_rule(stream: TokenStream, rule: SyntacticRule, lexicon: Lexicon,
+def match_rule(stream: TokenStream, rule: SyntacticRule,
                scans: dict | None = None) -> ParseResult | None:
     """Match the whole token stream against one rule, or return None.
 
@@ -90,7 +90,7 @@ def match_rule(stream: TokenStream, rule: SyntacticRule, lexicon: Lexicon,
                 key = (pos, arg)
                 found = scans.get(key, _UNSCANNED)
                 if found is _UNSCANNED:
-                    found = scans[key] = scan_constituent(stream, pos, arg, lexicon)
+                    found = scans[key] = scan_constituent(stream, pos, arg)
                 if found is None:
                     break
                 value, after = found
@@ -147,7 +147,7 @@ def parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
     results = []
     for rule in grammar.rules:
         if rule.required <= present:
-            result = match_rule(stream, rule, lexicon, scans)
+            result = match_rule(stream, rule, scans)
             if result is not None:
                 results.append(result)
     return results

@@ -67,7 +67,7 @@ def _match_flat(flat: tuple, stream: TokenStream, lexicon: Lexicon):
                 return None
             pos += 1
         else:
-            found = scan_constituent(stream, pos, term.category, lexicon)
+            found = scan_constituent(stream, pos, term.category)
             if found is None:
                 return None
             value, after = found
@@ -126,7 +126,7 @@ def legacy_match_rule(stream: TokenStream, rule: SyntacticRule,
                 return match_seq(rest, pos + 1)
             return None
         if head.kind is TermKind.CATEGORY:
-            found = scan_constituent(stream, pos, head.category, lexicon)
+            found = scan_constituent(stream, pos, head.category)
             if found is None:
                 return None
             value, after = found

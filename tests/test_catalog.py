@@ -72,6 +72,18 @@ def test_yes_no_false_on_year_mismatch(grammar, lexicon):
     assert evaluate(sem, _catalog(_record())).value is False
 
 
+@pytest.mark.parametrize("query, reply", [
+    # a yes/no question holds only if each of its one-book readings does
+    ("Tác giả A có viết sách B và sách C không?", "Có."),
+    ("Tác giả A có viết sách B và sách Số Đỏ không?", "Không."),
+    # a wh-question still puts every book on one record
+    ("Ai đã viết sách B và sách C?", "Không tìm thấy."),
+])
+def test_several_books_on_sample_catalog(grammar, lexicon, catalog, query, reply):
+    sem = _sem(query, grammar, lexicon)
+    assert format_answer(evaluate(sem, catalog), classify(sem)) == reply
+
+
 def test_wh_publisher_set(grammar, lexicon):
     sem = _sem("Nhà xuất bản nào đã xuất bản sách B trong năm 2009?", grammar, lexicon)
     catalog = _catalog(_record(year=2009), _record(title="C", publisher="Q", year=2009))

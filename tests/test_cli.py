@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from viquery.cli import data_path, main
@@ -87,6 +88,25 @@ def test_generate_deterministic(capsys):
     main(["--seed", "5", "generate", "Q1.1a", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_generate_corpus_is_pinned(capsys):
+    assert main(["--seed", "0", "generate", "all", "20"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "dd59a08fd10af48efad32c19818335a7ca33492129d3a3f0909611efbc53d85c"
+
+
+def test_generate_without_marker_entries_is_error(tmp_path, capsys):
+    lines = data_path("lexicon_v1.tsv").read_text(encoding="utf-8").splitlines()
+    f = tmp_path / "lexicon.tsv"
+    f.write_text("\n".join(line for line in lines
+                           if not line.startswith(("possessive\t", "agent\t"))),
+                 encoding="utf-8")
+    code = main(["--lexicon", str(f), "generate", "Q4.1a", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "possessive" in err
+    assert "Traceback" not in err
 
 
 def test_generate_unknown_rule(capsys):

@@ -125,30 +125,30 @@ def test_tokenize_year_candidate(lexicon):
 
 def test_scan_author_at_start(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_constituent(stream, 0, Category.AUTHOR, lexicon)
+    value, after = scan_constituent(stream, 0, Category.AUTHOR)
     assert value == "A" and after == 2
 
 
 def test_scan_time_phrase(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_constituent(stream, 6, Category.TIME_PHRASE, lexicon)
+    value, after = scan_constituent(stream, 6, Category.TIME_PHRASE)
     assert value == TimeValue("vào", 2008) and after == 9
 
 
 def test_scan_publisher_absent(lexicon):
     stream = tokenize(S1, lexicon)
-    assert scan_constituent(stream, 0, Category.PUBLISHER, lexicon) is None
+    assert scan_constituent(stream, 0, Category.PUBLISHER) is None
 
 
 def test_scan_book_bound(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_constituent(stream, 4, Category.BOOK, lexicon)
+    value, after = scan_constituent(stream, 4, Category.BOOK)
     assert value == BookValue(title="B") and after == 6
 
 
 def test_scan_book_unbound_with_qualifier(lexicon):
     stream = tokenize("sách nào thuộc chủ đề t", lexicon)
-    value, after = scan_constituent(stream, 0, Category.BOOK, lexicon)
+    value, after = scan_constituent(stream, 0, Category.BOOK)
     assert value == BookValue(subject="T")
     assert after == len(stream.groups)
 
@@ -159,6 +159,24 @@ def test_scan_consumes_at_least_one_token(lexicon, corpus):
         for at in range(len(stream.groups)):
             for category in (Category.AUTHOR, Category.BOOK, Category.TIME_PHRASE,
                              Category.SUBJECT, Category.PUBLISHER):
-                found = scan_constituent(stream, at, category, lexicon)
+                found = scan_constituent(stream, at, category)
                 if found is not None:
                     assert found[1] > at
+
+
+@pytest.mark.parametrize("query, at, category, expected", [
+    # a bare subject name after an is_of surface that absorbed the head
+    ("sách nào thuộc chủ đề văn học", 3, Category.SUBJECT, ("Văn Học", 4)),
+    ("sách nào", 0, Category.BOOK, (BookValue(), 2)),
+    ("sách nào thuộc ?", 0, Category.BOOK, (BookValue(), 2)),
+    ("cuốn sách ?", 0, Category.BOOK, (BookValue(), 1)),
+    ("do tác giả a", 0, Category.BY_AUTHOR, ("A", 3)),
+    ("bởi nhà văn a", 0, Category.BY_AUTHOR, ("A", 3)),
+    ("của tác giả a", 0, Category.BY_AUTHOR, ("A", 3)),
+    ("do nhà xuất bản kim đồng", 0, Category.BY_PUBLISHER, ("Kim Đồng", 3)),
+    ("bởi nhà xuất bản trẻ", 0, Category.BY_PUBLISHER, ("Trẻ", 3)),
+    ("của nhà xuất bản p", 0, Category.BY_PUBLISHER, ("P", 3)),
+    ("trước năm ?", 0, Category.TIME_PHRASE, None),
+])
+def test_scan_template_alternatives(lexicon, query, at, category, expected):
+    assert scan_constituent(tokenize(query, lexicon), at, category) == expected

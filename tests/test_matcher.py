@@ -131,9 +131,9 @@ def scans(monkeypatch):
     calls = []
     original = parser.scan_constituent
 
-    def counting(stream, at, category, lexicon):
+    def counting(stream, at, category):
         calls.append((at, category))
-        return original(stream, at, category, lexicon)
+        return original(stream, at, category)
 
     monkeypatch.setattr(parser, "scan_constituent", counting)
     return calls
