@@ -34,7 +34,6 @@ from .lexicon import (
     LexiconEntry,
     LexiconError,
     TimeValue,
-    Token,
     TokenStream,
     load_lexicon,
     normalize,
@@ -71,7 +70,7 @@ __all__ = [
     "EvaluationError", "FAMILY_SKELETONS", "Grammar", "GrammarError",
     "Lexicon", "LexiconEntry", "LexiconError", "ParseResult", "QuestionType",
     "RuleTerm", "SemanticNode", "SyntacticRule", "TermKind", "TimeConstraint",
-    "TimeValue", "Token", "TokenStream", "TransformError",
+    "TimeValue", "TokenStream", "TransformError",
     "classify", "constituents", "evaluate", "format_answer", "load_catalog",
     "load_lexicon", "match_rule", "normalize", "parse", "parse_rule_dsl",
     "render_dsl", "render_full", "render_skeleton", "resolve_time", "sample",

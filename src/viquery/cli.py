@@ -10,13 +10,12 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .catalog import Catalog, CatalogError, EvaluationError, format_answer, evaluate, load_catalog
-from .grammar import Grammar, GrammarError, parse_rule_dsl, sample
-from .lexicon import BookValue, Lexicon, LexiconError, TimeValue, load_lexicon
+from .catalog import CatalogError, EvaluationError, format_answer, evaluate, load_catalog
+from .grammar import GrammarError, parse_rule_dsl, sample
+from .lexicon import BookValue, LexiconError, TimeValue, load_lexicon
 from .parser import BlankQueryError, ParseResult, parse
 from .semantics import classify, render_full, render_skeleton, transform
 
@@ -29,22 +28,8 @@ def data_path(name: str) -> Path:
     return Path(resources.files("viquery").joinpath("data", name))
 
 
-@dataclass
-class RunConfig:
-    grammar_path: Path
-    lexicon_path: Path
-    catalog_path: Path
-    json_output: bool = False
-    seed: int = 0
-
-    def load_grammar(self) -> Grammar:
-        return parse_rule_dsl(self.grammar_path.read_text(encoding="utf-8"))
-
-    def load_lexicon(self) -> Lexicon:
-        return load_lexicon(self.lexicon_path.read_text(encoding="utf-8"))
-
-    def load_catalog(self) -> Catalog:
-        return load_catalog(self.catalog_path.read_text(encoding="utf-8"))
+def _read(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
 
 
 def _json_value(value: object):
@@ -88,21 +73,21 @@ def _parse_report(result: ParseResult, json_output: bool) -> str:
     return "\n".join(lines)
 
 
-def cmd_parse(args, config: RunConfig) -> int:
-    grammar = config.load_grammar()
-    lexicon = config.load_lexicon()
+def cmd_parse(args) -> int:
+    grammar = parse_rule_dsl(_read(args.grammar))
+    lexicon = load_lexicon(_read(args.lexicon))
     results = parse(args.query, grammar, lexicon)
     if not results:
         print("no parse", file=sys.stderr)
         return EXIT_NO_PARSE
     for result in results:
-        print(_parse_report(result, config.json_output))
+        print(_parse_report(result, args.json))
     return EXIT_OK
 
 
-def cmd_semantics(args, config: RunConfig) -> int:
-    grammar = config.load_grammar()
-    lexicon = config.load_lexicon()
+def cmd_semantics(args) -> int:
+    grammar = parse_rule_dsl(_read(args.grammar))
+    lexicon = load_lexicon(_read(args.lexicon))
     results = parse(args.query, grammar, lexicon)
     if not results:
         print("no parse", file=sys.stderr)
@@ -110,7 +95,7 @@ def cmd_semantics(args, config: RunConfig) -> int:
     first = results[0]
     sem = transform(first)
     qtype = classify(sem)
-    if config.json_output:
+    if args.json:
         print(json.dumps({
             "rule_id": first.rule_id,
             "family": first.family,
@@ -124,10 +109,10 @@ def cmd_semantics(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ask(args, config: RunConfig) -> int:
-    grammar = config.load_grammar()
-    lexicon = config.load_lexicon()
-    catalog = config.load_catalog()
+def cmd_ask(args) -> int:
+    grammar = parse_rule_dsl(_read(args.grammar))
+    lexicon = load_lexicon(_read(args.lexicon))
+    catalog = load_catalog(_read(args.catalog))
     results = parse(args.query, grammar, lexicon)
     if not results:
         print("no parse", file=sys.stderr)
@@ -136,7 +121,7 @@ def cmd_ask(args, config: RunConfig) -> int:
     qtype = classify(sem)
     answer = evaluate(sem, catalog)
     text = format_answer(answer, qtype)
-    if config.json_output:
+    if args.json:
         print(json.dumps({
             "rule_id": results[0].rule_id,
             "question_type": qtype.kind,
@@ -154,9 +139,9 @@ def derive_seed(base: int, rule_id: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def cmd_generate(args, config: RunConfig) -> int:
-    grammar = config.load_grammar()
-    lexicon = config.load_lexicon()
+def cmd_generate(args) -> int:
+    grammar = parse_rule_dsl(_read(args.grammar))
+    lexicon = load_lexicon(_read(args.lexicon))
     if args.rule == "all":
         rule_ids = [r.id for r in grammar.rules]
     elif args.rule in grammar.by_id:
@@ -166,16 +151,16 @@ def cmd_generate(args, config: RunConfig) -> int:
         return EXIT_ERROR
     for rule_id in rule_ids:
         for i in range(args.count):
-            sentence = sample(grammar, rule_id, derive_seed(config.seed, rule_id, i), lexicon)
+            sentence = sample(grammar, rule_id, derive_seed(args.seed, rule_id, i), lexicon)
             print(f"{rule_id}\t{sentence}")
     return EXIT_OK
 
 
-def cmd_batch(args, config: RunConfig) -> int:
-    grammar = config.load_grammar()
-    lexicon = config.load_lexicon()
+def cmd_batch(args) -> int:
+    grammar = parse_rule_dsl(_read(args.grammar))
+    lexicon = load_lexicon(_read(args.lexicon))
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = _read(Path(args.file))
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -239,19 +224,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     arg_parser = build_arg_parser()
     args = arg_parser.parse_args(argv)
-    config = RunConfig(
-        grammar_path=args.grammar or data_path("rules_v1.bnf"),
-        lexicon_path=args.lexicon or data_path("lexicon_v1.tsv"),
-        catalog_path=args.catalog or data_path("catalog_sample.json"),
-        json_output=args.json,
-        seed=args.seed,
-    )
-    for path in (config.grammar_path, config.lexicon_path):
+    args.grammar = args.grammar or data_path("rules_v1.bnf")
+    args.lexicon = args.lexicon or data_path("lexicon_v1.tsv")
+    args.catalog = args.catalog or data_path("catalog_sample.json")
+    for path in (args.grammar, args.lexicon):
         if not path.is_file():
             print(f"file not found: {path}", file=sys.stderr)
             return EXIT_ERROR
     try:
-        return args.handler(args, config)
+        return args.handler(args)
     except (BlankQueryError, LexiconError, GrammarError, CatalogError,
             EvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

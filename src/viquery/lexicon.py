@@ -86,7 +86,7 @@ GRAMMAR_CATEGORIES = frozenset(
     }
 )
 
-#: Proper-name gazetteer kinds, in the order candidate tokens are emitted.
+#: Proper-name gazetteer kinds, in the order an unknown run lists them.
 NAME_KINDS = (
     Category.NAME_AUTHOR,
     Category.NAME_BOOK,
@@ -117,18 +117,6 @@ class LexiconEntry:
 
 
 @dataclass(frozen=True)
-class Token:
-    """A matched span. ``start``/``end`` are syllable offsets, end exclusive."""
-
-    surface: str
-    normalized: str
-    category: Category
-    canonical: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class TimeValue:
     """Raw time constituent: preposition lemma plus a year (None = asked)."""
 
@@ -147,32 +135,29 @@ class BookValue:
 
 @dataclass(frozen=True)
 class TokenGroup:
-    """All tokens sharing one span; several tokens mean a category tie that
-    the parser resolves by rule demand."""
+    """One span, ``start``/``end`` in syllables (end exclusive), and the
+    canonical form of each category it has; several categories are a tie
+    that the parser resolves by rule demand."""
 
     start: int
     end: int
     surface: str
-    tokens: tuple[Token, ...]
+    categories: dict[Category, str]
 
 
 class TokenStream:
     """Tokenization result: one group per span position, left to right."""
 
-    def __init__(self, groups: tuple[TokenGroup, ...], text: str):
+    def __init__(self, groups: tuple[TokenGroup, ...]):
         self.groups = groups
-        self.text = text
 
     def __len__(self) -> int:
         return len(self.groups)
 
-    def token_at(self, pos: int, category: Category) -> Token | None:
+    def canonical_at(self, pos: int, category: Category) -> str | None:
         if pos >= len(self.groups):
             return None
-        for token in self.groups[pos].tokens:
-            if token.category is category:
-                return token
-        return None
+        return self.groups[pos].categories.get(category)
 
     def surface_at(self, pos: int) -> str | None:
         if pos >= len(self.groups):
@@ -199,9 +184,6 @@ class Lexicon:
             self._by_category.setdefault(entry.category, []).append(entry)
         for bucket in self._by_first.values():
             bucket.sort(key=lambda item: (-len(item[0]), item[1].category.value))
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def lookup(self, category: Category, surface: str) -> LexiconEntry | None:
         return self._entries.get((category, surface))
@@ -273,10 +255,11 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
     """Deterministic longest-match segmentation of a normalized query.
 
     At each syllable the longest lexicon surface wins; equal-length matches
-    in several categories yield one token each on the same span.  Unmatched
-    syllables are grouped into maximal runs and emitted as proper-name
-    candidates for every gazetteer kind (plus a year literal when the run
-    is a single 4-digit number).
+    in several categories all go on the same span.  Unmatched syllables are
+    grouped into maximal runs and become proper-name candidates of every
+    gazetteer kind (plus a year literal when the run is a single 4-digit
+    number).  Entries are unique by (category, surface), so a span never
+    holds one category twice.
     """
     syllables = query.split(" ") if query else []
     groups: list[TokenGroup] = []
@@ -285,18 +268,14 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
     while i < n:
         syl = syllables[i]
         if syl in ("?", ","):
-            token = Token(syl, syl, Category.PUNCT, syl, i, i + 1)
-            groups.append(TokenGroup(i, i + 1, syl, (token,)))
+            groups.append(TokenGroup(i, i + 1, syl, {Category.PUNCT: syl}))
             i += 1
             continue
         length, matches = lexicon.match_at(syllables, i)
         if matches:
             span = " ".join(syllables[i:i + length])
-            tokens = tuple(
-                Token(span, span, e.category, e.canonical, i, i + length)
-                for e in matches
-            )
-            groups.append(TokenGroup(i, i + length, span, tokens))
+            categories = {e.category: e.canonical for e in matches}
+            groups.append(TokenGroup(i, i + length, span, categories))
             i += length
             continue
         # maximal unknown run -> proper-name candidates
@@ -304,12 +283,12 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
         while j < n and syllables[j] not in ("?", ",") and not lexicon.match_at(syllables, j)[0]:
             j += 1
         run = " ".join(syllables[i:j])
-        tokens = [Token(run, run, kind, run, i, j) for kind in NAME_KINDS]
+        categories = dict.fromkeys(NAME_KINDS, run)
         if j - i == 1 and _YEAR_RE.match(run):
-            tokens.append(Token(run, run, Category.YEAR, run, i, j))
-        groups.append(TokenGroup(i, j, run, tuple(tokens)))
+            categories[Category.YEAR] = run
+        groups.append(TokenGroup(i, j, run, categories))
         i = j
-    return TokenStream(tuple(groups), query)
+    return TokenStream(tuple(groups))
 
 
 # --- constituent templates ---------------------------------------------------
@@ -358,9 +337,9 @@ TEMPLATES = {
 def _scan_part(stream: TokenStream, at: int, part):
     if type(part) is tuple:
         for category in part:
-            token = stream.token_at(at, category)
-            if token is not None:
-                return token.canonical, at + 1
+            canonical = stream.canonical_at(at, category)
+            if canonical is not None:
+                return canonical, at + 1
         return None
     if isinstance(part, Category):
         return scan_constituent(stream, at, part)
@@ -378,8 +357,8 @@ def scan_constituent(stream: TokenStream, at: int, category: Category):
         return None
     alternatives = TEMPLATES.get(category)
     if alternatives is None:
-        token = stream.token_at(at, category)
-        return None if token is None else (token.canonical, at + 1)
+        canonical = stream.canonical_at(at, category)
+        return None if canonical is None else (canonical, at + 1)
     for parts, build in alternatives:
         values = []
         pos = at

@@ -141,8 +141,7 @@ def parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
     present = set()
     for group in stream.groups:
         present.add((LIT, group.surface))
-        for token in group.tokens:
-            present.add((CAT, token.category))
+        present.update((CAT, category) for category in group.categories)
     scans: dict = {}
     results = []
     for rule in grammar.rules:

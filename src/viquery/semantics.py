@@ -328,40 +328,29 @@ def _build_library_count(parse: ParseResult):
     return SemanticNode("verb_have", False, tuple(args))
 
 
-_BUILDERS = {
-    "action": _build_action,
-    "possessive_eq": _build_possessive_eq,
-    "subject_of": _build_subject_of,
-    "qualified_list": _build_qualified_list,
-    "published_where": _build_published_where,
-    "locate": _build_locate,
-    "cost": _build_cost,
-    "library_count": _build_library_count,
-}
-
-#: The transformation table: family -> (structure kind, parameters).
+#: The transformation table: family -> (builder, parameters).
 FAMILY_TABLE = {
-    "Q1.1": ("action", dict(predicate="verb_write", actor="author", focus="actor")),
-    "Q1.2": ("possessive_eq", {}),
-    "Q1.3": ("action", dict(predicate="verb_write", actor="author", focus="predicate")),
-    "Q1.4": ("action", dict(predicate="verb_write", actor="author", focus="year")),
-    "Q2.1": ("action", dict(predicate="verb_publish", actor="publisher", focus="actor")),
-    "Q2.2": ("action", dict(predicate="verb_publish", actor="publisher", focus="predicate")),
-    "Q2.3": ("action", dict(predicate="verb_publish", actor="publisher", focus="year")),
-    "Q3.1": ("subject_of", dict(described=True, subject_focus=True)),
-    "Q3.2": ("subject_of", dict(described=True, subject_focus=False)),
-    "Q3.3": ("subject_of", dict(described=False, actor="author")),
-    "Q3.4": ("subject_of", dict(described=False, actor="publisher")),
-    "Q4.1": ("qualified_list", dict(predicate="verb_write", actor="author",
-                                    source=Category.BY_AUTHOR)),
-    "Q4.2": ("qualified_list", dict(predicate="verb_publish", actor="publisher",
-                                    source=Category.BY_PUBLISHER)),
-    "Q5.1": ("published_where", {}),
-    "Q5.2": ("locate", {}),
-    "Q6.1": ("cost", {}),
-    "Q7.1": ("library_count", {}),
-    "Q7.2": ("action", dict(predicate="verb_write", actor="author", focus="amount")),
-    "Q7.3": ("action", dict(predicate="verb_publish", actor="publisher", focus="amount")),
+    "Q1.1": (_build_action, dict(predicate="verb_write", actor="author", focus="actor")),
+    "Q1.2": (_build_possessive_eq, {}),
+    "Q1.3": (_build_action, dict(predicate="verb_write", actor="author", focus="predicate")),
+    "Q1.4": (_build_action, dict(predicate="verb_write", actor="author", focus="year")),
+    "Q2.1": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="actor")),
+    "Q2.2": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="predicate")),
+    "Q2.3": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="year")),
+    "Q3.1": (_build_subject_of, dict(described=True, subject_focus=True)),
+    "Q3.2": (_build_subject_of, dict(described=True, subject_focus=False)),
+    "Q3.3": (_build_subject_of, dict(described=False, actor="author")),
+    "Q3.4": (_build_subject_of, dict(described=False, actor="publisher")),
+    "Q4.1": (_build_qualified_list, dict(predicate="verb_write", actor="author",
+                                           source=Category.BY_AUTHOR)),
+    "Q4.2": (_build_qualified_list, dict(predicate="verb_publish", actor="publisher",
+                                           source=Category.BY_PUBLISHER)),
+    "Q5.1": (_build_published_where, {}),
+    "Q5.2": (_build_locate, {}),
+    "Q6.1": (_build_cost, {}),
+    "Q7.1": (_build_library_count, {}),
+    "Q7.2": (_build_action, dict(predicate="verb_write", actor="author", focus="amount")),
+    "Q7.3": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="amount")),
 }
 
 
@@ -370,5 +359,5 @@ def transform(parse: ParseResult) -> SemanticNode:
     entry = FAMILY_TABLE.get(parse.family)
     if entry is None:
         raise TransformError(f"unregistered family {parse.family!r}")
-    kind, params = entry
-    return _BUILDERS[kind](parse, **params)
+    build, params = entry
+    return build(parse, **params)

@@ -6,12 +6,14 @@ a flat term list (in the parser's preference order) and linearly matches
 each expansion.  The legacy parser is the recursive backtracker that the
 compiled matcher replaced, kept as a fast differential reference.  The
 evaluation oracle re-derives answers per record by walking the semantic tree
-directly instead of compiling a filter list.
+directly instead of compiling a filter list; a yes/no question that names
+several books holds when each of its one-book readings holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, Catalog, format_price
 from viquery.grammar import Grammar, SyntacticRule, TermKind
@@ -190,6 +192,33 @@ def _record_satisfies(record: BookRecord, node: SemanticNode) -> bool:
     return True
 
 
+def _is_book(arg) -> bool:
+    """A book entity, or a nested is_of node that holds one ("sách nào
+    thuộc chủ đề T")."""
+    if arg.kind == "nested":
+        return arg.nested.predicate == "is_of" and any(
+            inner.kind == "entity" and inner.role == "book" for inner, _rel in arg.nested.args)
+    return arg.kind == "entity" and arg.role == "book"
+
+
+def _one_book_readings(node: SemanticNode):
+    """Copies of ``node`` that keep one of its book arguments, nested nodes
+    alike; a node with no book argument keeps all of its arguments."""
+    books = [i for i, (arg, _rel) in enumerate(node.args) if _is_book(arg)]
+    for kept in books or [None]:
+        choices = []
+        for i, (arg, rel) in enumerate(node.args):
+            if i in books and i != kept:
+                continue
+            if arg.kind == "nested":
+                choices.append([(replace(arg, nested=nested), rel)
+                                for nested in _one_book_readings(arg.nested)])
+            else:
+                choices.append([(arg, rel)])
+        for args in itertools.product(*choices):
+            yield replace(node, args=args)
+
+
 def _focused_role(node: SemanticNode):
     for arg, _rel in node.args:
         if arg.focus:
@@ -206,9 +235,11 @@ def _focused_role(node: SemanticNode):
 
 
 def oracle_evaluate(sem: SemanticNode, catalog: Catalog) -> Answer:
-    hits = [r for r in catalog.records if _record_satisfies(r, sem)]
     if sem.focused:
-        return Answer("boolean", bool(hits))
+        return Answer("boolean", all(
+            any(_record_satisfies(r, reading) for r in catalog.records)
+            for reading in _one_book_readings(sem)))
+    hits = [r for r in catalog.records if _record_satisfies(r, sem)]
     role = _focused_role(sem)
     if role == "amount":
         return Answer("count", len(hits))

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import oracle_evaluate
 from viquery.catalog import (
     Answer,
     CatalogError,
@@ -82,6 +83,16 @@ def test_yes_no_false_on_year_mismatch(grammar, lexicon):
 def test_several_books_on_sample_catalog(grammar, lexicon, catalog, query, reply):
     sem = _sem(query, grammar, lexicon)
     assert format_answer(evaluate(sem, catalog), classify(sem)) == reply
+
+
+@pytest.mark.parametrize("query, holds", [
+    ("Tác giả A có viết sách B và sách C không?", True),
+    ("Tác giả A có viết sách B và sách Số Đỏ không?", False),
+])
+def test_oracle_agrees_on_several_books(grammar, lexicon, catalog, query, holds):
+    sem = _sem(query, grammar, lexicon)
+    assert evaluate(sem, catalog) == Answer("boolean", holds)
+    assert oracle_evaluate(sem, catalog) == Answer("boolean", holds)
 
 
 def test_wh_publisher_set(grammar, lexicon):

@@ -1,7 +1,9 @@
 import hashlib
 import json
 
-from viquery.cli import data_path, main
+from viquery.cli import _parse_report, data_path, main
+from viquery.parser import parse
+from viquery.semantics import render_full, transform
 
 S1 = "Tác giả A có viết sách B vào năm 2008 không?"
 
@@ -149,3 +151,18 @@ def test_ask_non_string_catalog_field_is_load_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: record 0: publisher must be a string")
     assert "Traceback" not in err
+
+
+def test_parse_reports_are_pinned(capsys, grammar, lexicon):
+    assert main(["--seed", "0", "generate", "all", "20"]) == 0
+    sentences = [line.split("\t", 1)[1]
+                 for line in capsys.readouterr().out.splitlines()]
+    assert len(sentences) == 1140
+    lines = []
+    for sentence in sentences:
+        results = parse(sentence, grammar, lexicon)
+        lines.extend(_parse_report(r, True) for r in results)
+        lines.append(render_full(transform(results[0])))
+    assert len(lines) == 2796
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "77efc647200cfb8197fa4999c494bf24ab7be918a3cb2f8e6ed746973188a7b3"

@@ -5,6 +5,7 @@ from viquery.lexicon import (
     BookValue,
     Category,
     LexiconError,
+    NAME_KINDS,
     TimeValue,
     load_lexicon,
     normalize,
@@ -67,7 +68,7 @@ def test_load_rejects_duplicates():
 
 def test_tokenize_s1_categories(lexicon):
     stream = tokenize(S1, lexicon)
-    spans = [(g.surface, {t.category for t in g.tokens}) for g in stream.groups]
+    spans = [(g.surface, set(g.categories)) for g in stream.groups]
     assert spans[0][0] == "tác giả" and Category.CREATOR in spans[0][1]
     assert spans[1][0] == "a" and Category.NAME_AUTHOR in spans[1][1]
     assert spans[2][0] == "có" and Category.INTERROGATIVE1 in spans[2][1]
@@ -84,19 +85,19 @@ def test_tokenize_s1_categories(lexicon):
 def test_tokenize_single_terminal(lexicon):
     stream = tokenize("?", lexicon)
     assert len(stream.groups) == 1
-    assert stream.groups[0].tokens[0].category is Category.PUNCT
+    assert list(stream.groups[0].categories) == [Category.PUNCT]
 
 
 def test_tokenize_longest_match_wins(lexicon):
     stream = tokenize("nhà xuất bản nào đã xuất bản sách b trong năm 2009 ?", lexicon)
     first = stream.groups[0]
     assert first.surface == "nhà xuất bản nào"
-    assert {t.category for t in first.tokens} == {Category.WHAT_PUBLISHER}
+    assert set(first.categories) == {Category.WHAT_PUBLISHER}
 
 
 def test_tokenize_category_tie_emits_both(lexicon):
     stream = tokenize("có", lexicon)
-    cats = {t.category for t in stream.groups[0].tokens}
+    cats = set(stream.groups[0].categories)
     assert cats == {Category.INTERROGATIVE1, Category.VERB_HAVE}
 
 
@@ -112,15 +113,27 @@ def test_tokenize_unknown_run_becomes_name_candidates(lexicon):
     stream = tokenize("xyzzy plugh ?", lexicon)
     run = stream.groups[0]
     assert run.surface == "xyzzy plugh"
-    assert {t.category for t in run.tokens} == set(
+    assert set(run.categories) == set(
         {Category.NAME_AUTHOR, Category.NAME_BOOK, Category.NAME_PUBLISHER,
          Category.NAME_SUBJECT, Category.NAME_FIELD, Category.NAME_PLACE})
 
 
 def test_tokenize_year_candidate(lexicon):
     stream = tokenize("1984", lexicon)
-    cats = {t.category for t in stream.groups[0].tokens}
+    cats = set(stream.groups[0].categories)
     assert Category.YEAR in cats and Category.NAME_BOOK in cats
+
+
+@pytest.mark.parametrize("query, expected", [
+    ("có", {Category.INTERROGATIVE1: "có", Category.VERB_HAVE: "có"}),
+    ("phát hành", {Category.VERB_PUBLISH: "xuất bản"}),
+    ("?", {Category.PUNCT: "?"}),
+    ("xyzzy plugh", dict.fromkeys(NAME_KINDS, "xyzzy plugh")),
+    ("1984", {**dict.fromkeys(NAME_KINDS, "1984"), Category.YEAR: "1984"}),
+])
+def test_tokenize_group_categories(lexicon, query, expected):
+    [group] = tokenize(query, lexicon).groups
+    assert group.categories == expected
 
 
 def test_scan_author_at_start(lexicon):
