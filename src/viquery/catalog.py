@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .semantics import QuestionType, SemanticNode
 
@@ -23,8 +23,7 @@ class EvaluationError(ValueError):
     """Raised when a semantic tree cannot be evaluated against records."""
 
 
-@dataclass(frozen=True)
-class BookRecord:
+class BookRecord(NamedTuple):
     title: str
     authors: tuple[str, ...]
     publisher: str
@@ -35,8 +34,7 @@ class BookRecord:
     currency: str
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     kind: str                    # boolean | entities | count
     value: object                # bool | tuple[str, ...] | int
 

@@ -1,23 +1,21 @@
 """Command-line surface: parse, semantics, ask, generate, batch.
 
 Exit codes: 0 success (>=1 parse where parsing is involved), 2 no parse,
-1 usage or load errors.
+1 usage, load or transform errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .catalog import CatalogError, EvaluationError, format_answer, evaluate, load_catalog
 from .grammar import GrammarError, parse_rule_dsl, sample
 from .lexicon import BookValue, LexiconError, TimeValue, load_lexicon
 from .parser import BlankQueryError, ParseResult, parse
-from .semantics import classify, render_full, render_skeleton, transform
+from .semantics import TransformError, classify, render_full, render_skeleton, transform
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -25,7 +23,7 @@ EXIT_NO_PARSE = 2
 
 
 def data_path(name: str) -> Path:
-    return Path(resources.files("viquery").joinpath("data", name))
+    return Path(__file__).parent / "data" / name
 
 
 def _read(path: Path) -> str:
@@ -135,6 +133,8 @@ def cmd_ask(args) -> int:
 
 
 def derive_seed(base: int, rule_id: str, index: int) -> int:
+    import hashlib  # only ``generate`` needs it; it loads OpenSSL
+
     digest = hashlib.sha256(f"{base}:{rule_id}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (BlankQueryError, LexiconError, GrammarError, CatalogError,
-            EvaluationError, OSError) as exc:
+            EvaluationError, TransformError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

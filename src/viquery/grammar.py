@@ -13,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .lexicon import (
     Category,
@@ -33,12 +34,11 @@ class TermKind(Enum):
     GROUP = "group"
 
 
-@dataclass(frozen=True)
-class RuleTerm:
+class RuleTerm(NamedTuple):
     kind: TermKind
     literal: str | None = None
     category: Category | None = None
-    body: tuple["RuleTerm", ...] = field(default=())
+    body: tuple["RuleTerm", ...] = ()
 
 
 #: Matcher instructions, as ``(op, arg, alt)`` triples.  ``LIT s`` consumes

@@ -3,16 +3,19 @@
 The lexicon is closed-world: a set of closed-class entries (question words,
 verbs, heads, particles) plus open-class gazetteers of proper names (authors,
 titles, publishers, subjects, fields, places).  Tokenization is deterministic
-longest-match over syllables; spans matching no entry become proper-name
-candidates so that questions about unlisted titles still parse.
+longest-match over syllables, walked in a syllable trie built at load; spans
+matching no entry become proper-name candidates so that questions about
+unlisted titles still parse.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from collections.abc import Mapping
 from enum import Enum
+from types import MappingProxyType
+from typing import NamedTuple
 
 
 class Category(str, Enum):
@@ -97,35 +100,26 @@ NAME_KINDS = (
 )
 
 _YEAR_RE = re.compile(r"^[1-9]\d{3}$")
-_PUNCT_RE = re.compile(r"\s*([?,])\s*")
-_WS_RE = re.compile(r"\s+")
 
 
 class LexiconError(ValueError):
     """Raised when a lexicon document cannot be loaded."""
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     category: Category
     surface: str          # normalized, space-separated syllables
     canonical: str        # lemma or entity id (entity ids keep display casing)
 
-    @property
-    def syllables(self) -> tuple[str, ...]:
-        return tuple(self.surface.split(" "))
 
-
-@dataclass(frozen=True)
-class TimeValue:
+class TimeValue(NamedTuple):
     """Raw time constituent: preposition lemma plus a year (None = asked)."""
 
     prep: str | None
     year: int | None
 
 
-@dataclass(frozen=True)
-class BookValue:
+class BookValue(NamedTuple):
     """Book constituent value: bound title, or unbound (any book), optionally
     qualified by a subject ("sách nào thuộc chủ đề T")."""
 
@@ -133,16 +127,16 @@ class BookValue:
     subject: str | None = None
 
 
-@dataclass(frozen=True)
-class TokenGroup:
+class TokenGroup(NamedTuple):
     """One span, ``start``/``end`` in syllables (end exclusive), and the
     canonical form of each category it has; several categories are a tie
-    that the parser resolves by rule demand."""
+    that the parser resolves by rule demand.  ``categories`` is read-only:
+    a lexicon surface's map is shared by every group of that surface."""
 
     start: int
     end: int
     surface: str
-    categories: dict[Category, str]
+    categories: Mapping[Category, str]
 
 
 class TokenStream:
@@ -165,6 +159,8 @@ class TokenStream:
         return self.groups[pos].surface
 
     def span_text(self, start: int, end: int) -> str:
+        if end - start == 1:
+            return self.groups[start].surface
         return " ".join(g.surface for g in self.groups[start:end])
 
 
@@ -174,16 +170,23 @@ class Lexicon:
 
     def __init__(self, entries: list[LexiconEntry]):
         self._entries: dict[tuple[Category, str], LexiconEntry] = {}
-        # first syllable -> (syllables, entry), longest first
-        self._by_first: dict[str, list[tuple[tuple[str, ...], LexiconEntry]]] = {}
         self._by_category: dict[Category, list[LexiconEntry]] = {}
+        by_surface: dict[str, dict[Category, str]] = {}
         for entry in entries:
             self._entries[(entry.category, entry.surface)] = entry
-            syllables = entry.syllables
-            self._by_first.setdefault(syllables[0], []).append((syllables, entry))
             self._by_category.setdefault(entry.category, []).append(entry)
-        for bucket in self._by_first.values():
-            bucket.sort(key=lambda item: (-len(item[0]), item[1].category.value))
+            by_surface.setdefault(entry.surface, {})[entry.category] = entry.canonical
+        # syllable trie: a node maps a syllable to (child node, the read-only
+        # category map of the surface that ends there, or None); each map
+        # lists its categories in value order
+        self._trie: dict[str, tuple[dict, Mapping[Category, str] | None]] = {}
+        for surface, categories in by_surface.items():
+            *head, last = surface.split(" ")
+            node = self._trie
+            for syllable in head:
+                node = node.setdefault(syllable, ({}, None))[0]
+            ordered = sorted(categories.items(), key=lambda item: item[0].value)
+            node[last] = (node.get(last, ({}, None))[0], MappingProxyType(dict(ordered)))
 
     def lookup(self, category: Category, surface: str) -> LexiconEntry | None:
         return self._entries.get((category, surface))
@@ -194,29 +197,12 @@ class Lexicon:
     def has_entries(self, category: Category) -> bool:
         return bool(self._by_category.get(category))
 
-    def match_at(self, syllables: list[str], at: int) -> tuple[int, list[LexiconEntry]]:
-        """Longest-match entries starting at ``at`` and their length in
-        syllables (0 when none); ties across categories are all returned."""
-        best: list[LexiconEntry] = []
-        best_len = 0
-        for entry_syllables, entry in self._by_first.get(syllables[at], ()):
-            n = len(entry_syllables)
-            if n < best_len:
-                break  # buckets are length-sorted
-            if tuple(syllables[at:at + n]) == entry_syllables:
-                if n > best_len:
-                    best, best_len = [entry], n
-                else:
-                    best.append(entry)
-        return best_len, best
-
 
 def normalize(text: str) -> str:
     """Canonical query form: NFC, lowercased, '?' and ',' split off,
     whitespace collapsed.  Idempotent and total."""
     text = unicodedata.normalize("NFC", text).lower()
-    text = _PUNCT_RE.sub(r" \1 ", text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.replace("?", " ? ").replace(",", " , ").split())
 
 
 def load_lexicon(document: str) -> Lexicon:
@@ -251,6 +237,17 @@ def load_lexicon(document: str) -> Lexicon:
     return Lexicon(entries)
 
 
+_PUNCT_CATEGORIES = {p: MappingProxyType({Category.PUNCT: p}) for p in "?,"}
+
+
+def _name_group(syllables: list[str], start: int, end: int) -> TokenGroup:
+    run = " ".join(syllables[start:end])
+    categories = dict.fromkeys(NAME_KINDS, run)
+    if end - start == 1 and _YEAR_RE.match(run):
+        categories[Category.YEAR] = run
+    return TokenGroup(start, end, run, MappingProxyType(categories))
+
+
 def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
     """Deterministic longest-match segmentation of a normalized query.
 
@@ -259,35 +256,43 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
     grouped into maximal runs and become proper-name candidates of every
     gazetteer kind (plus a year literal when the run is a single 4-digit
     number).  Entries are unique by (category, surface), so a span never
-    holds one category twice.
+    holds one category twice.  The lexicon's trie is walked once per
+    position.
     """
     syllables = query.split(" ") if query else []
+    trie = lexicon._trie
     groups: list[TokenGroup] = []
+    run = None  # start of the pending unknown run
     i = 0
     n = len(syllables)
     while i < n:
         syl = syllables[i]
-        if syl in ("?", ","):
-            groups.append(TokenGroup(i, i + 1, syl, {Category.PUNCT: syl}))
-            i += 1
-            continue
-        length, matches = lexicon.match_at(syllables, i)
-        if matches:
-            span = " ".join(syllables[i:i + length])
-            categories = {e.category: e.canonical for e in matches}
-            groups.append(TokenGroup(i, i + length, span, categories))
-            i += length
-            continue
-        # maximal unknown run -> proper-name candidates
-        j = i
-        while j < n and syllables[j] not in ("?", ",") and not lexicon.match_at(syllables, j)[0]:
-            j += 1
-        run = " ".join(syllables[i:j])
-        categories = dict.fromkeys(NAME_KINDS, run)
-        if j - i == 1 and _YEAR_RE.match(run):
-            categories[Category.YEAR] = run
-        groups.append(TokenGroup(i, j, run, categories))
-        i = j
+        categories = _PUNCT_CATEGORIES.get(syl)
+        end = i + 1
+        if categories is None:
+            node = trie
+            k = i
+            while k < n:
+                hit = node.get(syllables[k])
+                if hit is None:
+                    break
+                node, found = hit
+                k += 1
+                if found is not None:
+                    categories, end = found, k
+            if categories is None:
+                if run is None:
+                    run = i
+                i += 1
+                continue
+        if run is not None:
+            groups.append(_name_group(syllables, run, i))
+            run = None
+        span = syl if end == i + 1 else " ".join(syllables[i:end])
+        groups.append(TokenGroup(i, end, span, categories))
+        i = end
+    if run is not None:
+        groups.append(_name_group(syllables, run, n))
     return TokenStream(tuple(groups))
 
 

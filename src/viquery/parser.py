@@ -25,7 +25,7 @@ skipped rule is one that cannot match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grammar import CAT, JUMP, LIT, SPLIT, Grammar, SyntacticRule
 from .lexicon import (
@@ -42,16 +42,14 @@ class BlankQueryError(ValueError):
     """Raised for empty or whitespace-only input (distinct from no-parse)."""
 
 
-@dataclass(frozen=True)
-class ConstituentBinding:
+class ConstituentBinding(NamedTuple):
     category: Category
     value: object            # str, TimeValue, BookValue, or None (asked slot)
     surface: str
     ordinal: int              # occurrence index per category, from 0
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     rule_id: str
     family: str
     bindings: tuple[ConstituentBinding, ...]

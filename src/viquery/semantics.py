@@ -10,6 +10,7 @@ element of a wh-question.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lexicon import BookValue, Category, TimeValue
 from .parser import ConstituentBinding, ParseResult
@@ -32,8 +33,7 @@ _PREP_RELATIONS = {"trước": "before", "vào": "in", "trong": "in", "sau": "af
 _TIME_RELATION_NAMES = {"before": REL_TIME1, "in": REL_TIME2, "after": REL_TIME3}
 
 
-@dataclass(frozen=True)
-class TimeConstraint:
+class TimeConstraint(NamedTuple):
     year: int | None           # None when the year is what is asked
     relation: str               # before | in | after
 
@@ -55,8 +55,7 @@ class SemanticNode:
     args: tuple[tuple[Argument, str], ...] = field(default=())
 
 
-@dataclass(frozen=True)
-class QuestionType:
+class QuestionType(NamedTuple):
     kind: str                       # wh | yesno
     focus_path: tuple[int, ...]     # arg indices to the focus; () = predicate
 

@@ -7,17 +7,31 @@ each expansion.  The legacy parser is the recursive backtracker that the
 compiled matcher replaced, kept as a fast differential reference.  The
 evaluation oracle re-derives answers per record by walking the semantic tree
 directly instead of compiling a filter list; a yes/no question that names
-several books holds when each of its one-book readings holds.
+several books holds when each of its one-book readings holds.  The legacy
+front end is the regex normalizer and the per-first-syllable bucket scan
+that the syllable trie replaced.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
+import unicodedata
 from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, Catalog, format_price
 from viquery.grammar import Grammar, SyntacticRule, TermKind
-from viquery.lexicon import Lexicon, TokenStream, normalize, scan_constituent, tokenize
+from viquery.lexicon import (
+    NAME_KINDS,
+    Category,
+    Lexicon,
+    TokenGroup,
+    TokenStream,
+    normalize,
+    scan_constituent,
+    tokenize,
+)
 from viquery.parser import ConstituentBinding, ParseResult
 from viquery.semantics import SemanticNode
 
@@ -98,6 +112,77 @@ def oracle_parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseRe
         if result is not None:
             results.append(result)
     return results
+
+
+# --- legacy front end --------------------------------------------------------
+
+_YEAR_RE = re.compile(r"^[1-9]\d{3}$")
+_PUNCT_RE = re.compile(r"\s*([?,])\s*")
+_WS_RE = re.compile(r"\s+")
+
+
+def legacy_normalize(text: str) -> str:
+    text = unicodedata.normalize("NFC", text).lower()
+    text = _PUNCT_RE.sub(r" \1 ", text)
+    return _WS_RE.sub(" ", text).strip()
+
+
+@functools.lru_cache(maxsize=None)
+def _by_first(lexicon: Lexicon) -> dict:
+    """First syllable -> (syllables, entry), longest first."""
+    by_first: dict = {}
+    for entry in lexicon._entries.values():
+        syllables = tuple(entry.surface.split(" "))
+        by_first.setdefault(syllables[0], []).append((syllables, entry))
+    for bucket in by_first.values():
+        bucket.sort(key=lambda item: (-len(item[0]), item[1].category.value))
+    return by_first
+
+
+def _match_at(lexicon: Lexicon, syllables: list[str], at: int):
+    best = []
+    best_len = 0
+    for entry_syllables, entry in _by_first(lexicon).get(syllables[at], ()):
+        n = len(entry_syllables)
+        if n < best_len:
+            break  # buckets are length-sorted
+        if tuple(syllables[at:at + n]) == entry_syllables:
+            if n > best_len:
+                best, best_len = [entry], n
+            else:
+                best.append(entry)
+    return best_len, best
+
+
+def legacy_tokenize(query: str, lexicon: Lexicon) -> TokenStream:
+    syllables = query.split(" ") if query else []
+    groups: list[TokenGroup] = []
+    i = 0
+    n = len(syllables)
+    while i < n:
+        syl = syllables[i]
+        if syl in ("?", ","):
+            groups.append(TokenGroup(i, i + 1, syl, {Category.PUNCT: syl}))
+            i += 1
+            continue
+        length, matches = _match_at(lexicon, syllables, i)
+        if matches:
+            span = " ".join(syllables[i:i + length])
+            categories = {e.category: e.canonical for e in matches}
+            groups.append(TokenGroup(i, i + length, span, categories))
+            i += length
+            continue
+        # maximal unknown run -> proper-name candidates
+        j = i
+        while j < n and syllables[j] not in ("?", ",") and not _match_at(lexicon, syllables, j)[0]:
+            j += 1
+        run = " ".join(syllables[i:j])
+        categories = dict.fromkeys(NAME_KINDS, run)
+        if j - i == 1 and _YEAR_RE.match(run):
+            categories[Category.YEAR] = run
+        groups.append(TokenGroup(i, j, run, categories))
+        i = j
+    return TokenStream(tuple(groups))
 
 
 # --- legacy parser ------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from viquery.cli import _parse_report, data_path, main
 from viquery.parser import parse
 from viquery.semantics import render_full, transform
@@ -150,6 +152,17 @@ def test_ask_non_string_catalog_field_is_load_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: record 0: publisher must be a string")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["semantics", "ask"])
+def test_unregistered_family_is_clean_error(tmp_path, capsys, command):
+    f = tmp_path / "g.bnf"
+    f.write_text('<Q9.1a> = <author> "?"\n', encoding="utf-8")
+    code = main(["--grammar", str(f), command, "tác giả A ?"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Q9.1" in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,11 @@
-import pytest
-from hypothesis import given, strategies as st
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import legacy_normalize, legacy_tokenize
+from viquery.cli import derive_seed
+from viquery.grammar import sample
 from viquery.lexicon import (
     BookValue,
     Category,
@@ -193,3 +198,59 @@ def test_scan_consumes_at_least_one_token(lexicon, corpus):
 ])
 def test_scan_template_alternatives(lexicon, query, at, category, expected):
     assert scan_constituent(tokenize(query, lexicon), at, category) == expected
+
+
+# --- the trie front end against the legacy regex and bucket scan -------------
+
+def _groups(stream):
+    return [(g.start, g.end, g.surface, dict(g.categories), list(g.categories))
+            for g in stream.groups]
+
+
+def _assert_same_front_end(text, lexicon):
+    normalized = normalize(text)
+    assert normalized == legacy_normalize(text)
+    assert (_groups(tokenize(normalized, lexicon))
+            == _groups(legacy_tokenize(normalized, lexicon)))
+
+
+@functools.lru_cache(maxsize=None)
+def _syllables(lexicon):
+    return sorted({s for e in lexicon._entries.values() for s in e.surface.split(" ")})
+
+
+@given(text=st.text(max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_front_end_matches_legacy_on_any_text(lexicon, text):
+    _assert_same_front_end(text, lexicon)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_front_end_matches_legacy_on_lexicon_syllables(lexicon, data):
+    piece = st.one_of(
+        st.sampled_from(_syllables(lexicon)).map(lambda s: s + " "),
+        st.sampled_from(["?", ",", " ", "  ", "\t", "\n", "\u00a0"]),
+        st.from_regex(r"[0-9]{4}", fullmatch=True),
+    )
+    text = "".join(data.draw(st.lists(piece, max_size=40)))
+    _assert_same_front_end(text, lexicon)
+    _assert_same_front_end(text.upper(), lexicon)
+
+
+def test_front_end_matches_legacy_on_corpus(grammar, lexicon):
+    sentences = [sample(grammar, rule.id, derive_seed(0, rule.id, i), lexicon)
+                 for rule in grammar.rules for i in range(20)]
+    assert len(sentences) == 1140
+    for sentence in sentences:
+        _assert_same_front_end(sentence, lexicon)
+
+
+def test_group_categories_are_read_only(lexicon):
+    stream = tokenize("có xyzzy , 1984 ?", lexicon)
+    assert len(stream) == 5
+    for group in stream.groups:
+        with pytest.raises(TypeError):
+            group.categories[Category.PUNCT] = "x"
+    assert tokenize("có", lexicon).groups[0].categories == {
+        Category.INTERROGATIVE1: "có", Category.VERB_HAVE: "có"}

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 from viquery.parser import parse
 from viquery.semantics import (
     FAMILY_SKELETONS,
     FAMILY_TABLE,
+    Argument,
+    SemanticNode,
     TimeConstraint,
     TransformError,
     classify,
@@ -128,9 +132,15 @@ def test_single_focus_everywhere(grammar, lexicon, corpus):
 
 def test_unregistered_family_rejected(grammar, lexicon):
     result = parse(S1, grammar, lexicon)[0]
-    from dataclasses import replace
     with pytest.raises(TransformError, match="Q9.9"):
-        transform(replace(result, family="Q9.9"))
+        transform(result._replace(family="Q9.9"))
+
+
+def test_semantic_tree_classes_stay_dataclasses():
+    # perfbench/reference.py and tests/oracles.py copy trees with
+    # dataclasses.replace, so these two must not become NamedTuples
+    assert dataclasses.is_dataclass(SemanticNode)
+    assert dataclasses.is_dataclass(Argument)
 
 
 def test_family_tables_cover_all_families(grammar):
