@@ -50,7 +50,6 @@ from .parser import (
 )
 from .semantics import (
     Argument,
-    FAMILY_SKELETONS,
     QuestionType,
     SemanticNode,
     TimeConstraint,
@@ -67,8 +66,8 @@ __version__ = "1.0.0"
 __all__ = [
     "Answer", "Argument", "BlankQueryError", "BookRecord", "BookValue",
     "Catalog", "CatalogError", "Category", "ConstituentBinding",
-    "EvaluationError", "FAMILY_SKELETONS", "Grammar", "GrammarError",
-    "Lexicon", "LexiconEntry", "LexiconError", "ParseResult", "QuestionType",
+    "EvaluationError", "Grammar", "GrammarError", "Lexicon",
+    "LexiconEntry", "LexiconError", "ParseResult", "QuestionType",
     "RuleTerm", "SemanticNode", "SyntacticRule", "TermKind", "TimeConstraint",
     "TimeValue", "TokenStream", "TransformError",
     "classify", "constituents", "evaluate", "format_answer", "load_catalog",

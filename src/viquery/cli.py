@@ -1,7 +1,8 @@
 """Command-line surface: parse, semantics, ask, generate, batch.
 
 Exit codes: 0 success (>=1 parse where parsing is involved), 2 no parse,
-1 usage, load or transform errors.
+1 usage, load or transform errors.  ``semantics``, ``ask`` and ``batch``
+check the grammar's families when it loads, before answering anything.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from .catalog import CatalogError, EvaluationError, format_answer, evaluate, loa
 from .grammar import GrammarError, parse_rule_dsl, sample
 from .lexicon import BookValue, LexiconError, TimeValue, load_lexicon
 from .parser import BlankQueryError, ParseResult, parse
-from .semantics import TransformError, classify, render_full, render_skeleton, transform
+from .semantics import (TransformError, check_families, classify, render_full,
+                        render_skeleton, transform)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -85,6 +87,7 @@ def cmd_parse(args) -> int:
 
 def cmd_semantics(args) -> int:
     grammar = parse_rule_dsl(_read(args.grammar))
+    check_families(grammar)
     lexicon = load_lexicon(_read(args.lexicon))
     results = parse(args.query, grammar, lexicon)
     if not results:
@@ -109,6 +112,7 @@ def cmd_semantics(args) -> int:
 
 def cmd_ask(args) -> int:
     grammar = parse_rule_dsl(_read(args.grammar))
+    check_families(grammar)
     lexicon = load_lexicon(_read(args.lexicon))
     catalog = load_catalog(_read(args.catalog))
     results = parse(args.query, grammar, lexicon)
@@ -158,6 +162,7 @@ def cmd_generate(args) -> int:
 
 def cmd_batch(args) -> int:
     grammar = parse_rule_dsl(_read(args.grammar))
+    check_families(grammar)
     lexicon = load_lexicon(_read(args.lexicon))
     try:
         text = _read(Path(args.file))

@@ -5,6 +5,26 @@ pairs; interrogative particles, aspect markers and similar function words
 are dropped.  Exactly one element of the output tree is focus-marked: a
 focused predicate is a yes/no question, a focused argument is the asked-for
 element of a wh-question.
+
+:data:`FAMILIES` maps each family to a node ``(predicate, focused, slots)``.
+A slot is ``(kind, role, relation, source)``, and its kind is one of:
+
+``ask``     a focused entity of ``role``;
+``need``    an entity bound from the ``source`` category, which the parse
+            must bind;
+``bind``    like ``need``, but unbound when the category is absent;
+``opt``     like ``need``, but left out when the category is absent;
+``free``    an unbound entity;
+``books``   one argument per bound book; a subject-qualified book ("sách
+            nào thuộc chủ đề T") becomes a nested ``is_of`` node;
+``times``   one argument per bound time phrase;
+``year``    the asked year, its preposition from ``source``, else "vào";
+``amount``  the asked count;
+``node``    the nested node ``source``.
+
+A time argument's relation comes from its preposition, not from the slot.
+Adding a family is one :data:`FAMILIES` entry; :func:`check_families` checks
+a grammar against the table when it loads.
 """
 
 from __future__ import annotations
@@ -12,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .lexicon import BookValue, Category, TimeValue
-from .parser import ConstituentBinding, ParseResult
+from .grammar import Grammar
+from .lexicon import Category
+from .parser import ParseResult
 
 
 class TransformError(ValueError):
@@ -25,7 +46,6 @@ REL_OBJ = "rel_obj"
 REL_TIME1 = "rel_time1"
 REL_TIME2 = "rel_time2"
 REL_TIME3 = "rel_time3"
-REL_TIME = "rel_time"      # generic; appears only in the stored skeletons
 REL_LOC = "rel_loc"
 REL_AMOUNT = "rel_amount"
 
@@ -125,238 +145,138 @@ def render_full(sem: SemanticNode) -> str:
     return _render_node(sem, full=True)
 
 
-#: Per-family skeletons with every optional argument present, marked [...].
-#: The generic rel_time stands for whichever of rel_time1/2/3 the query's
-#: preposition resolves to.
-FAMILY_SKELETONS = {
-    "Q1.1": '(verb_write ((author?, rel_sub), (book, rel_obj), [(APT, rel_time)]))',
-    "Q1.2": '(verb_be? ((author, rel_sub), ((verb_possessive ((author, rel_sub), (book, rel_obj))), rel_obj)))',
-    "Q1.3": '(verb_write? ((author, rel_sub), (book, rel_obj), [(APT, rel_time)]))',
-    "Q1.4": '(verb_write ((author, rel_sub), (book, rel_obj), (year?, rel_time)))',
-    "Q2.1": '(verb_publish ((publisher?, rel_sub), (book, rel_obj), [(APT, rel_time)]))',
-    "Q2.2": '(verb_publish? ((publisher, rel_sub), (book, rel_obj), [(APT, rel_time)]))',
-    "Q2.3": '(verb_publish ((publisher, rel_sub), (book, rel_obj), (year?, rel_time)))',
-    "Q3.1": '(is_of (((is_of ((book, rel_sub), [(author, rel_obj)], [(publisher, rel_obj)], [(APT, rel_time)])), rel_sub), (subject?, rel_obj)))',
-    "Q3.2": '(is_of? (((is_of ((book, rel_sub), [(author, rel_obj)], [(publisher, rel_obj)], [(APT, rel_time)])), rel_sub), (subject, rel_obj)))',
-    "Q3.3": '(is_of (((is_of ((book, rel_sub), (author, rel_obj), [(APT, rel_time)])), rel_sub), (subject?, rel_obj)))',
-    "Q3.4": '(is_of (((is_of ((book, rel_sub), (publisher, rel_obj), [(APT, rel_time)])), rel_sub), (subject?, rel_obj)))',
-    "Q4.1": '(verb_write ((author, rel_sub), ((is_of ((book?, rel_sub), (subject, rel_obj))), rel_obj), [(APT, rel_time)]))',
-    "Q4.2": '(verb_publish ((publisher, rel_sub), ((is_of ((book?, rel_sub), (subject, rel_obj))), rel_obj), [(APT, rel_time)]))',
-    "Q5.1": '(verb_publish ((publisher, rel_sub), (book, rel_obj), [(APT, rel_time)], (location?, rel_loc)))',
-    "Q5.2": '(verb_locate ((publisher, rel_sub), (location?, rel_obj)))',
-    "Q6.1": '(verb_cost ((book, rel_sub), (price?, rel_obj)))',
-    "Q7.1": '(verb_have ((source, rel_sub), (book, rel_obj), (book_amount?, rel_amount)))',
-    "Q7.2": '(verb_write ((author, rel_sub), (book, rel_obj), [(APT, rel_time)], (book_amount?, rel_amount)))',
-    "Q7.3": '(verb_publish ((publisher, rel_sub), (book, rel_obj), [(APT, rel_time)], (book_amount?, rel_amount)))',
-}
-
-
 # --- transformation ----------------------------------------------------------
 
-def _bindings(parse: ParseResult, category: Category) -> list[ConstituentBinding]:
-    return [b for b in parse.bindings if b.category is category]
+_AUTHOR = ("need", "author", REL_SUB, Category.AUTHOR)
+_PUBLISHER = ("need", "publisher", REL_SUB, Category.PUBLISHER)
+_BOOKS = ("books", "book", REL_OBJ, Category.BOOK)
+_TIMES = ("times", None, None, Category.TIME_PHRASE)
+_YEAR = ("year", None, None, Category.PREP_TIME)
+_AMOUNT = ("amount", None, REL_AMOUNT, None)
+_ASK_SUBJECT = ("ask", "subject", REL_OBJ, None)
+#: Q3.1 / Q3.2: an explicit book, possibly restricted by author, publisher
+#: and time
+_DESCRIBED_BOOK = ("node", None, REL_SUB, ("is_of", False, (
+    ("books", "book", REL_SUB, Category.BOOK),
+    ("opt", "author", REL_OBJ, Category.OF_AUTHOR),
+    ("opt", "publisher", REL_OBJ, Category.BY_PUBLISHER),
+    _TIMES,
+)))
+#: Q4.1 / Q4.2: the books of a subject
+_BOOKS_OF_SUBJECT = ("node", None, REL_OBJ, ("is_of", False, (
+    ("ask", "book", REL_SUB, None),
+    ("need", "subject", REL_OBJ, Category.SUBJECT),
+)))
 
-
-def _first_value(parse: ParseResult, category: Category):
-    found = _bindings(parse, category)
-    return found[0].value if found else None
-
-
-def _entity(role: str, value: str | None = None, focus: bool = False) -> Argument:
-    return Argument("entity", role=role, value=value, focus=focus)
-
-
-def _book_args(parse: ParseResult, required: bool = True):
-    """(argument, relation) pairs for every bound book constituent.
-
-    A subject-qualified book ("sách nào thuộc chủ đề T") becomes a nested
-    is_of node; plain books are entity arguments, unbound when headless.
-    """
-    books = _bindings(parse, Category.BOOK)
-    if not books and required:
-        raise TransformError(f"{parse.rule_id}: no book constituent bound")
-    pairs = []
-    for binding in books:
-        value: BookValue = binding.value
-        if value.subject is not None:
-            nested = SemanticNode("is_of", False, (
-                (_entity("book", value.title), REL_SUB),
-                (_entity("subject", value.subject), REL_OBJ),
-            ))
-            pairs.append((Argument("nested", nested=nested), REL_OBJ))
-        else:
-            pairs.append((_entity("book", value.title), REL_OBJ))
-    return pairs
-
-
-def _bound_time_args(parse: ParseResult):
-    pairs = []
-    for binding in _bindings(parse, Category.TIME_PHRASE):
-        value: TimeValue = binding.value
-        constraint = resolve_time(value.prep, value.year)
-        pairs.append((
-            Argument("time", time=constraint),
-            _TIME_RELATION_NAMES[constraint.relation],
-        ))
-    return pairs
-
-
-def _asked_time_arg(parse: ParseResult):
-    prep = _first_value(parse, Category.PREP_TIME) or "vào"
-    constraint = resolve_time(prep, None)
-    return (
-        Argument("time", time=constraint, focus=True),
-        _TIME_RELATION_NAMES[constraint.relation],
-    )
-
-
-def _require(parse: ParseResult, category: Category):
-    value = _first_value(parse, category)
-    if value is None:
-        raise TransformError(
-            f"{parse.rule_id}: missing mandatory constituent <{category.value}>"
-        )
-    return value
-
-
-_ACTOR_CATEGORY = {"author": Category.AUTHOR, "publisher": Category.PUBLISHER}
-
-
-def _build_action(parse: ParseResult, predicate: str, actor: str, focus: str):
-    if focus == "actor":
-        subject = _entity(actor, focus=True)
-    else:
-        subject = _entity(actor, _require(parse, _ACTOR_CATEGORY[actor]))
-    args = [(subject, REL_SUB)]
-    args.extend(_book_args(parse))
-    if focus == "year":
-        args.append(_asked_time_arg(parse))
-    else:
-        args.extend(_bound_time_args(parse))
-    if focus == "amount":
-        args.append((Argument("amount", focus=True), REL_AMOUNT))
-    return SemanticNode(predicate, focus == "predicate", tuple(args))
-
-
-def _build_possessive_eq(parse: ParseResult):
-    author = _require(parse, Category.AUTHOR)
-    inner = SemanticNode("verb_possessive", False, tuple(
-        [(_entity("author"), REL_SUB)] + _book_args(parse)
-    ))
-    return SemanticNode("verb_be", True, (
-        (_entity("author", author), REL_SUB),
-        (Argument("nested", nested=inner), REL_OBJ),
-    ))
-
-
-def _build_subject_of(parse: ParseResult, described: bool, actor: str | None = None,
-                      subject_focus: bool = True):
-    inner_args = []
-    if described:
-        # Q3.1 / Q3.2: an explicit book possibly restricted by author,
-        # publisher and time
-        inner_args.extend(_book_args(parse))
-        inner_args[0] = (inner_args[0][0], REL_SUB)
-        of_author = _first_value(parse, Category.OF_AUTHOR)
-        if of_author is not None:
-            inner_args.append((_entity("author", of_author), REL_OBJ))
-        by_publisher = _first_value(parse, Category.BY_PUBLISHER)
-        if by_publisher is not None:
-            inner_args.append((_entity("publisher", by_publisher), REL_OBJ))
-    else:
-        # Q3.3 / Q3.4: the (unbound) books some actor wrote or published;
-        # the book_type slot is optional in the Q3.4 rules
-        inner_args.append((_entity("book"), REL_SUB))
-        inner_args.append((_entity(actor, _require(parse, _ACTOR_CATEGORY[actor])), REL_OBJ))
-    inner_args.extend(_bound_time_args(parse))
-    inner = SemanticNode("is_of", False, tuple(inner_args))
-    if subject_focus:
-        subject = _entity("subject", focus=True)
-    else:
-        subject = _entity("subject", _require(parse, Category.SUBJECT))
-    return SemanticNode("is_of", not subject_focus, (
-        (Argument("nested", nested=inner), REL_SUB),
-        (subject, REL_OBJ),
-    ))
-
-
-def _build_qualified_list(parse: ParseResult, predicate: str, actor: str,
-                          source: Category):
-    actor_value = _first_value(parse, source)
-    nested = SemanticNode("is_of", False, (
-        (_entity("book", focus=True), REL_SUB),
-        (_entity("subject", _require(parse, Category.SUBJECT)), REL_OBJ),
-    ))
-    args = [
-        (_entity(actor, actor_value), REL_SUB),
-        (Argument("nested", nested=nested), REL_OBJ),
-    ]
-    args.extend(_bound_time_args(parse))
-    return SemanticNode(predicate, False, tuple(args))
-
-
-def _build_published_where(parse: ParseResult):
-    publisher = _first_value(parse, Category.PUBLISHER)
-    args = [(_entity("publisher", publisher), REL_SUB)]
-    args.extend(_book_args(parse))
-    args.extend(_bound_time_args(parse))
-    args.append((_entity("location", focus=True), REL_LOC))
-    return SemanticNode("verb_publish", False, tuple(args))
-
-
-def _build_locate(parse: ParseResult):
-    return SemanticNode("verb_locate", False, (
-        (_entity("publisher", _require(parse, Category.PUBLISHER)), REL_SUB),
-        (_entity("location", focus=True), REL_OBJ),
-    ))
-
-
-def _build_cost(parse: ParseResult):
-    args = _book_args(parse)
-    return SemanticNode("verb_cost", False, (
-        (args[0][0], REL_SUB),
-        (_entity("price", focus=True), REL_OBJ),
-    ))
-
-
-def _build_library_count(parse: ParseResult):
-    source = _first_value(parse, Category.IN_ELIB) or "elib"
-    args = [(_entity("source", source), REL_SUB)]
-    args.extend(_book_args(parse))
-    args.append((Argument("amount", focus=True), REL_AMOUNT))
-    return SemanticNode("verb_have", False, tuple(args))
-
-
-#: The transformation table: family -> (builder, parameters).
-FAMILY_TABLE = {
-    "Q1.1": (_build_action, dict(predicate="verb_write", actor="author", focus="actor")),
-    "Q1.2": (_build_possessive_eq, {}),
-    "Q1.3": (_build_action, dict(predicate="verb_write", actor="author", focus="predicate")),
-    "Q1.4": (_build_action, dict(predicate="verb_write", actor="author", focus="year")),
-    "Q2.1": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="actor")),
-    "Q2.2": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="predicate")),
-    "Q2.3": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="year")),
-    "Q3.1": (_build_subject_of, dict(described=True, subject_focus=True)),
-    "Q3.2": (_build_subject_of, dict(described=True, subject_focus=False)),
-    "Q3.3": (_build_subject_of, dict(described=False, actor="author")),
-    "Q3.4": (_build_subject_of, dict(described=False, actor="publisher")),
-    "Q4.1": (_build_qualified_list, dict(predicate="verb_write", actor="author",
-                                           source=Category.BY_AUTHOR)),
-    "Q4.2": (_build_qualified_list, dict(predicate="verb_publish", actor="publisher",
-                                           source=Category.BY_PUBLISHER)),
-    "Q5.1": (_build_published_where, {}),
-    "Q5.2": (_build_locate, {}),
-    "Q6.1": (_build_cost, {}),
-    "Q7.1": (_build_library_count, {}),
-    "Q7.2": (_build_action, dict(predicate="verb_write", actor="author", focus="amount")),
-    "Q7.3": (_build_action, dict(predicate="verb_publish", actor="publisher", focus="amount")),
+#: The transformation table: family -> node, see the module docstring.
+FAMILIES = {
+    "Q1.1": ("verb_write", False, (("ask", "author", REL_SUB, None), _BOOKS, _TIMES)),
+    "Q1.2": ("verb_be", True, (_AUTHOR, ("node", None, REL_OBJ, (
+        "verb_possessive", False, (("free", "author", REL_SUB, None), _BOOKS))))),
+    "Q1.3": ("verb_write", True, (_AUTHOR, _BOOKS, _TIMES)),
+    "Q1.4": ("verb_write", False, (_AUTHOR, _BOOKS, _YEAR)),
+    "Q2.1": ("verb_publish", False, (("ask", "publisher", REL_SUB, None), _BOOKS, _TIMES)),
+    "Q2.2": ("verb_publish", True, (_PUBLISHER, _BOOKS, _TIMES)),
+    "Q2.3": ("verb_publish", False, (_PUBLISHER, _BOOKS, _YEAR)),
+    "Q3.1": ("is_of", False, (_DESCRIBED_BOOK, _ASK_SUBJECT)),
+    "Q3.2": ("is_of", True, (_DESCRIBED_BOOK, ("need", "subject", REL_OBJ, Category.SUBJECT))),
+    # Q3.3 / Q3.4: the (unbound) books some actor wrote or published
+    "Q3.3": ("is_of", False, (("node", None, REL_SUB, ("is_of", False, (
+        ("free", "book", REL_SUB, None),
+        ("need", "author", REL_OBJ, Category.AUTHOR),
+        _TIMES,
+    ))), _ASK_SUBJECT)),
+    "Q3.4": ("is_of", False, (("node", None, REL_SUB, ("is_of", False, (
+        ("free", "book", REL_SUB, None),
+        ("need", "publisher", REL_OBJ, Category.PUBLISHER),
+        _TIMES,
+    ))), _ASK_SUBJECT)),
+    "Q4.1": ("verb_write", False, (
+        ("bind", "author", REL_SUB, Category.BY_AUTHOR), _BOOKS_OF_SUBJECT, _TIMES)),
+    "Q4.2": ("verb_publish", False, (
+        ("bind", "publisher", REL_SUB, Category.BY_PUBLISHER), _BOOKS_OF_SUBJECT, _TIMES)),
+    "Q5.1": ("verb_publish", False, (("bind", "publisher", REL_SUB, Category.PUBLISHER),
+                                     _BOOKS, _TIMES, ("ask", "location", REL_LOC, None))),
+    "Q5.2": ("verb_locate", False, (_PUBLISHER, ("ask", "location", REL_OBJ, None))),
+    "Q6.1": ("verb_cost", False, (("books", "book", REL_SUB, Category.BOOK),
+                                  ("ask", "price", REL_OBJ, None))),
+    "Q7.1": ("verb_have", False, (("need", "source", REL_SUB, Category.IN_ELIB),
+                                  _BOOKS, _AMOUNT)),
+    "Q7.2": ("verb_write", False, (_AUTHOR, _BOOKS, _TIMES, _AMOUNT)),
+    "Q7.3": ("verb_publish", False, (_PUBLISHER, _BOOKS, _TIMES, _AMOUNT)),
 }
+
+
+def _needs(node):
+    """The categories that a node's ``need`` and ``books`` slots read."""
+    for kind, _role, _relation, source in node[2]:
+        if kind == "node":
+            yield from _needs(source)
+        elif kind in ("need", "books"):
+            yield source
+
+
+def check_families(grammar: Grammar) -> None:
+    """Raise :class:`TransformError` listing every rule whose family is not
+    in :data:`FAMILIES`, and every rule that can match without binding a
+    category its family needs: such a category must be a top-level term,
+    outside any ``[...]`` or ``{...}``."""
+    problems = []
+    for rule in grammar.rules:
+        node = FAMILIES.get(rule.family)
+        if node is None:
+            problems.append(f"{rule.id}: unregistered family {rule.family!r}")
+            continue
+        # a literal, [...] or {...} term has no category
+        problems.extend(
+            f"{rule.id}: family {rule.family} needs <{category.value}> outside [...] and {{...}}"
+            for category in _needs(node)
+            if not any(term.category is category for term in rule.terms)
+        )
+    if problems:
+        raise TransformError("; ".join(problems))
+
+
+def _build(parse: ParseResult, node) -> SemanticNode:
+    predicate, focused, slots = node
+    args = []
+    for kind, role, relation, source in slots:
+        values = [b.value for b in parse.bindings if b.category is source]
+        value = values[0] if values else None
+        if value is None and kind in ("need", "books"):
+            raise TransformError(
+                f"{parse.rule_id}: missing mandatory constituent <{source.value}>"
+            )
+        if kind == "node":
+            args.append((Argument("nested", nested=_build(parse, source)), relation))
+        elif kind == "books":
+            for book in values:
+                if book.subject is None:
+                    args.append((Argument("entity", role=role, value=book.title), relation))
+                    continue
+                nested = SemanticNode("is_of", False, (
+                    (Argument("entity", role=role, value=book.title), REL_SUB),
+                    (Argument("entity", role="subject", value=book.subject), REL_OBJ),
+                ))
+                args.append((Argument("nested", nested=nested), relation))
+        elif kind in ("times", "year"):
+            asked = kind == "year"
+            for prep, year in [(value or "vào", None)] if asked else values:
+                constraint = resolve_time(prep, year)
+                args.append((Argument("time", time=constraint, focus=asked),
+                             _TIME_RELATION_NAMES[constraint.relation]))
+        elif kind == "amount":
+            args.append((Argument("amount", focus=True), relation))
+        elif kind in ("ask", "free"):
+            args.append((Argument("entity", role=role, focus=kind == "ask"), relation))
+        elif value is not None or kind != "opt":  # need, bind, opt
+            args.append((Argument("entity", role=role, value=value), relation))
+    return SemanticNode(predicate, focused, tuple(args))
 
 
 def transform(parse: ParseResult) -> SemanticNode:
     """Instantiate the family's semantic structure with the parse bindings."""
-    entry = FAMILY_TABLE.get(parse.family)
-    if entry is None:
+    node = FAMILIES.get(parse.family)
+    if node is None:
         raise TransformError(f"unregistered family {parse.family!r}")
-    build, params = entry
-    return build(parse, **params)
+    return _build(parse, node)

@@ -10,14 +10,13 @@ import time
 
 import pytest
 
-from oracles import oracle_evaluate, oracle_parse
+from oracles import FAMILY_SKELETONS, oracle_evaluate, oracle_parse
 from viquery.catalog import evaluate, load_catalog
 from viquery.cli import main
 from viquery.grammar import validate
 from viquery.lexicon import Category, load_lexicon
 from viquery.parser import parse
 from viquery.semantics import (
-    FAMILY_SKELETONS,
     classify,
     render_skeleton,
     resolve_time,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from viquery.parser import parse
 from viquery.semantics import render_full, transform
 
 S1 = "Tác giả A có viết sách B vào năm 2008 không?"
+TOY_RULES = Path(__file__).parent / "data" / "toy_rules.bnf"
 
 
 def test_parse_reports_rule_and_constituents(capsys):
@@ -164,6 +166,47 @@ def test_unregistered_family_is_clean_error(tmp_path, capsys, command):
     assert code == 1
     assert err.startswith("error: ") and "Q9.1" in err
     assert "Traceback" not in err
+
+
+def _run(tmp_path, rules, command, query):
+    grammar = tmp_path / "g.bnf"
+    grammar.write_text(rules, encoding="utf-8")
+    if command == "batch":
+        queries = tmp_path / "queries.txt"
+        queries.write_text(query + "\n", encoding="utf-8")
+        query = str(queries)
+    return main(["--grammar", str(grammar), command, query])
+
+
+@pytest.mark.parametrize("command", ["semantics", "ask", "batch"])
+def test_unregistered_family_fails_at_load(tmp_path, capsys, command):
+    rules = '<Q9.1a> = <what_author> <verb_write> <book> "?"\n'
+    code = _run(tmp_path, rules, command, "ai viết sách B ?")
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""  # no question answered
+    assert err == "error: Q9.1a: unregistered family 'Q9.1'\n"
+    assert _run(tmp_path, rules, "parse", "ai viết sách B ?") == 0
+
+
+@pytest.mark.parametrize("command", ["semantics", "ask", "batch"])
+def test_optional_needed_category_fails_at_load(tmp_path, capsys, command):
+    rules = '<Q1.3z> = [<author>] <verb_write> <book> "?"\n'
+    code = _run(tmp_path, rules, command, "tác giả A viết sách B ?")
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Q1.3z: ") and "<author>" in err
+
+
+@pytest.mark.parametrize("query, answer", [
+    ("Ai viết sách B?", "A"),
+    ("Tác giả A có viết sách B không?", "Có."),
+    ("Nhà xuất bản nào xuất bản sách B?", "P"),
+])
+def test_toy_grammar_answers_on_sample_catalog(capsys, query, answer):
+    assert main(["--grammar", str(TOY_RULES), "ask", query]) == 0
+    assert capsys.readouterr().out.strip() == answer
 
 
 def test_parse_reports_are_pinned(capsys, grammar, lexicon):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import legacy_parse
 from viquery import parser
-from viquery.cli import derive_seed, main
+from viquery.cli import main
 from viquery.grammar import CAT, JUMP, LIT, MATCH, SPLIT, compile_terms, parse_rule_dsl
 from viquery.lexicon import Category
 from viquery.parser import parse
@@ -33,14 +33,6 @@ def _active(count: int, unknown_only: bool = False) -> str:
 
 def _passive(count: int, unknown_only: bool = False) -> str:
     return f"{_books(count, unknown_only)} đã được ai viết ?"
-
-
-@pytest.fixture(scope="module")
-def generated(grammar, lexicon):
-    """What ``viquery generate all 20 --seed 0`` prints: 1140 sentences."""
-    from viquery.grammar import sample
-    return [sample(grammar, rule.id, derive_seed(0, rule.id, i), lexicon)
-            for rule in grammar.rules for i in range(20)]
 
 
 def test_compile_priority_order():

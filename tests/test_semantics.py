@@ -1,15 +1,18 @@
 import dataclasses
+import random
 
 import pytest
 
+from oracles import FAMILY_SKELETONS, legacy_transform
+from viquery.grammar import parse_rule_dsl
 from viquery.parser import parse
 from viquery.semantics import (
-    FAMILY_SKELETONS,
-    FAMILY_TABLE,
+    FAMILIES,
     Argument,
     SemanticNode,
     TimeConstraint,
     TransformError,
+    check_families,
     classify,
     render_full,
     render_skeleton,
@@ -144,8 +147,61 @@ def test_semantic_tree_classes_stay_dataclasses():
 
 
 def test_family_tables_cover_all_families(grammar):
-    assert set(FAMILY_TABLE) == set(grammar.families)
+    assert set(FAMILIES) == set(grammar.families)
     assert set(FAMILY_SKELETONS) == set(grammar.families)
+
+
+def test_family_check_lists_every_bad_rule():
+    grammar = parse_rule_dsl(
+        '<Q9.1a> = <what_author> <verb_write> <book> "?"\n'
+        '<Q1.3z> = [<author>] <verb_write> <book> "?"\n'
+        '<Q1.1z> = <what_author> <verb_write> {<book>} "?"\n'
+        '<Q1.2z> = <creator> <book> <verb_be> <author> "?"\n'
+        # Q1.2 reads <book> in its nested verb_possessive node
+        '<Q1.2y> = <author> <verb_be> <creator> [<book>] "?"\n'
+    )
+    with pytest.raises(TransformError) as caught:
+        check_families(grammar)
+    problems = str(caught.value).split("; ")
+    assert problems[0] == "Q9.1a: unregistered family 'Q9.1'"
+    assert [p.split(":")[0] for p in problems] == ["Q9.1a", "Q1.3z", "Q1.1z", "Q1.2y"]
+    assert "<author>" in problems[1]
+    assert "<book>" in problems[2] and "<book>" in problems[3]
+
+
+def _mutations(sentences):
+    """One single-word drop, duplicate and swap of every sentence, at
+    positions drawn from a fixed seed."""
+    rng = random.Random(0)
+    for sentence in sentences:
+        words = sentence.split(" ")
+        at = rng.randrange(len(words))
+        yield " ".join(words[:at] + words[at + 1:]) or "?"
+        yield " ".join(words[:at + 1] + words[at:])
+        at = rng.randrange(len(words))
+        yield " ".join(words[:at] + words[at + 1:at + 2] + words[at:at + 1] + words[at + 2:])
+
+
+#: ``generate`` realizes no subject-qualified book ("sách nào thuộc chủ đề T")
+SUBJECT_QUALIFIED = (
+    "Trong năm 2009, tác giả A có viết sách nào thuộc chủ đề T không?",
+    "Ai đã viết sách nào thuộc chủ đề T?",
+    "Có phải người viết của sách nào thuộc chủ đề T là tác giả A không?",
+    "sách nào thuộc chủ đề T thuộc chủ đề gì?",
+    "sách nào thuộc chủ đề T được xuất bản ở đâu?",
+    "mua sách nào thuộc chủ đề T giá bao nhiêu?",
+    "có bao nhiêu sách nào thuộc chủ đề T trong thư viện?",
+)
+
+
+def test_transform_matches_legacy_builders(grammar, lexicon, generated):
+    queries = generated + list(_mutations(generated)) + list(SUBJECT_QUALIFIED)
+    compared = 0
+    for query in queries:
+        for result in parse(query, grammar, lexicon):
+            assert transform(result) == legacy_transform(result), (query, result.rule_id)
+            compared += 1
+    assert compared > len(generated)
 
 
 def test_wh_label_correspondence(grammar, lexicon, corpus):
