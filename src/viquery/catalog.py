@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from typing import NamedTuple
 
 from .semantics import QuestionType, SemanticNode
@@ -56,7 +57,7 @@ def load_catalog(document: str) -> Catalog:
     """Parse a JSON array of records; errors carry the record index."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CatalogError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise CatalogError("top level must be an array of records")
@@ -78,7 +79,8 @@ def load_catalog(document: str) -> Catalog:
             raise CatalogError(f"record {index}: authors must be a non-empty list")
         if not isinstance(year, int) or not 1000 <= year <= 9999:
             raise CatalogError(f"record {index}: year must be a 4-digit integer")
-        if not isinstance(price, (int, float)) or isinstance(price, bool) or price < 0:
+        if (not isinstance(price, (int, float)) or isinstance(price, bool)
+                or not 0 <= price <= sys.float_info.max):  # rejects NaN, inf, 10**400
             raise CatalogError(f"record {index}: price must be a non-negative number")
         for key in _STRING_KEYS:
             if not isinstance(item[key], str):

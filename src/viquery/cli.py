@@ -166,7 +166,7 @@ def cmd_batch(args) -> int:
     lexicon = load_lexicon(_read(args.lexicon))
     try:
         text = _read(Path(args.file))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     total = parsed = 0
@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (BlankQueryError, LexiconError, GrammarError, CatalogError,
-            EvaluationError, TransformError, OSError) as exc:
+            EvaluationError, TransformError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -74,27 +73,15 @@ def compile_terms(terms: tuple[RuleTerm, ...]) -> tuple[tuple, ...]:
     return tuple(program)
 
 
-@dataclass(frozen=True)
-class SyntacticRule:
+class SyntacticRule(NamedTuple):
     id: str
     family: str
     terms: tuple[RuleTerm, ...]
     #: the compiled body, see :func:`compile_terms`
-    program: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    program: tuple[tuple, ...]
     #: ``(LIT, s)`` and ``(CAT, c)`` for every top-level literal and
     #: non-template category: a stream lacking any of them cannot match
-    required: frozenset[tuple] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "program", compile_terms(self.terms))
-        required = set()
-        for term in self.terms:
-            if term.kind is TermKind.LITERAL:
-                required.add((LIT, term.literal))
-            elif (term.kind is TermKind.CATEGORY
-                  and term.category not in TEMPLATES):
-                required.add((CAT, term.category))
-        object.__setattr__(self, "required", frozenset(required))
+    required: frozenset[tuple]
 
 
 class Grammar:
@@ -116,8 +103,11 @@ class Grammar:
 
 
 _FAMILY_RE = re.compile(r"^(.+\d)([a-z])$")
-_LHS_RE = re.compile(r"^<([^<>\s]+)>\s*(=)\s*(.*)$")
-_BODY_TOKEN_RE = re.compile(r'<([^<>\s]+)>|"([^"]*)"|([\[\]{}])|(\S+)')
+_LHS_RE = re.compile(r"^<([^<>\s]+)>\s*=\s*(.*)$")
+_BODY_TOKEN_RE = re.compile(r'<([^<>\s]+)>|"([^"]*)"|([\[{])|([\]}])|(\S+)')
+_CATEGORIES = {c.value: c for c in GRAMMAR_CATEGORIES}
+#: deepest ``[...]``/``{...}`` nesting a rule body may use
+_MAX_NESTING = 32
 
 
 def family_of(rule_id: str) -> str:
@@ -126,38 +116,43 @@ def family_of(rule_id: str) -> str:
     return m.group(1) if m else rule_id
 
 
-def _parse_body(tokens: list[tuple[str, str]], lineno: int) -> tuple[RuleTerm, ...]:
+def _rule(rule_id: str, terms: tuple[RuleTerm, ...]) -> SyntacticRule:
+    required = frozenset(
+        {(LIT, t.literal) for t in terms if t.kind is TermKind.LITERAL}
+        | {(CAT, t.category) for t in terms
+           if t.kind is TermKind.CATEGORY and t.category not in TEMPLATES})
+    return SyntacticRule(rule_id, family_of(rule_id), terms, compile_terms(terms), required)
+
+
+def _parse_body(text: str, lineno: int) -> tuple[RuleTerm, ...]:
     terms: list[RuleTerm] = []
     stack: list[tuple[str, list[RuleTerm]]] = []
-    current = terms
-    for kind, value in tokens:
-        if kind == "category":
-            try:
-                category = Category(value)
-            except ValueError:
-                raise GrammarError(f"line {lineno}: unknown category <{value}>") from None
-            if category not in GRAMMAR_CATEGORIES:
-                raise GrammarError(f"line {lineno}: unknown category <{value}>")
-            current.append(RuleTerm(TermKind.CATEGORY, category=category))
-        elif kind == "literal":
-            current.append(RuleTerm(TermKind.LITERAL, literal=value))
-        elif kind == "open":
-            stack.append((value, current))
-            current = []
-        elif kind == "close":
-            if not stack:
-                raise GrammarError(f"line {lineno}: unbalanced {value!r}")
+    for m in _BODY_TOKEN_RE.finditer(text):
+        name, literal, opener, closer, other = m.groups()
+        if name is not None:
+            category = _CATEGORIES.get(name)
+            if category is None:
+                raise GrammarError(f"line {lineno}: unknown category <{name}>")
+            terms.append(RuleTerm(TermKind.CATEGORY, category=category))
+        elif literal is not None:
+            terms.append(RuleTerm(TermKind.LITERAL, literal=literal))
+        elif opener:
+            if len(stack) == _MAX_NESTING:
+                raise GrammarError(
+                    f"line {lineno}: brackets nested deeper than {_MAX_NESTING}")
+            stack.append((opener, terms))
+            terms = []
+        elif closer:
+            if not stack or stack[-1][0] + closer not in ("[]", "{}"):
+                raise GrammarError(f"line {lineno}: unbalanced {closer!r}")
             opener, parent = stack.pop()
-            if (opener, value) not in (("[", "]"), ("{", "}")):
-                raise GrammarError(f"line {lineno}: unbalanced {value!r}")
-            if not current:
-                raise GrammarError(f"line {lineno}: empty {opener}{value}")
-            term_kind = TermKind.OPTIONAL if opener == "[" else TermKind.GROUP
-            body = tuple(current)
-            current = parent
-            current.append(RuleTerm(term_kind, body=body))
+            if not terms:
+                raise GrammarError(f"line {lineno}: empty {opener}{closer}")
+            kind = TermKind.OPTIONAL if opener == "[" else TermKind.GROUP
+            parent.append(RuleTerm(kind, body=tuple(terms)))
+            terms = parent
         else:
-            raise GrammarError(f"line {lineno}: unexpected {value!r}")
+            raise GrammarError(f"line {lineno}: unexpected {other!r}")
     if stack:
         raise GrammarError(f"line {lineno}: unbalanced {stack[-1][0]!r}")
     return tuple(terms)
@@ -165,8 +160,7 @@ def _parse_body(tokens: list[tuple[str, str]], lineno: int) -> tuple[RuleTerm, .
 
 def parse_rule_dsl(document: str) -> Grammar:
     """Load a grammar document; one rule per line, ``#`` comments."""
-    rules: list[SyntacticRule] = []
-    seen: set[str] = set()
+    rules: dict[str, SyntacticRule] = {}
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -174,28 +168,14 @@ def parse_rule_dsl(document: str) -> Grammar:
         m = _LHS_RE.match(line)
         if not m:
             raise GrammarError(f"line {lineno}: expected '<ID> = BODY'")
-        rule_id, _, body_text = m.groups()
-        if rule_id in seen:
+        rule_id, body_text = m.groups()
+        if rule_id in rules:
             raise GrammarError(f"line {lineno}: duplicate rule id {rule_id}")
-        seen.add(rule_id)
-        tokens: list[tuple[str, str]] = []
-        for tm in _BODY_TOKEN_RE.finditer(body_text):
-            cat, lit, bracket, other = tm.groups()
-            if cat is not None:
-                tokens.append(("category", cat))
-            elif lit is not None:
-                tokens.append(("literal", lit))
-            elif bracket in "[{":
-                tokens.append(("open", bracket))
-            elif bracket in "]}":
-                tokens.append(("close", bracket))
-            else:
-                raise GrammarError(f"line {lineno}: unexpected {other!r}")
-        terms = _parse_body(tokens, lineno)
+        terms = _parse_body(body_text, lineno)
         if not terms:
             raise GrammarError(f"line {lineno}: empty rule body")
-        rules.append(SyntacticRule(rule_id, family_of(rule_id), terms))
-    return Grammar(rules)
+        rules[rule_id] = _rule(rule_id, terms)
+    return Grammar(list(rules.values()))
 
 
 def _render_term(term: RuleTerm) -> str:
@@ -265,12 +245,6 @@ def _realize(rng: random.Random, lexicon: Lexicon, part) -> str:
     return rng.choice(surfaces)
 
 
-def _contains_time(term: RuleTerm) -> bool:
-    if term.kind is TermKind.CATEGORY:
-        return term.category is Category.TIME_PHRASE
-    return any(_contains_time(t) for t in term.body)
-
-
 def sample(grammar: Grammar, rule_id: str, seed: int, lexicon: Lexicon) -> str:
     """Generate one sentence from a rule; deterministic for a fixed seed.
 
@@ -284,8 +258,8 @@ def sample(grammar: Grammar, rule_id: str, seed: int, lexicon: Lexicon) -> str:
         raise GrammarError(f"unknown rule id {rule_id!r}")
     rng = random.Random(seed)
 
-    time_slots = [t for t in rule.terms
-                  if t.kind is TermKind.OPTIONAL and _contains_time(t)]
+    time_slots = [t for t in rule.terms if t.kind is TermKind.OPTIONAL
+                  and Category.TIME_PHRASE in _categories_of(t.body)]
     allowed_time = rng.choice(time_slots) if len(time_slots) > 1 else None
 
     def expand(terms: tuple[RuleTerm, ...], out: list[str]) -> None:
@@ -296,7 +270,8 @@ def sample(grammar: Grammar, rule_id: str, seed: int, lexicon: Lexicon) -> str:
                 out.append(_realize(rng, lexicon, term.category))
             elif term.kind is TermKind.OPTIONAL:
                 include = rng.random() < 0.5
-                if len(time_slots) > 1 and _contains_time(term) and term is not allowed_time:
+                if (len(time_slots) > 1 and term is not allowed_time
+                        and Category.TIME_PHRASE in _categories_of(term.body)):
                     include = False
                 if include and not out and all(
                         t.kind is TermKind.LITERAL for t in term.body):

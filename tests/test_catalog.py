@@ -57,6 +57,18 @@ def test_load_rejects_bad_year():
         _catalog(_record(year=99))
 
 
+@pytest.mark.parametrize("price", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+def test_load_rejects_unrepresentable_price(price):
+    with pytest.raises(CatalogError, match="record 0: price must be a non-negative number"):
+        _catalog(_record(price=price))
+
+
+def test_load_rejects_over_deep_json():
+    with pytest.raises(CatalogError, match="invalid JSON"):
+        load_catalog("[" * 100_000)
+
+
 def test_load_rejects_empty_authors():
     with pytest.raises(CatalogError, match="authors"):
         _catalog(_record(authors=()))

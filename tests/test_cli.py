@@ -157,6 +157,42 @@ def test_ask_non_string_catalog_field_is_load_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ask_nan_price_is_load_error(tmp_path, capsys):
+    records = json.loads(data_path("catalog_sample.json").read_text(encoding="utf-8"))
+    records[0]["price"] = float("nan")
+    f = tmp_path / "catalog.json"
+    f.write_text(json.dumps(records), encoding="utf-8")
+    code = main(["--catalog", str(f), "ask", "Sách B giá bao nhiêu?"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: record 0: price must be a non-negative number")
+
+
+def test_stray_word_in_grammar_is_load_error(tmp_path, capsys):
+    f = tmp_path / "g.bnf"
+    f.write_text('<Q1.1a> = <what_author> <verb_write> <book> foo "?"\n', encoding="utf-8")
+    code = main(["--grammar", str(f), "parse", "Ai viết sách B?"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 1: unexpected")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["--grammar", "--lexicon", "--catalog", "batch"])
+def test_undecodable_data_file_is_load_error(tmp_path, capsys, which):
+    f = tmp_path / "data"
+    f.write_bytes(b"\xff\n")
+    if which == "batch":
+        argv = ["batch", str(f)]
+    else:
+        argv = [which, str(f), "ask", "Ai viết sách B?"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("cannot read " if which == "batch" else "error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["semantics", "ask"])
 def test_unregistered_family_is_clean_error(tmp_path, capsys, command):
     f = tmp_path / "g.bnf"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viquery.grammar import (
     GrammarError,
@@ -44,6 +45,51 @@ def test_duplicate_rule_id_rejected():
 def test_missing_equals_rejected():
     with pytest.raises(GrammarError, match="line 1"):
         parse_rule_dsl('<X> <book> "?"')
+
+
+@pytest.mark.parametrize("document, message", [
+    ('<X> = [<book> "?"', "line 1: unbalanced '['"),
+    ('<X> = [<book>} "?"', "line 1: unbalanced '}'"),
+    ('<X> = <book>] "?"', "line 1: unbalanced ']'"),
+    ('<X> = {} "?"', "line 1: empty {}"),
+    ('<X> = <nope> "?"', "line 1: unknown category <nope>"),
+    ('<X> <book> "?"', "line 1: expected '<ID> = BODY'"),
+    ('<X> = <book> "?"\n<X> = foo', "line 2: duplicate rule id X"),
+    ("# note\n<X> =", "line 2: empty rule body"),
+    ('<X> = <book> foo "?"', "line 1: unexpected 'foo'"),
+    ("<X> = <nope> foo", "line 1: unknown category <nope>"),  # first error in the line
+])
+def test_malformed_line_messages(document, message):
+    with pytest.raises(GrammarError) as info:
+        parse_rule_dsl(document)
+    assert str(info.value) == message
+
+
+def test_bracket_nesting_capped():
+    deep = '<X> = ' + '[' * 5000 + '<book>' + ']' * 5000 + ' "?"'
+    with pytest.raises(GrammarError, match="line 1: brackets nested deeper than 32"):
+        parse_rule_dsl(deep)
+    with pytest.raises(GrammarError, match="nested deeper than 32"):
+        parse_rule_dsl('<X> = ' + '{' * 33 + '<book>' + '}' * 33)
+    at_cap = parse_rule_dsl('<X> = ' + '[' * 32 + '<book>' + ']' * 32 + ' "?"')
+    assert len(at_cap.rules[0].program) == 32 + 3  # a SPLIT per level, <book>, "?", MATCH
+
+
+_DSL_PIECES = st.sampled_from(
+    ["<book>", "<what_author>", "<nope>", '"?"', '","', "[", "]", "{", "}", "foo",
+     " ", "\n", "\t"])
+
+
+@given(st.one_of(st.lists(_DSL_PIECES, max_size=30).map("".join), st.text(max_size=60)),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_grammar_loader_is_total(body, prefixed):
+    document = "<X> = " + body if prefixed else body
+    try:
+        grammar = parse_rule_dsl(document)
+    except GrammarError:
+        return
+    assert parse_rule_dsl(render_dsl(grammar)).rules == grammar.rules
 
 
 def test_builtin_grammar_counts(grammar):
