@@ -1,8 +1,9 @@
 """Command-line surface: parse, semantics, ask, generate, batch.
 
 Exit codes: 0 success (>=1 parse where parsing is involved), 2 no parse,
-1 usage, load or transform errors.  ``semantics``, ``ask`` and ``batch``
-check the grammar's families when it loads, before answering anything.
+1 usage, load or transform errors, each printed as one ``error: …`` line.
+``main`` alone reads files, loads data and parses the query; the ``cmd_*``
+handlers only format output.
 """
 
 from __future__ import annotations
@@ -28,8 +29,15 @@ def data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
+class _ReadError(Exception):
+    """A file that is missing, a directory, unreadable or not UTF-8."""
+
+
 def _read(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _ReadError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def _json_value(value: object):
@@ -73,26 +81,12 @@ def _parse_report(result: ParseResult, json_output: bool) -> str:
     return "\n".join(lines)
 
 
-def cmd_parse(args) -> int:
-    grammar = parse_rule_dsl(_read(args.grammar))
-    lexicon = load_lexicon(_read(args.lexicon))
-    results = parse(args.query, grammar, lexicon)
-    if not results:
-        print("no parse", file=sys.stderr)
-        return EXIT_NO_PARSE
+def cmd_parse(args, results: list[ParseResult]) -> None:
     for result in results:
         print(_parse_report(result, args.json))
-    return EXIT_OK
 
 
-def cmd_semantics(args) -> int:
-    grammar = parse_rule_dsl(_read(args.grammar))
-    check_families(grammar)
-    lexicon = load_lexicon(_read(args.lexicon))
-    results = parse(args.query, grammar, lexicon)
-    if not results:
-        print("no parse", file=sys.stderr)
-        return EXIT_NO_PARSE
+def cmd_semantics(args, results: list[ParseResult]) -> None:
     first = results[0]
     sem = transform(first)
     qtype = classify(sem)
@@ -107,18 +101,9 @@ def cmd_semantics(args) -> int:
     else:
         print(render_skeleton(sem))
         print(render_full(sem))
-    return EXIT_OK
 
 
-def cmd_ask(args) -> int:
-    grammar = parse_rule_dsl(_read(args.grammar))
-    check_families(grammar)
-    lexicon = load_lexicon(_read(args.lexicon))
-    catalog = load_catalog(_read(args.catalog))
-    results = parse(args.query, grammar, lexicon)
-    if not results:
-        print("no parse", file=sys.stderr)
-        return EXIT_NO_PARSE
+def cmd_ask(args, results: list[ParseResult], catalog) -> None:
     sem = transform(results[0])
     qtype = classify(sem)
     answer = evaluate(sem, catalog)
@@ -133,7 +118,6 @@ def cmd_ask(args) -> int:
         }, ensure_ascii=False))
     else:
         print(text)
-    return EXIT_OK
 
 
 def derive_seed(base: int, rule_id: str, index: int) -> int:
@@ -143,32 +127,20 @@ def derive_seed(base: int, rule_id: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def cmd_generate(args) -> int:
-    grammar = parse_rule_dsl(_read(args.grammar))
-    lexicon = load_lexicon(_read(args.lexicon))
+def cmd_generate(args, grammar, lexicon) -> None:
     if args.rule == "all":
         rule_ids = [r.id for r in grammar.rules]
     elif args.rule in grammar.by_id:
         rule_ids = [args.rule]
     else:
-        print(f"unknown rule id {args.rule!r}", file=sys.stderr)
-        return EXIT_ERROR
+        raise GrammarError(f"unknown rule id {args.rule!r}")
     for rule_id in rule_ids:
         for i in range(args.count):
             sentence = sample(grammar, rule_id, derive_seed(args.seed, rule_id, i), lexicon)
             print(f"{rule_id}\t{sentence}")
-    return EXIT_OK
 
 
-def cmd_batch(args) -> int:
-    grammar = parse_rule_dsl(_read(args.grammar))
-    check_families(grammar)
-    lexicon = load_lexicon(_read(args.lexicon))
-    try:
-        text = _read(Path(args.file))
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_batch(text: str, grammar, lexicon) -> int:
     total = parsed = 0
     for line in text.splitlines():
         query = line.strip()
@@ -205,41 +177,51 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="show all parses of one query")
     p.add_argument("query")
-    p.set_defaults(handler=cmd_parse)
 
     p = sub.add_parser("semantics", help="show the semantic representation")
     p.add_argument("query")
-    p.set_defaults(handler=cmd_semantics)
 
     p = sub.add_parser("ask", help="answer one query against the catalog")
     p.add_argument("query")
-    p.set_defaults(handler=cmd_ask)
 
     p = sub.add_parser("generate", help="sample sentences from rules")
     p.add_argument("rule", help="rule id or 'all'")
     p.add_argument("count", type=int)
-    p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("batch", help="parse a file of queries, one per line")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_batch)
+    p.add_argument("file", type=Path)
     return root
 
 
 def main(argv: list[str] | None = None) -> int:
-    arg_parser = build_arg_parser()
-    args = arg_parser.parse_args(argv)
-    args.grammar = args.grammar or data_path("rules_v1.bnf")
-    args.lexicon = args.lexicon or data_path("lexicon_v1.tsv")
-    args.catalog = args.catalog or data_path("catalog_sample.json")
-    for path in (args.grammar, args.lexicon):
-        if not path.is_file():
-            print(f"file not found: {path}", file=sys.stderr)
-            return EXIT_ERROR
+    args = build_arg_parser().parse_args(argv)
+    command = args.command
     try:
-        return args.handler(args)
-    except (BlankQueryError, LexiconError, GrammarError, CatalogError,
-            EvaluationError, TransformError, OSError, UnicodeDecodeError) as exc:
+        grammar = parse_rule_dsl(_read(args.grammar or data_path("rules_v1.bnf")))
+        if command in ("semantics", "ask", "batch"):
+            check_families(grammar)
+        lexicon = load_lexicon(_read(args.lexicon or data_path("lexicon_v1.tsv")))
+        if command == "generate":
+            cmd_generate(args, grammar, lexicon)
+            return EXIT_OK
+        if command == "batch":
+            return cmd_batch(_read(args.file), grammar, lexicon)
+        if command == "ask":
+            catalog = load_catalog(_read(args.catalog or data_path("catalog_sample.json")))
+        results = parse(args.query, grammar, lexicon)
+        if not results:
+            print("no parse", file=sys.stderr)
+            return EXIT_NO_PARSE
+        if command == "parse":
+            cmd_parse(args, results)
+        elif command == "semantics":
+            cmd_semantics(args, results)
+        else:
+            cmd_ask(args, results, catalog)
+        return EXIT_OK
+    # OSError: stdout closed early, as in ``viquery generate all 20 | head -1``
+    except (_ReadError, BlankQueryError, LexiconError, GrammarError, CatalogError,
+            EvaluationError, TransformError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

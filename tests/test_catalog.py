@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from oracles import oracle_evaluate
@@ -22,7 +24,6 @@ def _record(title="B", authors=("A",), publisher="P", year=2008,
 
 
 def _catalog(*records):
-    import json
     return load_catalog(json.dumps(list(records)))
 
 
@@ -67,6 +68,17 @@ def test_load_rejects_unrepresentable_price(price):
 def test_load_rejects_over_deep_json():
     with pytest.raises(CatalogError, match="invalid JSON"):
         load_catalog("[" * 100_000)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "top level must be an array of records"),
+    ("[1]", "record 0: not an object"),
+    (json.dumps([_record(title="")]), "record 0: title must be a non-empty string"),
+])
+def test_load_rejects_malformed_document(text, message):
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(text)
+    assert str(caught.value) == message
 
 
 def test_load_rejects_empty_authors():

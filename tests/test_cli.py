@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viquery.cli import _parse_report, data_path, main
 from viquery.parser import parse
@@ -80,6 +84,21 @@ def test_ask_no_parse(capsys):
     assert main(["ask", "xin chào"]) == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--json", "ask", S1], '{"rule_id": "Q1.3a", "question_type": "yesno", '
+                            '"kind": "boolean", "value": true, "answer": "Có."}'),
+    (["--json", "ask", "Ai viết sách B?"], '{"rule_id": "Q1.1a", "question_type": "wh", '
+                                           '"kind": "entities", "value": ["A"], "answer": "A"}'),
+    (["--json", "ask", "có bao nhiêu sách trong thư viện ?"],
+     '{"rule_id": "Q7.1", "question_type": "wh", "kind": "count", "value": 6, "answer": "6"}'),
+    (["parse", "Ai viết sách nào thuộc chủ đề văn học ?"],
+     "  book: sách nào thuộc chủ đề văn học  ->  (sách bất kỳ) thuộc Văn Học"),
+])
+def test_output_line_is_pinned(capsys, argv, line):
+    assert main(argv) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_generate_counts(capsys):
     code = main(["generate", "all", "2"])
     lines = capsys.readouterr().out.strip().splitlines()
@@ -116,7 +135,19 @@ def test_generate_without_marker_entries_is_error(tmp_path, capsys):
 
 
 def test_generate_unknown_rule(capsys):
-    assert main(["generate", "Q9.9x", "1"]) == 1
+    for count in ("0", "1"):
+        assert main(["generate", "Q9.9x", count]) == 1
+        assert capsys.readouterr().err == "error: unknown rule id 'Q9.9x'\n"
+
+
+def test_closed_stdout_is_error(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["generate", "all", "1"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_batch_mixed(tmp_path, capsys):
@@ -189,8 +220,32 @@ def test_undecodable_data_file_is_load_error(tmp_path, capsys, which):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("cannot read " if which == "batch" else "error: ")
+    assert err.startswith(f"error: cannot read {f}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+@pytest.mark.parametrize("which", ["--grammar", "--lexicon", "--catalog", "batch"])
+def test_unreadable_file_is_one_error_line(tmp_path, capsys, which, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"\xff\n")
+    argv = ["batch", str(path)] if which == "batch" else [which, str(path), "ask", S1]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_first_bad_input_in_load_order_is_reported(tmp_path, capsys):
+    grammar = tmp_path / "g.bnf"
+    grammar.write_text('<X> = <book> foo "?"\n', encoding="utf-8")
+    code = main(["--grammar", str(grammar), "--lexicon", str(tmp_path / "none.tsv"), "parse", S1])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 1: unexpected 'foo'\n"
 
 
 @pytest.mark.parametrize("command", ["semantics", "ask"])
@@ -258,3 +313,42 @@ def test_parse_reports_are_pinned(capsys, grammar, lexicon):
     assert len(lines) == 2796
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "77efc647200cfb8197fa4999c494bf24ab7be918a3cb2f8e6ed746973188a7b3"
+
+
+def _mutate(sentence: str, op: str, at: int, word: str) -> str:
+    words = sentence.split(" ")
+    at %= len(words)
+    if op == "drop":
+        del words[at]
+    elif op == "duplicate":
+        words.insert(at, words[at])
+    elif op == "swap":
+        words[at:at + 2] = reversed(words[at:at + 2])
+    else:
+        words.insert(at, word)
+    return " ".join(words)
+
+
+@given(data=st.data(),
+       command=st.sampled_from([["parse"], ["semantics"], ["ask"], ["--json", "ask"]]))
+@settings(max_examples=300, deadline=None)
+def test_main_is_total(lexicon, generated, data, command):
+    words = sorted({entry.surface for entry in lexicon._entries.values()})
+    query = data.draw(st.one_of(
+        st.text(max_size=80),
+        st.lists(st.sampled_from(words), max_size=12).map(" ".join),
+        st.builds(_mutate, st.sampled_from(generated),
+                  st.sampled_from(["drop", "duplicate", "swap", "insert"]),
+                  st.integers(0, 40), st.sampled_from(words)),
+    ))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command + ["--", query])  # so "-x" stays a query, not an option
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert out
+    elif code == 2:
+        assert err == "no parse\n"
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1

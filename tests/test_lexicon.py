@@ -66,6 +66,12 @@ def test_load_rejects_wrong_field_count():
         load_lexicon("vperfect\tđã\tđã\nvperfect\tđã\n")
 
 
+def test_load_rejects_empty_surface():
+    with pytest.raises(LexiconError) as caught:
+        load_lexicon("verb_write\t\tviết\n")
+    assert str(caught.value) == "line 1: empty surface"
+
+
 def test_load_rejects_duplicates():
     with pytest.raises(LexiconError, match="duplicate"):
         load_lexicon("vperfect\tđã\tđã\nvperfect\tđã\tđã\n")

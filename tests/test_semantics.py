@@ -5,7 +5,8 @@ import pytest
 
 from oracles import FAMILY_SKELETONS, legacy_transform
 from viquery.grammar import parse_rule_dsl
-from viquery.parser import parse
+from viquery.lexicon import Category
+from viquery.parser import ConstituentBinding, ParseResult, parse
 from viquery.semantics import (
     FAMILIES,
     Argument,
@@ -137,6 +138,20 @@ def test_unregistered_family_rejected(grammar, lexicon):
     result = parse(S1, grammar, lexicon)[0]
     with pytest.raises(TransformError, match="Q9.9"):
         transform(result._replace(family="Q9.9"))
+
+
+def test_missing_mandatory_constituent_rejected():
+    # the library path: a parse built by hand, with no check_families run
+    author = ConstituentBinding(Category.AUTHOR, "A", "tác giả a", 0)
+    with pytest.raises(TransformError) as caught:
+        transform(ParseResult("Q1.3a", "Q1.3", (author,)))
+    assert str(caught.value) == "Q1.3a: missing mandatory constituent <book>"
+
+
+def test_classify_without_focus_rejected():
+    with pytest.raises(TransformError) as caught:
+        classify(SemanticNode("verb_write", False, ()))
+    assert str(caught.value) == "no focused element in semantic tree"
 
 
 def test_semantic_tree_classes_stay_dataclasses():
