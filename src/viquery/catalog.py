@@ -40,20 +40,12 @@ class Answer(NamedTuple):
     value: object                # bool | tuple[str, ...] | int
 
 
-class Catalog:
-    def __init__(self, records: list[BookRecord]):
-        self.records = tuple(records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 _REQUIRED_KEYS = ("title", "authors", "publisher", "year", "subject",
                   "place", "price", "currency")
 _STRING_KEYS = ("publisher", "subject", "place", "currency")
 
 
-def load_catalog(document: str) -> Catalog:
+def load_catalog(document: str) -> tuple[BookRecord, ...]:
     """Parse a JSON array of records; errors carry the record index."""
     try:
         data = json.loads(document)
@@ -95,7 +87,7 @@ def load_catalog(document: str) -> Catalog:
             price=float(price),
             currency=item["currency"],
         ))
-    return Catalog(records)
+    return tuple(records)
 
 
 def format_price(record: BookRecord) -> str:
@@ -166,8 +158,8 @@ def _satisfies(record: BookRecord, filters: list) -> bool:
     return True
 
 
-def evaluate(sem: SemanticNode, catalog: Catalog) -> Answer:
-    """Answer a question against the catalog.
+def evaluate(sem: SemanticNode, records: tuple[BookRecord, ...]) -> Answer:
+    """Answer a question against the catalog's records.
 
     A yes/no question holds when each of its one-book readings is satisfied
     by some record.  Wh-questions collect the focused role's values over the
@@ -177,9 +169,9 @@ def evaluate(sem: SemanticNode, catalog: Catalog) -> Answer:
     readings = _readings(sem, focus, split=sem.focused)
     if sem.focused:
         return Answer("boolean", all(
-            any(_satisfies(r, filters) for r in catalog.records) for filters in readings))
+            any(_satisfies(r, filters) for r in records) for filters in readings))
     [filters] = readings
-    matching = [r for r in catalog.records if _satisfies(r, filters)]
+    matching = [r for r in records if _satisfies(r, filters)]
     if not focus:
         raise EvaluationError("no focused element to answer")
     focus_kind, focus_role = focus[0]

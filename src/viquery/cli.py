@@ -16,7 +16,7 @@ from pathlib import Path
 from .catalog import CatalogError, EvaluationError, format_answer, evaluate, load_catalog
 from .grammar import GrammarError, parse_rule_dsl, sample
 from .lexicon import BookValue, LexiconError, TimeValue, load_lexicon
-from .parser import BlankQueryError, ParseResult, parse
+from .parser import BlankQueryError, ParseResult, QueryTooLongError, parse
 from .semantics import (TransformError, check_families, classify, render_full,
                         render_skeleton, transform)
 
@@ -158,8 +158,16 @@ def cmd_batch(text: str, grammar, lexicon) -> int:
     return EXIT_OK if parsed == total else EXIT_NO_PARSE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors into ``main``'s error path instead of exiting 2;
+    ``add_subparsers`` builds the subcommand parsers from this class too."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _ArgumentParser(
         prog="viquery",
         description="Parse restricted Vietnamese book-catalog questions, "
                     "transform them to semantic representations and answer "
@@ -194,9 +202,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    command = args.command
     try:
+        args = build_arg_parser().parse_args(argv)
+        command = args.command
         grammar = parse_rule_dsl(_read(args.grammar or data_path("rules_v1.bnf")))
         if command in ("semantics", "ask", "batch"):
             check_families(grammar)
@@ -220,8 +228,9 @@ def main(argv: list[str] | None = None) -> int:
             cmd_ask(args, results, catalog)
         return EXIT_OK
     # OSError: stdout closed early, as in ``viquery generate all 20 | head -1``
-    except (_ReadError, BlankQueryError, LexiconError, GrammarError, CatalogError,
-            EvaluationError, TransformError, OSError) as exc:
+    except (argparse.ArgumentError, _ReadError, BlankQueryError, QueryTooLongError,
+            LexiconError, GrammarError, CatalogError, EvaluationError, TransformError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

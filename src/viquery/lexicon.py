@@ -139,31 +139,6 @@ class TokenGroup(NamedTuple):
     categories: Mapping[Category, str]
 
 
-class TokenStream:
-    """Tokenization result: one group per span position, left to right."""
-
-    def __init__(self, groups: tuple[TokenGroup, ...]):
-        self.groups = groups
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    def canonical_at(self, pos: int, category: Category) -> str | None:
-        if pos >= len(self.groups):
-            return None
-        return self.groups[pos].categories.get(category)
-
-    def surface_at(self, pos: int) -> str | None:
-        if pos >= len(self.groups):
-            return None
-        return self.groups[pos].surface
-
-    def span_text(self, start: int, end: int) -> str:
-        if end - start == 1:
-            return self.groups[start].surface
-        return " ".join(g.surface for g in self.groups[start:end])
-
-
 class Lexicon:
     """Immutable lookup structure over entries and gazetteers; entries are
     unique by (category, surface), as :func:`load_lexicon` checks."""
@@ -248,7 +223,7 @@ def _name_group(syllables: list[str], start: int, end: int) -> TokenGroup:
     return TokenGroup(start, end, run, MappingProxyType(categories))
 
 
-def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
+def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     """Deterministic longest-match segmentation of a normalized query.
 
     At each syllable the longest lexicon surface wins; equal-length matches
@@ -293,7 +268,7 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
         i = end
     if run is not None:
         groups.append(_name_group(syllables, run, n))
-    return TokenStream(tuple(groups))
+    return tuple(groups)
 
 
 # --- constituent templates ---------------------------------------------------
@@ -304,8 +279,8 @@ def tokenize(query: str, lexicon: Lexicon) -> TokenStream:
 # is the token's canonical form), a literal surface (its value is itself) or a
 # Category (a nested constituent).  Templates are atomic: the first
 # alternative that matches wins and no later one is tried.  The sampler
-# realizes the first alternative.  Positions are group indices into the
-# TokenStream.
+# realizes the first alternative.  Positions are indices into the tuple of
+# token groups that :func:`tokenize` returns.
 
 def _last(*values):
     return values[-1]
@@ -339,36 +314,38 @@ TEMPLATES = {
 }
 
 
-def _scan_part(stream: TokenStream, at: int, part):
+def _scan_part(groups: tuple[TokenGroup, ...], at: int, part):
     if type(part) is tuple:
-        for category in part:
-            canonical = stream.canonical_at(at, category)
-            if canonical is not None:
-                return canonical, at + 1
+        if at < len(groups):
+            categories = groups[at].categories
+            for category in part:
+                canonical = categories.get(category)
+                if canonical is not None:
+                    return canonical, at + 1
         return None
     if isinstance(part, Category):
-        return scan_constituent(stream, at, part)
-    return (part, at + 1) if stream.surface_at(at) == part else None
+        return scan_constituent(groups, at, part)
+    return (part, at + 1) if at < len(groups) and groups[at].surface == part else None
 
 
-def scan_constituent(stream: TokenStream, at: int, category: Category):
+def scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category):
     """Match one constituent of ``category`` starting at group index ``at``.
 
     Returns (canonical value, first unconsumed position) or None.  A template
     category matches its first matching alternative in :data:`TEMPLATES`;
     other categories consume a single token of that category.
     """
-    if at >= len(stream):
+    if at >= len(groups):
         return None
     alternatives = TEMPLATES.get(category)
     if alternatives is None:
-        canonical = stream.canonical_at(at, category)
+        canonical = groups[at].categories.get(category)
         return None if canonical is None else (canonical, at + 1)
     for parts, build in alternatives:
         values = []
         pos = at
         for part in parts:
-            found = _scan_part(stream, pos, part)
+            found = _scan_part(groups, pos, part)
             if found is None:
                 break
             value, pos = found

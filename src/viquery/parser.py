@@ -11,14 +11,15 @@ before absent and a group tries one more iteration before it exits.
 takes the first branch of every ``SPLIT`` first, so the first complete match
 it finds is the first in that priority order and results are deterministic.
 A visited set over (instruction, position) explores no state twice: the
-search is bounded by program length times stream length, and a group
-iteration that consumes nothing is rejected when it returns to its ``SPLIT``.
+search is bounded by program length times the number of token groups, and a
+group iteration that consumes nothing is rejected when it returns to its
+``SPLIT``.
 Bindings are kept in a parent-linked chain, so a step copies nothing.
 
 Category slots consume one constituent each via
 :func:`viquery.lexicon.scan_constituent`.  :func:`parse` shares one table of
 scan results, by (position, category), among all rules of a query, and skips
-a rule unless the stream holds every literal and every non-template category
+a rule unless the query holds every literal and every non-template category
 the rule's top-level terms require.  Template categories never filter, so a
 skipped rule is one that cannot match.
 """
@@ -28,18 +29,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .grammar import CAT, JUMP, LIT, SPLIT, Grammar, SyntacticRule
-from .lexicon import (
-    Category,
-    Lexicon,
-    TokenStream,
-    normalize,
-    scan_constituent,
-    tokenize,
-)
+from .lexicon import Category, Lexicon, TokenGroup, normalize, scan_constituent, tokenize
+
+#: Longest query :func:`parse` accepts, in characters before normalization.
+MAX_QUERY_CHARS = 100_000
 
 
 class BlankQueryError(ValueError):
     """Raised for empty or whitespace-only input (distinct from no-parse)."""
+
+
+class QueryTooLongError(ValueError):
+    """Raised for input longer than :data:`MAX_QUERY_CHARS` characters."""
 
 
 class ConstituentBinding(NamedTuple):
@@ -58,9 +59,9 @@ class ParseResult(NamedTuple):
 _UNSCANNED = object()
 
 
-def match_rule(stream: TokenStream, rule: SyntacticRule,
+def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
                scans: dict | None = None) -> ParseResult | None:
-    """Match the whole token stream against one rule, or return None.
+    """Match the whole tuple of token groups against one rule, or return None.
 
     ``scans`` caches :func:`scan_constituent` results by (position,
     category); :func:`parse` passes one table for all rules of a query.
@@ -68,7 +69,6 @@ def match_rule(stream: TokenStream, rule: SyntacticRule,
     if scans is None:
         scans = {}
     program = rule.program
-    groups = stream.groups
     n = len(groups)
     width = n + 1
     visited: set[int] = set()
@@ -88,7 +88,7 @@ def match_rule(stream: TokenStream, rule: SyntacticRule,
                 key = (pos, arg)
                 found = scans.get(key, _UNSCANNED)
                 if found is _UNSCANNED:
-                    found = scans[key] = scan_constituent(stream, pos, arg)
+                    found = scans[key] = scan_constituent(groups, pos, arg)
                 if found is None:
                     break
                 value, after = found
@@ -103,13 +103,13 @@ def match_rule(stream: TokenStream, rule: SyntacticRule,
             elif op == JUMP:
                 pc = arg
             elif pos == n:  # MATCH
-                return _result(rule, stream, chain)
+                return _result(rule, groups, chain)
             else:
                 break
     return None
 
 
-def _result(rule: SyntacticRule, stream: TokenStream, chain) -> ParseResult:
+def _result(rule: SyntacticRule, groups: tuple[TokenGroup, ...], chain) -> ParseResult:
     matched = []
     while chain is not None:
         category, value, start, end, chain = chain
@@ -119,9 +119,9 @@ def _result(rule: SyntacticRule, stream: TokenStream, chain) -> ParseResult:
     for category, value, start, end in reversed(matched):
         ordinal = counters.get(category, 0)
         counters[category] = ordinal + 1
-        bindings.append(
-            ConstituentBinding(category, value, stream.span_text(start, end), ordinal)
-        )
+        surface = (groups[start].surface if end - start == 1
+                   else " ".join(g.surface for g in groups[start:end]))
+        bindings.append(ConstituentBinding(category, value, surface, ordinal))
     return ParseResult(rule.id, rule.family, tuple(bindings))
 
 
@@ -130,21 +130,25 @@ def parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
 
     Returns all successful parses (callers usually take the first); an empty
     list means no rule covers the query.  Blank input raises
-    :class:`BlankQueryError`.
+    :class:`BlankQueryError`, input longer than :data:`MAX_QUERY_CHARS`
+    :class:`QueryTooLongError`.
     """
+    if len(query) > MAX_QUERY_CHARS:
+        raise QueryTooLongError(
+            f"query is {len(query)} characters, longer than {MAX_QUERY_CHARS}")
     normalized = normalize(query)
     if not normalized:
         raise BlankQueryError("query is empty or blank")
-    stream = tokenize(normalized, lexicon)
+    groups = tokenize(normalized, lexicon)
     present = set()
-    for group in stream.groups:
+    for group in groups:
         present.add((LIT, group.surface))
         present.update((CAT, category) for category in group.categories)
     scans: dict = {}
     results = []
     for rule in grammar.rules:
         if rule.required <= present:
-            result = match_rule(stream, rule, scans)
+            result = match_rule(groups, rule, scans)
             if result is not None:
                 results.append(result)
     return results

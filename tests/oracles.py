@@ -23,7 +23,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, replace
 
-from viquery.catalog import Answer, BookRecord, Catalog, format_price
+from viquery.catalog import Answer, BookRecord, format_price
 from viquery.grammar import Grammar, SyntacticRule, TermKind
 from viquery.lexicon import (
     NAME_KINDS,
@@ -32,7 +32,6 @@ from viquery.lexicon import (
     Lexicon,
     TokenGroup,
     TimeValue,
-    TokenStream,
     normalize,
     scan_constituent,
     tokenize,
@@ -78,23 +77,23 @@ def _expansions(terms: tuple, budget: int, capacity: int):
         yield from _expansions(rest, budget, capacity)
 
 
-def _bind(rule: SyntacticRule, stream: TokenStream, matched) -> ParseResult:
+def _bind(rule: SyntacticRule, stream: tuple[TokenGroup, ...], matched) -> ParseResult:
     counters: dict = {}
     bindings = []
     for category, value, start, end in matched:
         ordinal = counters.get(category, 0)
         counters[category] = ordinal + 1
         bindings.append(ConstituentBinding(
-            category, value, stream.span_text(start, end), ordinal))
+            category, value, " ".join(g.surface for g in stream[start:end]), ordinal))
     return ParseResult(rule.id, rule.family, tuple(bindings))
 
 
-def _match_flat(flat: tuple, stream: TokenStream, lexicon: Lexicon):
+def _match_flat(flat: tuple, stream: tuple[TokenGroup, ...], lexicon: Lexicon):
     pos = 0
     matched = []
     for term in flat:
         if term.kind is TermKind.LITERAL:
-            if pos >= len(stream) or stream.surface_at(pos) != term.literal:
+            if pos >= len(stream) or stream[pos].surface != term.literal:
                 return None
             pos += 1
         else:
@@ -109,7 +108,7 @@ def _match_flat(flat: tuple, stream: TokenStream, lexicon: Lexicon):
     return matched
 
 
-def oracle_match_rule(stream: TokenStream, rule: SyntacticRule,
+def oracle_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
                       lexicon: Lexicon) -> ParseResult | None:
     n = len(stream)
     for flat in _expansions(rule.terms, n + 1, n):
@@ -169,7 +168,7 @@ def _match_at(lexicon: Lexicon, syllables: list[str], at: int):
     return best_len, best
 
 
-def legacy_tokenize(query: str, lexicon: Lexicon) -> TokenStream:
+def legacy_tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     syllables = query.split(" ") if query else []
     groups: list[TokenGroup] = []
     i = 0
@@ -197,7 +196,7 @@ def legacy_tokenize(query: str, lexicon: Lexicon) -> TokenStream:
             categories[Category.YEAR] = run
         groups.append(TokenGroup(i, j, run, categories))
         i = j
-    return TokenStream(tuple(groups))
+    return tuple(groups)
 
 
 # --- legacy parser ------------------------------------------------------------
@@ -213,7 +212,7 @@ class _Progress:
     at: int
 
 
-def legacy_match_rule(stream: TokenStream, rule: SyntacticRule,
+def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
                       lexicon: Lexicon) -> ParseResult | None:
     n = len(stream)
 
@@ -224,7 +223,7 @@ def legacy_match_rule(stream: TokenStream, rule: SyntacticRule,
         if isinstance(head, _Progress):
             return match_seq(rest, pos) if pos > head.at else None
         if head.kind is TermKind.LITERAL:
-            if pos < n and stream.surface_at(pos) == head.literal:
+            if pos < n and stream[pos].surface == head.literal:
                 return match_seq(rest, pos + 1)
             return None
         if head.kind is TermKind.CATEGORY:
@@ -334,12 +333,12 @@ def _focused_role(node: SemanticNode):
     return None
 
 
-def oracle_evaluate(sem: SemanticNode, catalog: Catalog) -> Answer:
+def oracle_evaluate(sem: SemanticNode, catalog: tuple[BookRecord, ...]) -> Answer:
     if sem.focused:
         return Answer("boolean", all(
-            any(_record_satisfies(r, reading) for r in catalog.records)
+            any(_record_satisfies(r, reading) for r in catalog)
             for reading in _one_book_readings(sem)))
-    hits = [r for r in catalog.records if _record_satisfies(r, sem)]
+    hits = [r for r in catalog if _record_satisfies(r, sem)]
     role = _focused_role(sem)
     if role == "amount":
         return Answer("count", len(hits))

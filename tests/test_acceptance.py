@@ -6,11 +6,14 @@ per-criterion report).
 
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from oracles import FAMILY_SKELETONS, oracle_evaluate, oracle_parse
+import viquery
 from viquery.catalog import evaluate, load_catalog
 from viquery.cli import main
 from viquery.grammar import validate
@@ -282,3 +285,17 @@ def test_criterion_10_example_question_classification(grammar, lexicon):
         qtype = classify(transform(results[0]))
         assert qtype.kind == expected_kind, query
     print("PASS criterion 10: four example questions parse and classify wh/wh/wh/yesno")
+
+
+def test_criterion_11_public_surface(capsys):
+    assert sorted(viquery.__all__) == [
+        "classify", "evaluate", "format_answer", "load_catalog", "load_lexicon",
+        "parse", "parse_rule_dsl", "render_skeleton", "transform",
+    ]
+    for name in viquery.__all__:
+        assert callable(getattr(viquery, name))
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"## Library use\n.*?```python\n(.*?)```", readme, re.S)
+    exec(example, {})
+    assert capsys.readouterr().out.splitlines()[1] == "wh"
+    print("PASS criterion 11: nine package exports, README library example runs")

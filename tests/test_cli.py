@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viquery.cli import _parse_report, data_path, main
-from viquery.parser import parse
+from viquery.lexicon import Category
+from viquery.parser import MAX_QUERY_CHARS, parse
 from viquery.semantics import render_full, transform
 
 S1 = "Tác giả A có viết sách B vào năm 2008 không?"
@@ -27,6 +28,26 @@ def test_parse_reports_rule_and_constituents(capsys):
 
 def test_parse_blank_input_is_usage_error(capsys):
     assert main(["parse", ""]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "-x"], ["parse"], ["frob", "Ai viết sách B?"], ["generate", "all", "x"],
+])
+def test_usage_error_is_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
+
+
+def test_over_length_query_is_error(tmp_path, capsys):
+    query = "sách " * (MAX_QUERY_CHARS // 5 + 1)
+    assert main(["parse", query[:MAX_QUERY_CHARS]]) == 2
+    assert capsys.readouterr().err == "no parse\n"
+    f = tmp_path / "queries.txt"
+    f.write_text(S1 + "\n" + query + "\n", encoding="utf-8")
+    assert main(["batch", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: query is ") and err.count("\n") == 1
 
 
 def test_parse_out_of_domain_exit_2(capsys):
@@ -333,9 +354,10 @@ def _mutate(sentence: str, op: str, at: int, word: str) -> str:
        command=st.sampled_from([["parse"], ["semantics"], ["ask"], ["--json", "ask"]]))
 @settings(max_examples=300, deadline=None)
 def test_main_is_total(lexicon, generated, data, command):
-    words = sorted({entry.surface for entry in lexicon._entries.values()})
+    words = sorted({s for category in Category for s in lexicon.surfaces(category)})
     query = data.draw(st.one_of(
         st.text(max_size=80),
+        st.text(min_size=1, max_size=5).map(lambda t: t * (MAX_QUERY_CHARS // len(t) + 1)),
         st.lists(st.sampled_from(words), max_size=12).map(" ".join),
         st.builds(_mutate, st.sampled_from(generated),
                   st.sampled_from(["drop", "duplicate", "swap", "insert"]),

@@ -79,7 +79,7 @@ def test_load_rejects_duplicates():
 
 def test_tokenize_s1_categories(lexicon):
     stream = tokenize(S1, lexicon)
-    spans = [(g.surface, set(g.categories)) for g in stream.groups]
+    spans = [(g.surface, set(g.categories)) for g in stream]
     assert spans[0][0] == "tác giả" and Category.CREATOR in spans[0][1]
     assert spans[1][0] == "a" and Category.NAME_AUTHOR in spans[1][1]
     assert spans[2][0] == "có" and Category.INTERROGATIVE1 in spans[2][1]
@@ -95,34 +95,34 @@ def test_tokenize_s1_categories(lexicon):
 
 def test_tokenize_single_terminal(lexicon):
     stream = tokenize("?", lexicon)
-    assert len(stream.groups) == 1
-    assert list(stream.groups[0].categories) == [Category.PUNCT]
+    assert len(stream) == 1
+    assert list(stream[0].categories) == [Category.PUNCT]
 
 
 def test_tokenize_longest_match_wins(lexicon):
     stream = tokenize("nhà xuất bản nào đã xuất bản sách b trong năm 2009 ?", lexicon)
-    first = stream.groups[0]
+    first = stream[0]
     assert first.surface == "nhà xuất bản nào"
     assert set(first.categories) == {Category.WHAT_PUBLISHER}
 
 
 def test_tokenize_category_tie_emits_both(lexicon):
     stream = tokenize("có", lexicon)
-    cats = set(stream.groups[0].categories)
+    cats = set(stream[0].categories)
     assert cats == {Category.INTERROGATIVE1, Category.VERB_HAVE}
 
 
 def test_tokenize_partition(lexicon, corpus):
     for _, sentence in corpus[:60]:
         stream = tokenize(sentence, lexicon)
-        assert " ".join(g.surface for g in stream.groups) == sentence
-        offsets = [(g.start, g.end) for g in stream.groups]
+        assert " ".join(g.surface for g in stream) == sentence
+        offsets = [(g.start, g.end) for g in stream]
         assert all(a[1] == b[0] for a, b in zip(offsets, offsets[1:]))
 
 
 def test_tokenize_unknown_run_becomes_name_candidates(lexicon):
     stream = tokenize("xyzzy plugh ?", lexicon)
-    run = stream.groups[0]
+    run = stream[0]
     assert run.surface == "xyzzy plugh"
     assert set(run.categories) == set(
         {Category.NAME_AUTHOR, Category.NAME_BOOK, Category.NAME_PUBLISHER,
@@ -131,7 +131,7 @@ def test_tokenize_unknown_run_becomes_name_candidates(lexicon):
 
 def test_tokenize_year_candidate(lexicon):
     stream = tokenize("1984", lexicon)
-    cats = set(stream.groups[0].categories)
+    cats = set(stream[0].categories)
     assert Category.YEAR in cats and Category.NAME_BOOK in cats
 
 
@@ -143,7 +143,7 @@ def test_tokenize_year_candidate(lexicon):
     ("1984", {**dict.fromkeys(NAME_KINDS, "1984"), Category.YEAR: "1984"}),
 ])
 def test_tokenize_group_categories(lexicon, query, expected):
-    [group] = tokenize(query, lexicon).groups
+    [group] = tokenize(query, lexicon)
     assert group.categories == expected
 
 
@@ -174,13 +174,13 @@ def test_scan_book_unbound_with_qualifier(lexicon):
     stream = tokenize("sách nào thuộc chủ đề t", lexicon)
     value, after = scan_constituent(stream, 0, Category.BOOK)
     assert value == BookValue(subject="T")
-    assert after == len(stream.groups)
+    assert after == len(stream)
 
 
 def test_scan_consumes_at_least_one_token(lexicon, corpus):
     for _, sentence in corpus[:40]:
         stream = tokenize(sentence, lexicon)
-        for at in range(len(stream.groups)):
+        for at in range(len(stream)):
             for category in (Category.AUTHOR, Category.BOOK, Category.TIME_PHRASE,
                              Category.SUBJECT, Category.PUBLISHER):
                 found = scan_constituent(stream, at, category)
@@ -210,7 +210,7 @@ def test_scan_template_alternatives(lexicon, query, at, category, expected):
 
 def _groups(stream):
     return [(g.start, g.end, g.surface, dict(g.categories), list(g.categories))
-            for g in stream.groups]
+            for g in stream]
 
 
 def _assert_same_front_end(text, lexicon):
@@ -255,8 +255,8 @@ def test_front_end_matches_legacy_on_corpus(grammar, lexicon):
 def test_group_categories_are_read_only(lexicon):
     stream = tokenize("có xyzzy , 1984 ?", lexicon)
     assert len(stream) == 5
-    for group in stream.groups:
+    for group in stream:
         with pytest.raises(TypeError):
             group.categories[Category.PUNCT] = "x"
-    assert tokenize("có", lexicon).groups[0].categories == {
+    assert tokenize("có", lexicon)[0].categories == {
         Category.INTERROGATIVE1: "có", Category.VERB_HAVE: "có"}

@@ -82,8 +82,8 @@ def test_full_span_soundness(grammar, lexicon, corpus):
     # bound surfaces plus consumed terminals cover every syllable exactly
     for _, sentence in corpus[:80]:
         stream = tokenize(sentence, lexicon)
-        total = sum(g.end - g.start for g in stream.groups)
-        terminals = sum(1 for g in stream.groups if g.surface in ("?", ","))
+        total = sum(g.end - g.start for g in stream)
+        terminals = sum(1 for g in stream if g.surface in ("?", ","))
         for result in parse(sentence, grammar, lexicon):
             bound = sum(len(b.surface.split(" ")) for b in result.bindings)
             assert bound + terminals == total

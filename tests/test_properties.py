@@ -40,7 +40,7 @@ def test_tokenize_is_total_and_partitions(text):
     lex = _seed_lexicon()
     normalized = normalize(text)
     stream = tokenize(normalized, lex)
-    assert " ".join(g.surface for g in stream.groups) == normalized
+    assert " ".join(g.surface for g in stream) == normalized
 
 
 def test_skeleton_rendering_shape(grammar, lexicon, corpus):
