@@ -128,26 +128,26 @@ def derive_seed(base: int, rule_id: str, index: int) -> int:
 
 
 def cmd_generate(args, grammar, lexicon) -> None:
-    if args.rule == "all":
-        rule_ids = [r.id for r in grammar.rules]
-    elif args.rule in grammar.by_id:
-        rule_ids = [args.rule]
-    else:
+    rules = [r for r in grammar if args.rule in ("all", r.id)]
+    if not rules and args.rule != "all":
         raise GrammarError(f"unknown rule id {args.rule!r}")
-    for rule_id in rule_ids:
+    for rule in rules:
         for i in range(args.count):
-            sentence = sample(grammar, rule_id, derive_seed(args.seed, rule_id, i), lexicon)
-            print(f"{rule_id}\t{sentence}")
+            sentence = sample(rule, derive_seed(args.seed, rule.id, i), lexicon)
+            print(f"{rule.id}\t{sentence}")
 
 
 def cmd_batch(text: str, grammar, lexicon) -> int:
     total = parsed = 0
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         query = line.strip()
         if not query:
             continue
         total += 1
-        results = parse(query, grammar, lexicon)
+        try:
+            results = parse(query, grammar, lexicon)
+        except QueryTooLongError as exc:
+            raise QueryTooLongError(f"line {lineno}: {exc}") from None
         if results:
             parsed += 1
             sem = transform(results[0])
@@ -184,13 +184,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = root.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="show all parses of one query")
-    p.add_argument("query")
+    p.add_argument("query", nargs="?")
 
     p = sub.add_parser("semantics", help="show the semantic representation")
-    p.add_argument("query")
+    p.add_argument("query", nargs="?")
 
     p = sub.add_parser("ask", help="answer one query against the catalog")
-    p.add_argument("query")
+    p.add_argument("query", nargs="?")
 
     p = sub.add_parser("generate", help="sample sentences from rules")
     p.add_argument("rule", help="rule id or 'all'")
@@ -203,7 +203,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_arg_parser().parse_args(argv)
+        # an optional query lets an unknown option such as "-x" be reported
+        # before argparse's required-arguments check hides it
+        args, unknown = build_arg_parser().parse_known_args(argv)
+        if unknown:
+            message = f"unrecognized arguments: {' '.join(unknown)}"
+            if any(arg.startswith("-") for arg in unknown):
+                message += " (put -- before a query that starts with -)"
+            raise argparse.ArgumentError(None, message)
+        if getattr(args, "query", "") is None:
+            raise argparse.ArgumentError(None, "the following arguments are required: query")
         command = args.command
         grammar = parse_rule_dsl(_read(args.grammar or data_path("rules_v1.bnf")))
         if command in ("semantics", "ask", "batch"):

@@ -14,12 +14,8 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .lexicon import (
-    Category,
-    GRAMMAR_CATEGORIES,
-    TEMPLATES,
-    Lexicon,
-)
+from .lexicon import Category, GRAMMAR_CATEGORIES, TEMPLATES, Lexicon
+from .semantics import _family_problems
 
 
 class GrammarError(ValueError):
@@ -84,24 +80,6 @@ class SyntacticRule(NamedTuple):
     required: frozenset[tuple]
 
 
-class Grammar:
-    """Ordered, immutable rule inventory."""
-
-    def __init__(self, rules: list[SyntacticRule]):
-        self.rules = tuple(rules)
-        self.by_id = {r.id: r for r in self.rules}
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    @property
-    def families(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rule in self.rules:
-            seen.setdefault(rule.family, None)
-        return list(seen)
-
-
 _FAMILY_RE = re.compile(r"^(.+\d)([a-z])$")
 _LHS_RE = re.compile(r"^<([^<>\s]+)>\s*=\s*(.*)$")
 _BODY_TOKEN_RE = re.compile(r'<([^<>\s]+)>|"([^"]*)"|([\[{])|([\]}])|(\S+)')
@@ -158,8 +136,9 @@ def _parse_body(text: str, lineno: int) -> tuple[RuleTerm, ...]:
     return tuple(terms)
 
 
-def parse_rule_dsl(document: str) -> Grammar:
-    """Load a grammar document; one rule per line, ``#`` comments."""
+def parse_rule_dsl(document: str) -> tuple[SyntacticRule, ...]:
+    """Load a grammar document (one rule per line, ``#`` comments) as a tuple
+    of its rules in file order, which is match priority."""
     rules: dict[str, SyntacticRule] = {}
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
@@ -175,7 +154,7 @@ def parse_rule_dsl(document: str) -> Grammar:
         if not terms:
             raise GrammarError(f"line {lineno}: empty rule body")
         rules[rule_id] = _rule(rule_id, terms)
-    return Grammar(list(rules.values()))
+    return tuple(rules.values())
 
 
 def _render_term(term: RuleTerm) -> str:
@@ -187,11 +166,11 @@ def _render_term(term: RuleTerm) -> str:
     return f"[{inner}]" if term.kind is TermKind.OPTIONAL else f"{{{inner}}}"
 
 
-def render_dsl(grammar: Grammar) -> str:
+def render_dsl(grammar: tuple[SyntacticRule, ...]) -> str:
     """Render a grammar back to DSL text (reload gives an identical grammar)."""
     lines = [
         f"<{rule.id}> = " + " ".join(_render_term(t) for t in rule.terms)
-        for rule in grammar.rules
+        for rule in grammar
     ]
     return "\n".join(lines) + "\n"
 
@@ -204,12 +183,13 @@ def _categories_of(terms: tuple[RuleTerm, ...]):
             yield from _categories_of(term.body)
 
 
-def validate(grammar: Grammar, lexicon: Lexicon) -> list[str]:
-    """Diagnostics: unrealizable categories and rules not ending in '?'."""
+def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
+    """Diagnostics: unrealizable categories, rules not ending in '?', then
+    each problem :func:`viquery.semantics.check_families` reports."""
     diagnostics: list[str] = []
-    for rule in grammar.rules:
+    for rule in grammar:
         for category in _categories_of(rule.terms):
-            if category in TEMPLATES or lexicon.has_entries(category):
+            if category in TEMPLATES or lexicon.surfaces(category):
                 continue
             diagnostics.append(
                 f"{rule.id}: category <{category.value}> has no lexicon entries"
@@ -217,6 +197,7 @@ def validate(grammar: Grammar, lexicon: Lexicon) -> list[str]:
         last = rule.terms[-1]
         if not (last.kind is TermKind.LITERAL and last.literal == "?"):
             diagnostics.append(f'{rule.id}: rule does not end with "?"')
+    diagnostics.extend(_family_problems(grammar))
     return diagnostics
 
 
@@ -245,7 +226,7 @@ def _realize(rng: random.Random, lexicon: Lexicon, part) -> str:
     return rng.choice(surfaces)
 
 
-def sample(grammar: Grammar, rule_id: str, seed: int, lexicon: Lexicon) -> str:
+def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
     """Generate one sentence from a rule; deterministic for a fixed seed.
 
     Optionals are included with probability 1/2 and groups repeated 0-2
@@ -253,9 +234,6 @@ def sample(grammar: Grammar, rule_id: str, seed: int, lexicon: Lexicon) -> str:
     sentence (rules offering both a fronted and a trailing slot would
     otherwise produce doubly-constrained questions).
     """
-    rule = grammar.by_id.get(rule_id)
-    if rule is None:
-        raise GrammarError(f"unknown rule id {rule_id!r}")
     rng = random.Random(seed)
 
     time_slots = [t for t in rule.terms if t.kind is TermKind.OPTIONAL

@@ -140,17 +140,19 @@ class TokenGroup(NamedTuple):
 
 
 class Lexicon:
-    """Immutable lookup structure over entries and gazetteers; entries are
-    unique by (category, surface), as :func:`load_lexicon` checks."""
+    """The loaded entries in file order, unique by (category, surface) as
+    :func:`load_lexicon` checks, plus two indexes built once from them: the
+    syllable trie that :func:`tokenize` walks and each category's sorted
+    surfaces."""
 
-    def __init__(self, entries: list[LexiconEntry]):
-        self._entries: dict[tuple[Category, str], LexiconEntry] = {}
-        self._by_category: dict[Category, list[LexiconEntry]] = {}
+    def __init__(self, entries: tuple[LexiconEntry, ...]):
+        self.entries = entries
+        by_category: dict[Category, list[str]] = {}
         by_surface: dict[str, dict[Category, str]] = {}
         for entry in entries:
-            self._entries[(entry.category, entry.surface)] = entry
-            self._by_category.setdefault(entry.category, []).append(entry)
+            by_category.setdefault(entry.category, []).append(entry.surface)
             by_surface.setdefault(entry.surface, {})[entry.category] = entry.canonical
+        self._surfaces = {c: tuple(sorted(s)) for c, s in by_category.items()}
         # syllable trie: a node maps a syllable to (child node, the read-only
         # category map of the surface that ends there, or None); each map
         # lists its categories in value order
@@ -163,14 +165,8 @@ class Lexicon:
             ordered = sorted(categories.items(), key=lambda item: item[0].value)
             node[last] = (node.get(last, ({}, None))[0], MappingProxyType(dict(ordered)))
 
-    def lookup(self, category: Category, surface: str) -> LexiconEntry | None:
-        return self._entries.get((category, surface))
-
-    def surfaces(self, category: Category) -> list[str]:
-        return sorted(e.surface for e in self._by_category.get(category, ()))
-
-    def has_entries(self, category: Category) -> bool:
-        return bool(self._by_category.get(category))
+    def surfaces(self, category: Category) -> tuple[str, ...]:
+        return self._surfaces.get(category, ())
 
 
 def normalize(text: str) -> str:
@@ -209,7 +205,7 @@ def load_lexicon(document: str) -> Lexicon:
             )
         seen.add(key)
         entries.append(LexiconEntry(category, surface, canonical))
-    return Lexicon(entries)
+    return Lexicon(tuple(entries))
 
 
 _PUNCT_CATEGORIES = {p: MappingProxyType({Category.PUNCT: p}) for p in "?,"}

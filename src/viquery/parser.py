@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grammar import CAT, JUMP, LIT, SPLIT, Grammar, SyntacticRule
+from .grammar import CAT, JUMP, LIT, SPLIT, SyntacticRule
 from .lexicon import Category, Lexicon, TokenGroup, normalize, scan_constituent, tokenize
 
 #: Longest query :func:`parse` accepts, in characters before normalization.
@@ -125,7 +125,8 @@ def _result(rule: SyntacticRule, groups: tuple[TokenGroup, ...], chain) -> Parse
     return ParseResult(rule.id, rule.family, tuple(bindings))
 
 
-def parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
+def parse(query: str, grammar: tuple[SyntacticRule, ...],
+          lexicon: Lexicon) -> list[ParseResult]:
     """Normalize, tokenize and match every rule in priority order.
 
     Returns all successful parses (callers usually take the first); an empty
@@ -146,7 +147,7 @@ def parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
         present.update((CAT, category) for category in group.categories)
     scans: dict = {}
     results = []
-    for rule in grammar.rules:
+    for rule in grammar:
         if rule.required <= present:
             result = match_rule(groups, rule, scans)
             if result is not None:

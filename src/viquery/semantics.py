@@ -24,17 +24,20 @@ A slot is ``(kind, role, relation, source)``, and its kind is one of:
 
 A time argument's relation comes from its preposition, not from the slot.
 Adding a family is one :data:`FAMILIES` entry; :func:`check_families` checks
-a grammar against the table when it loads.
+a grammar against the table when it loads, and ``viquery.grammar.validate``
+lists the same problems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .grammar import Grammar
 from .lexicon import Category
-from .parser import ParseResult
+
+if TYPE_CHECKING:  # ``grammar`` imports this module for its family check
+    from .grammar import SyntacticRule
+    from .parser import ParseResult
 
 
 class TransformError(ValueError):
@@ -216,23 +219,28 @@ def _needs(node):
             yield source
 
 
-def check_families(grammar: Grammar) -> None:
-    """Raise :class:`TransformError` listing every rule whose family is not
-    in :data:`FAMILIES`, and every rule that can match without binding a
-    category its family needs: such a category must be a top-level term,
-    outside any ``[...]`` or ``{...}``."""
-    problems = []
-    for rule in grammar.rules:
+def _family_problems(grammar: tuple[SyntacticRule, ...]):
+    """One message per problem that :func:`check_families` reports; the
+    grammar's ``validate`` returns them too."""
+    for rule in grammar:
         node = FAMILIES.get(rule.family)
         if node is None:
-            problems.append(f"{rule.id}: unregistered family {rule.family!r}")
+            yield f"{rule.id}: unregistered family {rule.family!r}"
             continue
         # a literal, [...] or {...} term has no category
-        problems.extend(
+        yield from (
             f"{rule.id}: family {rule.family} needs <{category.value}> outside [...] and {{...}}"
             for category in _needs(node)
             if not any(term.category is category for term in rule.terms)
         )
+
+
+def check_families(grammar: tuple[SyntacticRule, ...]) -> None:
+    """Raise :class:`TransformError` listing every rule whose family is not
+    in :data:`FAMILIES`, and every rule that can match without binding a
+    category its family needs: such a category must be a top-level term,
+    outside any ``[...]`` or ``{...}``."""
+    problems = list(_family_problems(grammar))
     if problems:
         raise TransformError("; ".join(problems))
 

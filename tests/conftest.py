@@ -24,14 +24,14 @@ def catalog():
 def corpus(grammar, lexicon):
     """(rule_id, sentence) for every built-in rule x 5 seeds (285 lines)."""
     lines = []
-    for rule in grammar.rules:
+    for rule in grammar:
         for i in range(5):
-            lines.append((rule.id, sample(grammar, rule.id, derive_seed(0, rule.id, i), lexicon)))
+            lines.append((rule.id, sample(rule, derive_seed(0, rule.id, i), lexicon)))
     return lines
 
 
 @pytest.fixture(scope="session")
 def generated(grammar, lexicon):
     """What ``viquery --seed 0 generate all 20`` prints: 1140 sentences."""
-    return [sample(grammar, rule.id, derive_seed(0, rule.id, i), lexicon)
-            for rule in grammar.rules for i in range(20)]
+    return [sample(rule, derive_seed(0, rule.id, i), lexicon)
+            for rule in grammar for i in range(20)]

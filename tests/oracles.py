@@ -24,7 +24,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, format_price
-from viquery.grammar import Grammar, SyntacticRule, TermKind
+from viquery.grammar import SyntacticRule, TermKind
 from viquery.lexicon import (
     NAME_KINDS,
     BookValue,
@@ -118,10 +118,11 @@ def oracle_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
     return None
 
 
-def oracle_parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
+def oracle_parse(query: str, grammar: tuple[SyntacticRule, ...],
+                 lexicon: Lexicon) -> list[ParseResult]:
     stream = tokenize(normalize(query), lexicon)
     results = []
-    for rule in grammar.rules:
+    for rule in grammar:
         result = oracle_match_rule(stream, rule, lexicon)
         if result is not None:
             results.append(result)
@@ -145,7 +146,7 @@ def legacy_normalize(text: str) -> str:
 def _by_first(lexicon: Lexicon) -> dict:
     """First syllable -> (syllables, entry), longest first."""
     by_first: dict = {}
-    for entry in lexicon._entries.values():
+    for entry in lexicon.entries:
         syllables = tuple(entry.surface.split(" "))
         by_first.setdefault(syllables[0], []).append((syllables, entry))
     for bucket in by_first.values():
@@ -250,10 +251,11 @@ def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
     return None if matched is None else _bind(rule, stream, matched)
 
 
-def legacy_parse(query: str, grammar: Grammar, lexicon: Lexicon) -> list[ParseResult]:
+def legacy_parse(query: str, grammar: tuple[SyntacticRule, ...],
+                 lexicon: Lexicon) -> list[ParseResult]:
     stream = tokenize(normalize(query), lexicon)
     results = []
-    for rule in grammar.rules:
+    for rule in grammar:
         result = legacy_match_rule(stream, rule, lexicon)
         if result is not None:
             results.append(result)

@@ -81,7 +81,7 @@ def test_criterion_03_golden_s2(grammar, lexicon):
 
 def test_criterion_04_grammar_completeness(grammar, lexicon):
     assert len(grammar) == 57
-    assert len(grammar.families) == 19
+    assert len(dict.fromkeys(r.family for r in grammar)) == 19
     assert validate(grammar, lexicon) == []
     print("PASS criterion 4: 57 rules, 19 families, zero diagnostics")
 

@@ -37,6 +37,9 @@ def test_usage_error_is_one_error_line(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
+    if "-x" in argv:
+        assert err == ("error: unrecognized arguments: -x"
+                       " (put -- before a query that starts with -)\n")
 
 
 def test_over_length_query_is_error(tmp_path, capsys):
@@ -44,10 +47,12 @@ def test_over_length_query_is_error(tmp_path, capsys):
     assert main(["parse", query[:MAX_QUERY_CHARS]]) == 2
     assert capsys.readouterr().err == "no parse\n"
     f = tmp_path / "queries.txt"
-    f.write_text(S1 + "\n" + query + "\n", encoding="utf-8")
+    f.write_text(S1 + "\n" + "a" * (MAX_QUERY_CHARS + 1) + "\nxin chào\n", encoding="utf-8")
     assert main(["batch", str(f)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: query is ") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["Q1.3a\t(verb_write? ((author, rel_sub), (book, rel_obj),"
+                                " (APT, rel_time2)))"]
+    assert err == "error: line 2: query is 100001 characters, longer than 100000\n"
 
 
 def test_parse_out_of_domain_exit_2(capsys):

@@ -10,14 +10,14 @@ from viquery.grammar import (
     validate,
 )
 from viquery.lexicon import Category, load_lexicon
+from viquery.semantics import TransformError, check_families
 
 Q11A = ('<Q1.1a> = <what_author> [<vperfect>] [<interrogative1>] <verb_write> '
         '<book> {[<conjunction>] <book>} [<time_phrase>] "?"')
 
 
 def test_parse_single_rule_shape():
-    grammar = parse_rule_dsl(Q11A)
-    rule = grammar.rules[0]
+    [rule] = parse_rule_dsl(Q11A)
     assert rule.id == "Q1.1a" and rule.family == "Q1.1"
     kinds = [t.kind for t in rule.terms]
     assert kinds == [TermKind.CATEGORY, TermKind.OPTIONAL, TermKind.OPTIONAL,
@@ -72,7 +72,7 @@ def test_bracket_nesting_capped():
     with pytest.raises(GrammarError, match="nested deeper than 32"):
         parse_rule_dsl('<X> = ' + '{' * 33 + '<book>' + '}' * 33)
     at_cap = parse_rule_dsl('<X> = ' + '[' * 32 + '<book>' + ']' * 32 + ' "?"')
-    assert len(at_cap.rules[0].program) == 32 + 3  # a SPLIT per level, <book>, "?", MATCH
+    assert len(at_cap[0].program) == 32 + 3  # a SPLIT per level, <book>, "?", MATCH
 
 
 _DSL_PIECES = st.sampled_from(
@@ -89,12 +89,12 @@ def test_grammar_loader_is_total(body, prefixed):
         grammar = parse_rule_dsl(document)
     except GrammarError:
         return
-    assert parse_rule_dsl(render_dsl(grammar)).rules == grammar.rules
+    assert parse_rule_dsl(render_dsl(grammar)) == grammar
 
 
 def test_builtin_grammar_counts(grammar):
     assert len(grammar) == 57
-    families = grammar.families
+    families = list(dict.fromkeys(r.family for r in grammar))
     assert len(families) == 19
     assert families == [
         "Q1.1", "Q1.2", "Q1.3", "Q1.4", "Q2.1", "Q2.2", "Q2.3",
@@ -110,7 +110,19 @@ def test_builtin_grammar_validates_against_seed_lexicon(grammar, lexicon):
 def test_validate_reports_unrealizable_category(grammar):
     tiny = load_lexicon("verb_write\tviết\tviết\n")
     diagnostics = validate(parse_rule_dsl('<X> = <plural> <book> "?"'), tiny)
-    assert len(diagnostics) == 1 and "plural" in diagnostics[0]
+    assert diagnostics == ["X: category <plural> has no lexicon entries",
+                           "X: unregistered family 'X'"]
+
+
+def test_validate_reports_family_problems(lexicon):
+    assert (validate(parse_rule_dsl('<Q9.1a> = <book> "?"'), lexicon)
+            == ["Q9.1a: unregistered family 'Q9.1'"])
+    grammar = parse_rule_dsl('<Q1.3z> = [<author>] <verb_write> <book> "?"\n'
+                             '<Q1.1z> = <what_author> <verb_write> {<book>} "?"')
+    with pytest.raises(TransformError) as caught:
+        check_families(grammar)
+    problems = validate(grammar, lexicon)
+    assert len(problems) == 2 and problems == str(caught.value).split("; ")
 
 
 def test_validate_reports_missing_terminator(lexicon):
@@ -124,45 +136,43 @@ def test_validate_empty_grammar(lexicon):
 
 def test_dsl_round_trip(grammar):
     rendered = render_dsl(grammar)
-    reloaded = parse_rule_dsl(rendered)
-    assert reloaded.rules == grammar.rules
+    assert parse_rule_dsl(rendered) == grammar
+
+
+def _rule(grammar, rule_id):
+    return next(rule for rule in grammar if rule.id == rule_id)
 
 
 def test_sample_deterministic(grammar, lexicon):
-    a = sample(grammar, "Q1.1a", 123, lexicon)
-    b = sample(grammar, "Q1.1a", 123, lexicon)
+    a = sample(_rule(grammar, "Q1.1a"), 123, lexicon)
+    b = sample(_rule(grammar, "Q1.1a"), 123, lexicon)
     assert a == b
 
 
 def test_sample_varies_with_seed(grammar, lexicon):
-    sentences = {sample(grammar, "Q1.3a", seed, lexicon) for seed in range(20)}
+    sentences = {sample(_rule(grammar, "Q1.3a"), seed, lexicon) for seed in range(20)}
     assert len(sentences) > 5
 
 
 def test_sample_mandatory_skeleton(grammar, lexicon):
     for seed in range(10):
-        sentence = sample(grammar, "Q1.3a", seed, lexicon)
+        sentence = sample(_rule(grammar, "Q1.3a"), seed, lexicon)
         words = sentence.split()
         assert words[-1] == "?"
         assert any(w in sentence.split() for w in ("viết", "tác", "sáng"))
 
 
-def test_sample_unknown_rule(grammar, lexicon):
-    with pytest.raises(GrammarError, match="Q9.9x"):
-        sample(grammar, "Q9.9x", 1, lexicon)
-
-
 def test_sample_unrealizable_category():
-    grammar = parse_rule_dsl('<X> = <plural> "?"')
+    [rule] = parse_rule_dsl('<X> = <plural> "?"')
     tiny = load_lexicon("verb_write\tviết\tviết\n")
     with pytest.raises(GrammarError, match="plural"):
-        sample(grammar, "X", 1, tiny)
+        sample(rule, 1, tiny)
 
 
 def test_sample_at_most_one_time_phrase(grammar, lexicon):
     # Q1.3a offers a fronted and a trailing optional time slot
     for seed in range(40):
-        sentence = sample(grammar, "Q1.3a", seed, lexicon)
+        sentence = sample(_rule(grammar, "Q1.3a"), seed, lexicon)
         preps = sum(sentence.split().count(p) for p in ("vào", "trước", "sau"))
         in_count = sentence.split().count("trong")
         assert preps + in_count <= 1
@@ -178,7 +188,7 @@ def test_every_category_reachable(grammar):
             else:
                 walk(term.body)
 
-    for rule in grammar.rules:
+    for rule in grammar:
         walk(rule.terms)
     expected = {c for c in Category if c.value.startswith(("what_", "verb_", "interrogative"))}
     assert expected <= seen

@@ -9,6 +9,7 @@ from viquery.grammar import sample
 from viquery.lexicon import (
     BookValue,
     Category,
+    LexiconEntry,
     LexiconError,
     NAME_KINDS,
     TimeValue,
@@ -47,13 +48,12 @@ def test_normalize_idempotent(text):
 
 def test_load_entry_fields():
     lex = load_lexicon("vperfect\tđã\tđã\n")
-    entry = lex.lookup(Category.VPERFECT, "đã")
-    assert entry is not None and entry.canonical == "đã"
+    assert lex.entries == (LexiconEntry(Category.VPERFECT, "đã", "đã"),)
 
 
 def test_load_canonicalizes_verb_variants():
     lex = load_lexicon("verb_publish\tphát hành\txuất bản\n")
-    assert lex.lookup(Category.VERB_PUBLISH, "phát hành").canonical == "xuất bản"
+    assert lex.entries == (LexiconEntry(Category.VERB_PUBLISH, "phát hành", "xuất bản"),)
 
 
 def test_load_rejects_unknown_category():
@@ -222,7 +222,7 @@ def _assert_same_front_end(text, lexicon):
 
 @functools.lru_cache(maxsize=None)
 def _syllables(lexicon):
-    return sorted({s for e in lexicon._entries.values() for s in e.surface.split(" ")})
+    return sorted({s for e in lexicon.entries for s in e.surface.split(" ")})
 
 
 @given(text=st.text(max_size=80))
@@ -245,8 +245,8 @@ def test_front_end_matches_legacy_on_lexicon_syllables(lexicon, data):
 
 
 def test_front_end_matches_legacy_on_corpus(grammar, lexicon):
-    sentences = [sample(grammar, rule.id, derive_seed(0, rule.id, i), lexicon)
-                 for rule in grammar.rules for i in range(20)]
+    sentences = [sample(rule, derive_seed(0, rule.id, i), lexicon)
+                 for rule in grammar for i in range(20)]
     assert len(sentences) == 1140
     for sentence in sentences:
         _assert_same_front_end(sentence, lexicon)

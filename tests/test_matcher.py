@@ -36,7 +36,7 @@ def _passive(count: int, unknown_only: bool = False) -> str:
 
 
 def test_compile_priority_order():
-    rule = parse_rule_dsl('<R> = <book> {[<conjunction>] <book>} "?"\n').rules[0]
+    rule = parse_rule_dsl('<R> = <book> {[<conjunction>] <book>} "?"\n')[0]
     assert rule.program == (
         (CAT, Category.BOOK, 0),
         (SPLIT, 2, 6),                 # group: one more iteration first

@@ -19,10 +19,9 @@ def test_round_trip_all_rules(grammar, lexicon, corpus):
 def test_sample_determinism_across_calls(grammar, lexicon):
     rng = random.Random(99)
     for _ in range(30):
-        rule = rng.choice(grammar.rules)
+        rule = rng.choice(grammar)
         seed = rng.randrange(10**9)
-        assert (sample(grammar, rule.id, seed, lexicon)
-                == sample(grammar, rule.id, seed, lexicon))
+        assert sample(rule, seed, lexicon) == sample(rule, seed, lexicon)
 
 
 def _seed_lexicon():
