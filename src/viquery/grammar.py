@@ -37,10 +37,12 @@ class RuleTerm(NamedTuple):
 
 
 #: Matcher instructions, as ``(op, arg, alt)`` triples.  ``LIT s`` consumes
-#: one token group whose surface is ``s``; ``CAT c`` consumes one constituent
-#: of category ``c``; ``SPLIT a b`` tries ``a`` first and ``b`` on failure;
-#: ``JUMP a`` continues at ``a``; ``MATCH`` accepts at the end of the stream.
-LIT, CAT, SPLIT, JUMP, MATCH = range(5)
+#: one token group whose surface is ``s``; ``TOK c`` consumes one token group
+#: of the non-template category ``c``; ``CAT c`` consumes one constituent of
+#: the template category ``c`` (see :data:`viquery.lexicon.TEMPLATES`);
+#: ``SPLIT a b`` tries ``a`` first and ``b`` on failure; ``JUMP a`` continues
+#: at ``a``; ``MATCH`` accepts at the end of the stream.
+LIT, TOK, CAT, SPLIT, JUMP, MATCH = range(6)
 
 
 def _emit(terms: tuple[RuleTerm, ...], program: list) -> None:
@@ -48,7 +50,8 @@ def _emit(terms: tuple[RuleTerm, ...], program: list) -> None:
         if term.kind is TermKind.LITERAL:
             program.append((LIT, term.literal, 0))
         elif term.kind is TermKind.CATEGORY:
-            program.append((CAT, term.category, 0))
+            op = CAT if term.category in TEMPLATES else TOK
+            program.append((op, term.category, 0))
         else:
             # [body]: SPLIT body, after (present before absent)
             # {body}: L: SPLIT body, after; body; JUMP L (one more iteration
@@ -75,8 +78,10 @@ class SyntacticRule(NamedTuple):
     terms: tuple[RuleTerm, ...]
     #: the compiled body, see :func:`compile_terms`
     program: tuple[tuple, ...]
-    #: ``(LIT, s)`` and ``(CAT, c)`` for every top-level literal and
-    #: non-template category: a stream lacking any of them cannot match
+    #: ``(LIT, s)`` for every top-level literal, ``(CAT, c)`` for every
+    #: top-level non-template category, and the keys every alternative of a
+    #: top-level template category needs (see :func:`_template_needs`): a
+    #: stream lacking any of them cannot match
     required: frozenset[tuple]
 
 
@@ -94,12 +99,40 @@ def family_of(rule_id: str) -> str:
     return m.group(1) if m else rule_id
 
 
+def _template_needs(category: Category) -> set[tuple]:
+    """The ``(LIT, s)``/``(CAT, c)`` keys that every alternative of a template
+    category consumes.  A part that lists several categories, e.g.
+    ``(POSSESSIVE, AGENT)``, needs none of them."""
+    alternatives = []
+    for parts, _build in TEMPLATES[category]:
+        keys: set[tuple] = set()
+        for part in parts:
+            if isinstance(part, Category):  # before str: a Category is a str
+                keys |= _template_needs(part)
+            elif isinstance(part, str):
+                keys.add((LIT, part))
+            elif len(part) == 1:
+                keys.add((CAT, part[0]))
+        alternatives.append(keys)
+    return set.intersection(*alternatives)
+
+
+#: what a top-level slot of each template category adds to ``required``
+_TEMPLATE_NEEDS = {category: frozenset(_template_needs(category)) for category in TEMPLATES}
+
+
 def _rule(rule_id: str, terms: tuple[RuleTerm, ...]) -> SyntacticRule:
-    required = frozenset(
-        {(LIT, t.literal) for t in terms if t.kind is TermKind.LITERAL}
-        | {(CAT, t.category) for t in terms
-           if t.kind is TermKind.CATEGORY and t.category not in TEMPLATES})
-    return SyntacticRule(rule_id, family_of(rule_id), terms, compile_terms(terms), required)
+    required: set[tuple] = set()
+    for term in terms:
+        if term.kind is TermKind.LITERAL:
+            required.add((LIT, term.literal))
+        elif term.kind is TermKind.CATEGORY:
+            if term.category in TEMPLATES:
+                required |= _TEMPLATE_NEEDS[term.category]
+            else:
+                required.add((CAT, term.category))
+    return SyntacticRule(rule_id, family_of(rule_id), terms, compile_terms(terms),
+                         frozenset(required))
 
 
 def _parse_body(text: str, lineno: int) -> tuple[RuleTerm, ...]:

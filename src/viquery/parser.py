@@ -1,7 +1,7 @@
 """Compiled matcher: tokens against flat rule patterns, full span only.
 
 Each rule compiles once, when it is built, to a flat program of ``LIT``,
-``CAT``, ``SPLIT``, ``JUMP`` and ``MATCH`` instructions (see
+``TOK``, ``CAT``, ``SPLIT``, ``JUMP`` and ``MATCH`` instructions (see
 :func:`viquery.grammar.compile_terms`).  An optional ``[body]`` becomes
 ``SPLIT body, after`` and a group ``{body}`` becomes
 ``L: SPLIT body, after; body; JUMP L``, so an optional is tried present
@@ -16,19 +16,22 @@ group iteration that consumes nothing is rejected when it returns to its
 ``SPLIT``.
 Bindings are kept in a parent-linked chain, so a step copies nothing.
 
-Category slots consume one constituent each via
-:func:`viquery.lexicon.scan_constituent`.  :func:`parse` shares one table of
-scan results, by (position, category), among all rules of a query, and skips
-a rule unless the query holds every literal and every non-template category
-the rule's top-level terms require.  Template categories never filter, so a
-skipped rule is one that cannot match.
+A ``TOK`` slot (a non-template category) reads the one token group at the
+position inline.  A ``CAT`` slot (a template category) consumes one
+constituent via :func:`viquery.lexicon.scan_constituent`; :func:`parse`
+shares one table of those scan results, by (position, category), among all
+rules of a query.  :func:`parse` skips a rule unless the query holds every
+key in ``rule.required``: each top-level literal and non-template category,
+and what every alternative of each top-level template needs.  A template
+match consumes token groups holding each of those keys, so a skipped rule
+is one that cannot match.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grammar import CAT, JUMP, LIT, SPLIT, SyntacticRule
+from .grammar import CAT, JUMP, LIT, SPLIT, TOK, SyntacticRule
 from .lexicon import Category, Lexicon, TokenGroup, normalize, scan_constituent, tokenize
 
 #: Longest query :func:`parse` accepts, in characters before normalization.
@@ -84,6 +87,15 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
             if op == SPLIT:
                 stack.append((alt, pos, chain))
                 pc = arg
+            elif op == TOK:
+                if pos >= n:
+                    break
+                value = groups[pos].categories.get(arg)
+                if value is None:
+                    break
+                chain = (arg, value, pos, pos + 1, chain)
+                pc += 1
+                pos += 1
             elif op == CAT:
                 key = (pos, arg)
                 found = scans.get(key, _UNSCANNED)
@@ -141,10 +153,11 @@ def parse(query: str, grammar: tuple[SyntacticRule, ...],
     if not normalized:
         raise BlankQueryError("query is empty or blank")
     groups = tokenize(normalized, lexicon)
-    present = set()
-    for group in groups:
-        present.add((LIT, group.surface))
-        present.update((CAT, category) for category in group.categories)
+    present = {(LIT, surface) for surface in {group.surface for group in groups}}
+    # unpack a list, not a generator: CPython resizes the argument tuple it
+    # builds from a generator, and such tuples pile up on its free lists
+    present.update((CAT, category)
+                   for category in set().union(*[group.categories for group in groups]))
     scans: dict = {}
     results = []
     for rule in grammar:

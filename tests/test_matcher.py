@@ -1,5 +1,8 @@
 """The compiled matcher: agreement with the recursive backtracker it replaced,
-questions with hundreds of coordinated books, and scan counts."""
+questions with hundreds of coordinated books, the required-word prefilter,
+and rule-attempt and scan counts."""
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import legacy_parse
 from viquery import parser
 from viquery.cli import main
-from viquery.grammar import CAT, JUMP, LIT, MATCH, SPLIT, compile_terms, parse_rule_dsl
-from viquery.lexicon import Category
-from viquery.parser import parse
+from viquery.grammar import CAT, JUMP, LIT, MATCH, SPLIT, TOK, compile_terms, parse_rule_dsl
+from viquery.lexicon import Category, normalize, tokenize
+from viquery.parser import match_rule, parse
+
+TOY_RULES = Path(__file__).parent / "data" / "toy_rules.bnf"
 
 HEADS = ("sách", "cuốn sách", "quyển", "truyện", "tiểu thuyết")
 JOINS = ("và", "cùng", "cùng với", None)
@@ -41,14 +46,30 @@ def test_compile_priority_order():
         (CAT, Category.BOOK, 0),
         (SPLIT, 2, 6),                 # group: one more iteration first
         (SPLIT, 3, 4),                 # optional: present first
-        (CAT, Category.CONJUNCTION, 0),
+        (TOK, Category.CONJUNCTION, 0),  # one token: matched inline
         (CAT, Category.BOOK, 0),
         (JUMP, 1, 0),
         (LIT, "?", 0),
         (MATCH, None, 0),
     )
-    assert rule.required == {(LIT, "?")}  # <book> is a template: never required
+    # <book> needs a book_type token in every alternative; the optional
+    # <conjunction> and the group's books add nothing
+    assert rule.required == {(LIT, "?"), (CAT, Category.BOOK_TYPE)}
     assert compile_terms(rule.terms) == rule.program
+
+
+def test_required_holds_what_every_template_alternative_needs(lexicon):
+    rule = parse_rule_dsl('<R> = <by_author> <subject> [<book>] <time_phrase> "?"\n')[0]
+    assert rule.required == {
+        (LIT, "?"),
+        # <author>; the part "của"|"do"|"bởi" lists two categories: nothing
+        (CAT, Category.CREATOR), (CAT, Category.NAME_AUTHOR),
+        # the only part both <subject> alternatives have
+        (CAT, Category.NAME_SUBJECT),
+        (CAT, Category.PREP_TIME), (CAT, Category.NOUN_TIME), (CAT, Category.YEAR),
+    }
+    query = "bởi tác giả a chủ đề t vào năm 2001 ?"
+    assert parse(query, (rule,), lexicon) == legacy_parse(query, (rule,), lexicon) != []
 
 
 @pytest.mark.parametrize("body", ["[<interrogative1>] [<verb_have>]",
@@ -117,6 +138,48 @@ def test_ask_200_books_answers(capsys):
     assert captured.err == ""
 
 
+@pytest.fixture(scope="module")
+def rules(grammar):
+    """Every rule of the built-in grammar and of the toy grammar."""
+    return grammar + parse_rule_dsl(TOY_RULES.read_text(encoding="utf-8"))
+
+
+def _skipped_rules_do_not_match(query, rules, lexicon):
+    groups = tokenize(normalize(query), lexicon)
+    present = {(LIT, g.surface) for g in groups}
+    present |= {(CAT, c) for g in groups for c in g.categories}
+    for rule in rules:
+        if not rule.required <= present:
+            assert match_rule(groups, rule) is None, (rule.id, query)
+
+
+def test_prefilter_skips_no_match_on_generated_corpus(rules, lexicon, generated):
+    for query in generated + [_active(40), _passive(40)]:
+        _skipped_rules_do_not_match(query, rules, lexicon)
+
+
+@given(index=st.integers(0, 1139), op=st.sampled_from(["drop", "duplicate", "swap", "strip"]),
+       at=st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_prefilter_skips_no_match_on_mutated_sentences(rules, lexicon, generated, index, op, at):
+    query = " ".join(_mutate(generated[index].split(" "), op, at)) or "?"
+    _skipped_rules_do_not_match(query, rules, lexicon)
+
+
+@pytest.fixture
+def attempts(monkeypatch):
+    """Id of the rule of every match_rule call the parser makes."""
+    calls = []
+    original = parser.match_rule
+
+    def counting(groups, rule, *args):
+        calls.append(rule.id)
+        return original(groups, rule, *args)
+
+    monkeypatch.setattr(parser, "match_rule", counting)
+    return calls
+
+
 @pytest.fixture
 def scans(monkeypatch):
     """(position, category) of every scan_constituent call the parser makes."""
@@ -148,3 +211,14 @@ def test_scans_grow_linearly_with_books(grammar, lexicon, form, scans):
         counts.append(len(scans))
     for fewer, more in zip(counts, counts[1:]):
         assert more <= 2.2 * fewer, counts
+
+
+def test_match_counts_on_generated_corpus(grammar, lexicon, generated, attempts, scans):
+    parses = sum(len(parse(query, grammar, lexicon)) for query in generated)
+    assert (len(attempts), len(scans), parses) == (4555, 6397, 1656)
+
+
+@pytest.mark.parametrize("form, count", [(_active, 2), (_passive, 4)])
+def test_match_attempts_on_coordinated_books(grammar, lexicon, attempts, form, count):
+    parse(form(40), grammar, lexicon)
+    assert len(attempts) == count, attempts
