@@ -40,14 +40,6 @@ def _read(path: Path) -> str:
         raise _ReadError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
-def _json_value(value: object):
-    if isinstance(value, TimeValue):
-        return {"prep": value.prep, "year": value.year}
-    if isinstance(value, BookValue):
-        return {"title": value.title, "subject": value.subject}
-    return value
-
-
 def _text_value(value: object) -> str:
     if isinstance(value, TimeValue):
         return f"{value.prep} {value.year}"
@@ -68,7 +60,8 @@ def _parse_report(result: ParseResult, json_output: bool) -> str:
                 {
                     "category": b.category.value,
                     "surface": b.surface,
-                    "value": _json_value(b.value),
+                    # a TimeValue or BookValue becomes an object
+                    "value": b.value._asdict() if isinstance(b.value, tuple) else b.value,
                     "ordinal": b.ordinal,
                 }
                 for b in result.bindings

@@ -2,16 +2,19 @@
 
 Rules are flat patterns over category slots — no nonterminal cascades.  A
 rule body is a sequence of ``<category>`` slots, ``[ ... ]`` optionals,
-``{ ... }`` zero-or-more groups and double-quoted terminals.  File order is
-priority order for the parser.  Each rule compiles, when it is built, to the
-flat program the parser's matcher runs.
+``{ ... }`` zero-or-more groups and double-quoted terminals.  It is held in
+the parts a phrase template alternative uses (see
+:data:`viquery.lexicon.TEMPLATES`): a slot is its :class:`Category`, a
+terminal is a plain ``str`` and a bracket is a :class:`Bracket`.  Since a
+``Category`` is a ``str``, code telling parts apart tests ``Category``
+first.  File order is priority order for the parser.  Each rule compiles,
+when it is built, to the flat program the parser's matcher runs.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from enum import Enum
 from typing import NamedTuple
 
 from .lexicon import Category, GRAMMAR_CATEGORIES, TEMPLATES, Lexicon
@@ -22,18 +25,12 @@ class GrammarError(ValueError):
     """Raised when a grammar document cannot be loaded or sampled."""
 
 
-class TermKind(Enum):
-    LITERAL = "literal"
-    CATEGORY = "category"
-    OPTIONAL = "optional"
-    GROUP = "group"
+class Bracket(NamedTuple):
+    """``[body]`` (``opener`` ``"["``): optional; ``{body}`` (``opener``
+    ``"{"``): repeated zero or more times."""
 
-
-class RuleTerm(NamedTuple):
-    kind: TermKind
-    literal: str | None = None
-    category: Category | None = None
-    body: tuple["RuleTerm", ...] = ()
+    opener: str
+    body: tuple
 
 
 #: Matcher instructions, as ``(op, arg, alt)`` triples.  ``LIT s`` consumes
@@ -45,13 +42,12 @@ class RuleTerm(NamedTuple):
 LIT, TOK, CAT, SPLIT, JUMP, MATCH = range(6)
 
 
-def _emit(terms: tuple[RuleTerm, ...], program: list) -> None:
+def _emit(terms: tuple, program: list) -> None:
     for term in terms:
-        if term.kind is TermKind.LITERAL:
-            program.append((LIT, term.literal, 0))
-        elif term.kind is TermKind.CATEGORY:
-            op = CAT if term.category in TEMPLATES else TOK
-            program.append((op, term.category, 0))
+        if isinstance(term, Category):  # before str: a Category is a str
+            program.append((CAT if term in TEMPLATES else TOK, term, 0))
+        elif isinstance(term, str):
+            program.append((LIT, term, 0))
         else:
             # [body]: SPLIT body, after (present before absent)
             # {body}: L: SPLIT body, after; body; JUMP L (one more iteration
@@ -59,12 +55,12 @@ def _emit(terms: tuple[RuleTerm, ...], program: list) -> None:
             split = len(program)
             program.append(None)
             _emit(term.body, program)
-            if term.kind is TermKind.GROUP:
+            if term.opener == "{":
                 program.append((JUMP, split, 0))
             program[split] = (SPLIT, split + 1, len(program))
 
 
-def compile_terms(terms: tuple[RuleTerm, ...]) -> tuple[tuple, ...]:
+def compile_terms(terms: tuple) -> tuple[tuple, ...]:
     """Compile a rule body to its matcher program, ending in ``MATCH``."""
     program: list = []
     _emit(terms, program)
@@ -75,13 +71,12 @@ def compile_terms(terms: tuple[RuleTerm, ...]) -> tuple[tuple, ...]:
 class SyntacticRule(NamedTuple):
     id: str
     family: str
-    terms: tuple[RuleTerm, ...]
+    #: ``Category`` slots, ``str`` literals and :class:`Bracket` parts
+    terms: tuple
     #: the compiled body, see :func:`compile_terms`
     program: tuple[tuple, ...]
-    #: ``(LIT, s)`` for every top-level literal, ``(CAT, c)`` for every
-    #: top-level non-template category, and the keys every alternative of a
-    #: top-level template category needs (see :func:`_template_needs`): a
-    #: stream lacking any of them cannot match
+    #: what the body consumes wherever it matches (see :func:`_needs`): a
+    #: stream lacking any of these keys cannot match
     required: frozenset[tuple]
 
 
@@ -99,54 +94,44 @@ def family_of(rule_id: str) -> str:
     return m.group(1) if m else rule_id
 
 
-def _template_needs(category: Category) -> set[tuple]:
-    """The ``(LIT, s)``/``(CAT, c)`` keys that every alternative of a template
-    category consumes.  A part that lists several categories, e.g.
-    ``(POSSESSIVE, AGENT)``, needs none of them."""
-    alternatives = []
-    for parts, _build in TEMPLATES[category]:
-        keys: set[tuple] = set()
-        for part in parts:
-            if isinstance(part, Category):  # before str: a Category is a str
-                keys |= _template_needs(part)
-            elif isinstance(part, str):
-                keys.add((LIT, part))
-            elif len(part) == 1:
-                keys.add((CAT, part[0]))
-        alternatives.append(keys)
-    return set.intersection(*alternatives)
-
-
-#: what a top-level slot of each template category adds to ``required``
-_TEMPLATE_NEEDS = {category: frozenset(_template_needs(category)) for category in TEMPLATES}
-
-
-def _rule(rule_id: str, terms: tuple[RuleTerm, ...]) -> SyntacticRule:
-    required: set[tuple] = set()
-    for term in terms:
-        if term.kind is TermKind.LITERAL:
-            required.add((LIT, term.literal))
-        elif term.kind is TermKind.CATEGORY:
-            if term.category in TEMPLATES:
-                required |= _TEMPLATE_NEEDS[term.category]
+def _needs(parts) -> set[tuple]:
+    """The ``(LIT, s)``/``(CAT, c)`` keys that rule terms or template parts
+    consume wherever they match: each literal, each non-template category
+    and one-category part, and what every alternative of a template
+    category needs.  A :class:`Bracket`, or a part that lists several
+    categories such as ``(POSSESSIVE, AGENT)``, needs nothing."""
+    keys: set[tuple] = set()
+    for part in parts:
+        if isinstance(part, Category):  # before str: a Category is a str
+            if part in TEMPLATES:
+                keys |= set.intersection(*(_needs(alternative)
+                                           for alternative, _build in TEMPLATES[part]))
             else:
-                required.add((CAT, term.category))
+                keys.add((CAT, part))
+        elif isinstance(part, str):
+            keys.add((LIT, part))
+        elif type(part) is tuple and len(part) == 1:
+            keys.add((CAT, part[0]))
+    return keys
+
+
+def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
     return SyntacticRule(rule_id, family_of(rule_id), terms, compile_terms(terms),
-                         frozenset(required))
+                         frozenset(_needs(terms)))
 
 
-def _parse_body(text: str, lineno: int) -> tuple[RuleTerm, ...]:
-    terms: list[RuleTerm] = []
-    stack: list[tuple[str, list[RuleTerm]]] = []
+def _parse_body(text: str, lineno: int) -> tuple:
+    terms: list = []
+    stack: list[tuple[str, list]] = []
     for m in _BODY_TOKEN_RE.finditer(text):
         name, literal, opener, closer, other = m.groups()
         if name is not None:
             category = _CATEGORIES.get(name)
             if category is None:
                 raise GrammarError(f"line {lineno}: unknown category <{name}>")
-            terms.append(RuleTerm(TermKind.CATEGORY, category=category))
+            terms.append(category)
         elif literal is not None:
-            terms.append(RuleTerm(TermKind.LITERAL, literal=literal))
+            terms.append(literal)
         elif opener:
             if len(stack) == _MAX_NESTING:
                 raise GrammarError(
@@ -159,8 +144,7 @@ def _parse_body(text: str, lineno: int) -> tuple[RuleTerm, ...]:
             opener, parent = stack.pop()
             if not terms:
                 raise GrammarError(f"line {lineno}: empty {opener}{closer}")
-            kind = TermKind.OPTIONAL if opener == "[" else TermKind.GROUP
-            parent.append(RuleTerm(kind, body=tuple(terms)))
+            parent.append(Bracket(opener, tuple(terms)))
             terms = parent
         else:
             raise GrammarError(f"line {lineno}: unexpected {other!r}")
@@ -190,13 +174,13 @@ def parse_rule_dsl(document: str) -> tuple[SyntacticRule, ...]:
     return tuple(rules.values())
 
 
-def _render_term(term: RuleTerm) -> str:
-    if term.kind is TermKind.CATEGORY:
-        return f"<{term.category.value}>"
-    if term.kind is TermKind.LITERAL:
-        return f'"{term.literal}"'
+def _render_term(term) -> str:
+    if isinstance(term, Category):  # before str: a Category is a str
+        return f"<{term.value}>"
+    if isinstance(term, str):
+        return f'"{term}"'
     inner = " ".join(_render_term(t) for t in term.body)
-    return f"[{inner}]" if term.kind is TermKind.OPTIONAL else f"{{{inner}}}"
+    return f"[{inner}]" if term.opener == "[" else f"{{{inner}}}"
 
 
 def render_dsl(grammar: tuple[SyntacticRule, ...]) -> str:
@@ -208,11 +192,11 @@ def render_dsl(grammar: tuple[SyntacticRule, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _categories_of(terms: tuple[RuleTerm, ...]):
+def _categories_of(terms: tuple):
     for term in terms:
-        if term.kind is TermKind.CATEGORY:
-            yield term.category
-        elif term.body:
+        if isinstance(term, Category):
+            yield term
+        elif isinstance(term, Bracket):
             yield from _categories_of(term.body)
 
 
@@ -227,8 +211,7 @@ def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
             diagnostics.append(
                 f"{rule.id}: category <{category.value}> has no lexicon entries"
             )
-        last = rule.terms[-1]
-        if not (last.kind is TermKind.LITERAL and last.literal == "?"):
+        if type(rule.terms[-1]) is not str or rule.terms[-1] != "?":
             diagnostics.append(f'{rule.id}: rule does not end with "?"')
     diagnostics.extend(_family_problems(grammar))
     return diagnostics
@@ -236,62 +219,55 @@ def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
 
 # --- sentence sampling -------------------------------------------------------
 
-def _realize(rng: random.Random, lexicon: Lexicon, part) -> str:
-    """Sample a surface for a rule slot or a template part.
-
-    A template realizes its first alternative.  A token part picks one of
-    its categories' sorted surfaces, one list after another, except that a
-    year is drawn from 1900-2025.
-    """
-    if isinstance(part, Category):
-        if part not in TEMPLATES:
-            return _realize(rng, lexicon, (part,))
-        parts, _build = TEMPLATES[part][0]
-        return " ".join(_realize(rng, lexicon, p) for p in parts)
-    if isinstance(part, str):
-        return part
-    if part == (Category.YEAR,):
-        return str(rng.randint(1900, 2025))
-    surfaces = [s for category in part for s in lexicon.surfaces(category)]
-    if not surfaces:
-        names = "|".join(f"<{category.value}>" for category in part)
-        raise GrammarError(f"category {names} has no realizable surface")
-    return rng.choice(surfaces)
-
-
 def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
     """Generate one sentence from a rule; deterministic for a fixed seed.
 
     Optionals are included with probability 1/2 and groups repeated 0-2
     times, except that at most one optional time phrase is enabled per
     sentence (rules offering both a fronted and a trailing slot would
-    otherwise produce doubly-constrained questions).
+    otherwise produce doubly-constrained questions).  A template realizes
+    its first alternative.  A token slot picks one of its categories' sorted
+    surfaces, one list after another, except that a year is drawn from
+    1900-2025.
     """
     rng = random.Random(seed)
 
-    time_slots = [t for t in rule.terms if t.kind is TermKind.OPTIONAL
+    time_slots = [t for t in rule.terms if isinstance(t, Bracket) and t.opener == "["
                   and Category.TIME_PHRASE in _categories_of(t.body)]
     allowed_time = rng.choice(time_slots) if len(time_slots) > 1 else None
 
-    def expand(terms: tuple[RuleTerm, ...], out: list[str]) -> None:
-        for term in terms:
-            if term.kind is TermKind.LITERAL:
-                out.append(term.literal)
-            elif term.kind is TermKind.CATEGORY:
-                out.append(_realize(rng, lexicon, term.category))
-            elif term.kind is TermKind.OPTIONAL:
+    def token(categories: tuple[Category, ...]) -> str:
+        if categories == (Category.YEAR,):
+            return str(rng.randint(1900, 2025))
+        surfaces = [s for category in categories for s in lexicon.surfaces(category)]
+        if not surfaces:
+            names = "|".join(f"<{category.value}>" for category in categories)
+            raise GrammarError(f"category {names} has no realizable surface")
+        return rng.choice(surfaces)
+
+    def expand(parts: tuple, out: list[str]) -> None:
+        for part in parts:
+            if isinstance(part, Category):  # before str: a Category is a str
+                if part in TEMPLATES:  # the parts of its first alternative
+                    expand(TEMPLATES[part][0][0], out)
+                else:
+                    out.append(token((part,)))
+            elif isinstance(part, str):
+                out.append(part)
+            elif type(part) is tuple:
+                out.append(token(part))
+            elif part.opener == "{":
+                for _ in range(rng.randint(0, 2)):
+                    expand(part.body, out)
+            else:
                 include = rng.random() < 0.5
-                if (len(time_slots) > 1 and term is not allowed_time
-                        and Category.TIME_PHRASE in _categories_of(term.body)):
+                if (len(time_slots) > 1 and part is not allowed_time
+                        and Category.TIME_PHRASE in _categories_of(part.body)):
                     include = False
-                if include and not out and all(
-                        t.kind is TermKind.LITERAL for t in term.body):
+                if include and not out and all(type(t) is str for t in part.body):
                     include = False  # no separator before any content
                 if include:
-                    expand(term.body, out)
-            else:  # GROUP
-                for _ in range(rng.randint(0, 2)):
-                    expand(term.body, out)
+                    expand(part.body, out)
 
     words: list[str] = []
     expand(rule.terms, words)

@@ -273,7 +273,8 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
 # and a function that builds the constituent's value from the parts' values.
 # A part is a tuple of token categories (one token of any of them; its value
 # is the token's canonical form), a literal surface (its value is itself) or a
-# Category (a nested constituent).  Templates are atomic: the first
+# Category (a nested constituent); a rule body in ``viquery.grammar`` uses
+# the last two, plus brackets.  Templates are atomic: the first
 # alternative that matches wins and no later one is tried.  The sampler
 # realizes the first alternative.  Positions are indices into the tuple of
 # token groups that :func:`tokenize` returns.

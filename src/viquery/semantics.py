@@ -227,11 +227,12 @@ def _family_problems(grammar: tuple[SyntacticRule, ...]):
         if node is None:
             yield f"{rule.id}: unregistered family {rule.family!r}"
             continue
-        # a literal, [...] or {...} term has no category
+        # only a top-level slot is its Category; ``is``, because a literal
+        # str may equal a Category's value
         yield from (
             f"{rule.id}: family {rule.family} needs <{category.value}> outside [...] and {{...}}"
             for category in _needs(node)
-            if not any(term.category is category for term in rule.terms)
+            if not any(term is category for term in rule.terms)
         )
 
 

@@ -24,7 +24,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, format_price
-from viquery.grammar import SyntacticRule, TermKind
+from viquery.grammar import Bracket, SyntacticRule
 from viquery.lexicon import (
     NAME_KINDS,
     BookValue,
@@ -51,7 +51,7 @@ from viquery.semantics import (
 
 
 def _min_flat_len(terms: tuple) -> int:
-    return sum(1 for t in terms if t.kind in (TermKind.LITERAL, TermKind.CATEGORY))
+    return sum(1 for t in terms if not isinstance(t, Bracket))
 
 
 def _expansions(terms: tuple, budget: int, capacity: int):
@@ -65,13 +65,13 @@ def _expansions(terms: tuple, budget: int, capacity: int):
         yield ()
         return
     head, rest = terms[0], terms[1:]
-    if head.kind in (TermKind.LITERAL, TermKind.CATEGORY):
+    if not isinstance(head, Bracket):  # a literal or a category
         for tail in _expansions(rest, budget, capacity - 1):
             yield (head,) + tail
-    elif head.kind is TermKind.OPTIONAL:
+    elif head.opener == "[":
         yield from _expansions(head.body + rest, budget, capacity)
         yield from _expansions(rest, budget, capacity)
-    else:  # GROUP
+    else:  # {...}
         if budget > 0:
             yield from _expansions(head.body + (head,) + rest, budget - 1, capacity)
         yield from _expansions(rest, budget, capacity)
@@ -92,16 +92,16 @@ def _match_flat(flat: tuple, stream: tuple[TokenGroup, ...], lexicon: Lexicon):
     pos = 0
     matched = []
     for term in flat:
-        if term.kind is TermKind.LITERAL:
-            if pos >= len(stream) or stream[pos].surface != term.literal:
+        if not isinstance(term, Category):  # a literal str
+            if pos >= len(stream) or stream[pos].surface != term:
                 return None
             pos += 1
         else:
-            found = scan_constituent(stream, pos, term.category)
+            found = scan_constituent(stream, pos, term)
             if found is None:
                 return None
             value, after = found
-            matched.append((term.category, value, pos, after))
+            matched.append((term, value, pos, after))
             pos = after
     if pos != len(stream):
         return None
@@ -223,25 +223,25 @@ def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
         head, rest = terms[0], terms[1:]
         if isinstance(head, _Progress):
             return match_seq(rest, pos) if pos > head.at else None
-        if head.kind is TermKind.LITERAL:
-            if pos < n and stream[pos].surface == head.literal:
-                return match_seq(rest, pos + 1)
-            return None
-        if head.kind is TermKind.CATEGORY:
-            found = scan_constituent(stream, pos, head.category)
+        if isinstance(head, Category):  # before str: a Category is a str
+            found = scan_constituent(stream, pos, head)
             if found is None:
                 return None
             value, after = found
             tail = match_seq(rest, after)
             if tail is None:
                 return None
-            return [(head.category, value, pos, after)] + tail
-        if head.kind is TermKind.OPTIONAL:
+            return [(head, value, pos, after)] + tail
+        if isinstance(head, str):
+            if pos < n and stream[pos].surface == head:
+                return match_seq(rest, pos + 1)
+            return None
+        if head.opener == "[":
             present = match_seq(head.body + rest, pos)
             if present is not None:
                 return present
             return match_seq(rest, pos)
-        # GROUP: one more iteration first, then exit
+        # {...}: one more iteration first, then exit
         again = match_seq(head.body + (_Progress(pos), head) + rest, pos)
         if again is not None:
             return again

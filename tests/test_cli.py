@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viquery import parse_rule_dsl
 from viquery.cli import _parse_report, data_path, main
 from viquery.lexicon import Category
 from viquery.parser import MAX_QUERY_CHARS, parse
@@ -339,6 +340,18 @@ def test_parse_reports_are_pinned(capsys, grammar, lexicon):
     assert len(lines) == 2796
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "77efc647200cfb8197fa4999c494bf24ab7be918a3cb2f8e6ed746973188a7b3"
+
+
+def test_compiled_grammars_are_pinned(grammar):
+    """Every rule's matcher program and prefilter keys, for the built-in and
+    the toy grammar: a change in how rule bodies are held must not change
+    what they compile to."""
+    rules = grammar + parse_rule_dsl(TOY_RULES.read_text(encoding="utf-8"))
+    lines = [repr((r.id, r.family, r.program, sorted(map(repr, r.required))))
+             for r in rules]
+    assert len(lines) == 60
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "8c0d92012d39543a207f32f9a5d49b0d0f94577c45a034d09b9a4d6c542df694"
 
 
 def _mutate(sentence: str, op: str, at: int, word: str) -> str:

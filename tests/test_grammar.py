@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viquery.grammar import (
+    CAT,
+    LIT,
+    Bracket,
     GrammarError,
-    TermKind,
     parse_rule_dsl,
     render_dsl,
     sample,
@@ -19,12 +21,33 @@ Q11A = ('<Q1.1a> = <what_author> [<vperfect>] [<interrogative1>] <verb_write> '
 def test_parse_single_rule_shape():
     [rule] = parse_rule_dsl(Q11A)
     assert rule.id == "Q1.1a" and rule.family == "Q1.1"
-    kinds = [t.kind for t in rule.terms]
-    assert kinds == [TermKind.CATEGORY, TermKind.OPTIONAL, TermKind.OPTIONAL,
-                     TermKind.CATEGORY, TermKind.CATEGORY, TermKind.GROUP,
-                     TermKind.OPTIONAL, TermKind.LITERAL]
-    group = rule.terms[5]
-    assert [t.kind for t in group.body] == [TermKind.OPTIONAL, TermKind.CATEGORY]
+    C = Category
+    expected = (
+        C.WHAT_AUTHOR,
+        Bracket("[", (C.VPERFECT,)),
+        Bracket("[", (C.INTERROGATIVE1,)),
+        C.VERB_WRITE,
+        C.BOOK,
+        Bracket("{", (Bracket("[", (C.CONJUNCTION,)), C.BOOK)),
+        Bracket("[", (C.TIME_PHRASE,)),
+        "?",
+    )
+    # "book" == Category.BOOK, so equality alone cannot tell a literal from
+    # a slot; the reprs can
+    assert rule.terms == expected and repr(rule.terms) == repr(expected)
+
+
+def test_literal_equal_to_a_category_value_stays_a_literal():
+    # Category is a str enum, so the literal "book" == Category.BOOK; no step
+    # from loading to the family check may confuse the two
+    document = '<Q6.1z> = "book" <what_price> "?"\n<X> = "book" <book> "?"\n'
+    q61z, x = parse_rule_dsl(document)
+    assert repr(x.program[:2]) == repr(((LIT, "book", 0), (CAT, Category.BOOK, 0)))
+    assert type(x.terms[0]) is str and x.terms[1] is Category.BOOK
+    with pytest.raises(TransformError) as caught:
+        check_families((q61z,))
+    assert str(caught.value) == "Q6.1z: family Q6.1 needs <book> outside [...] and {...}"
+    assert render_dsl((q61z, x)) == document
 
 
 def test_unbalanced_brackets_rejected():
@@ -183,9 +206,9 @@ def test_every_category_reachable(grammar):
 
     def walk(terms):
         for term in terms:
-            if term.kind is TermKind.CATEGORY:
-                seen.add(term.category)
-            else:
+            if isinstance(term, Category):
+                seen.add(term)
+            elif isinstance(term, Bracket):
                 walk(term.body)
 
     for rule in grammar:
