@@ -298,7 +298,7 @@ TEMPLATES = {
     # "nào" after the head marks an unbound book ("any/which book"), which
     # may carry a subject qualifier: "sách nào thuộc chủ đề T"
     _C.BOOK: [(((_C.BOOK_TYPE,), (_C.NAME_BOOK,)),
-               lambda _head, title: BookValue(title=title)),
+               lambda _head, title: BookValue(title, None)),
               (((_C.BOOK_TYPE,), "nào", (_C.IS_OF,), _C.SUBJECT),
                lambda *values: BookValue(subject=values[-1])),
               (((_C.BOOK_TYPE,), "nào"), _any_book),
@@ -311,20 +311,6 @@ TEMPLATES = {
 }
 
 
-def _scan_part(groups: tuple[TokenGroup, ...], at: int, part):
-    if type(part) is tuple:
-        if at < len(groups):
-            categories = groups[at].categories
-            for category in part:
-                canonical = categories.get(category)
-                if canonical is not None:
-                    return canonical, at + 1
-        return None
-    if isinstance(part, Category):
-        return scan_constituent(groups, at, part)
-    return (part, at + 1) if at < len(groups) and groups[at].surface == part else None
-
-
 def scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category):
     """Match one constituent of ``category`` starting at group index ``at``.
 
@@ -332,7 +318,8 @@ def scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category
     category matches its first matching alternative in :data:`TEMPLATES`;
     other categories consume a single token of that category.
     """
-    if at >= len(groups):
+    n = len(groups)
+    if at >= n:
         return None
     alternatives = TEMPLATES.get(category)
     if alternatives is None:
@@ -342,10 +329,25 @@ def scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category
         values = []
         pos = at
         for part in parts:
-            found = _scan_part(groups, pos, part)
-            if found is None:
+            if type(part) is tuple:  # one token of any of these categories
+                categories = groups[pos].categories if pos < n else {}
+                for kind in part:
+                    value = categories.get(kind)
+                    if value is not None:
+                        break
+                else:  # no category of the part: the alternative fails
+                    break
+                pos += 1
+            elif isinstance(part, Category):  # before str: Category is a str
+                found = scan_constituent(groups, pos, part)
+                if found is None:
+                    break
+                value, pos = found
+            elif pos < n and groups[pos].surface == part:
+                value = part
+                pos += 1
+            else:
                 break
-            value, pos = found
             values.append(value)
         else:
             return build(*values), pos

@@ -10,21 +10,25 @@ before absent and a group tries one more iteration before it exits.
 :func:`match_rule` runs a program as an iterative depth-first search that
 takes the first branch of every ``SPLIT`` first, so the first complete match
 it finds is the first in that priority order and results are deterministic.
-A visited set over (instruction, position) explores no state twice: the
-search is bounded by program length times the number of token groups, and a
-group iteration that consumes nothing is rejected when it returns to its
-``SPLIT``.
-Bindings are kept in a parent-linked chain, so a step copies nothing.
+A visited set over (``SPLIT``, position) explores no branch point twice.
+Every loop passes through its ``SPLIT``, which rejects a group iteration
+that consumes nothing, and the states between two ``SPLIT``s form a
+straight line that cannot match on a second walk if it did not on the
+first: the search is bounded by ``SPLIT`` states times straight-line
+length.  Bindings are kept in a chain of ``(binding, parent)`` links.
 
 A ``TOK`` slot (a non-template category) reads the one token group at the
-position inline.  A ``CAT`` slot (a template category) consumes one
-constituent via :func:`viquery.lexicon.scan_constituent`; :func:`parse`
-shares one table of those scan results, by (position, category), among all
-rules of a query.  :func:`parse` skips a rule unless the query holds every
-key in ``rule.required``: each top-level literal and non-template category,
-and what every alternative of each top-level template needs.  A template
-match consumes token groups holding each of those keys, so a skipped rule
-is one that cannot match.
+position inline; a ``CAT`` slot (a template category) consumes one
+constituent via :func:`viquery.lexicon.scan_constituent`.  :func:`parse`
+shares one table among all rules of a query.  It holds each span scanned,
+by (position, category), as a finished ``(category, value, surface)``,
+and each matched sequence of those with its :class:`ConstituentBinding`
+tuple, so parses that bind the same constituents share one ``bindings``
+tuple.  :func:`parse` skips a rule unless the query holds every key in
+``rule.required``: each top-level literal and non-template category, and
+what every alternative of each top-level template needs.  A template match
+consumes token groups holding each of those keys, so a skipped rule is one
+that cannot match.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
                scans: dict | None = None) -> ParseResult | None:
     """Match the whole tuple of token groups against one rule, or return None.
 
-    ``scans`` caches :func:`scan_constituent` results by (position,
-    category); :func:`parse` passes one table for all rules of a query.
+    ``scans`` is the per-query table of spans and bindings tuples that
+    :func:`parse` shares among all rules of a query (see the module doc).
     """
     if scans is None:
         scans = {}
@@ -79,12 +83,12 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
     while stack:
         pc, pos, chain = stack.pop()
         while True:
-            state = pc * width + pos
-            if state in visited:
-                break
-            visited.add(state)
             op, arg, alt = program[pc]
             if op == SPLIT:
+                state = pc * width + pos
+                if state in visited:
+                    break
+                visited.add(state)
                 stack.append((alt, pos, chain))
                 pc = arg
             elif op == TOK:
@@ -93,20 +97,25 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
                 value = groups[pos].categories.get(arg)
                 if value is None:
                     break
-                chain = (arg, value, pos, pos + 1, chain)
+                chain = ((arg, value, groups[pos].surface), chain)
                 pc += 1
                 pos += 1
             elif op == CAT:
                 key = (pos, arg)
-                found = scans.get(key, _UNSCANNED)
-                if found is _UNSCANNED:
-                    found = scans[key] = scan_constituent(groups, pos, arg)
-                if found is None:
+                span = scans.get(key, _UNSCANNED)
+                if span is _UNSCANNED:  # join the surface once per span
+                    span = scan_constituent(groups, pos, arg)
+                    if span is not None:
+                        value, after = span
+                        surface = (groups[pos].surface if after == pos + 1 else
+                                   " ".join([g.surface for g in groups[pos:after]]))
+                        span = ((arg, value, surface), after)
+                    scans[key] = span
+                if span is None:
                     break
-                value, after = found
-                chain = (arg, value, pos, after, chain)
+                binding, pos = span
+                chain = (binding, chain)
                 pc += 1
-                pos = after
             elif op == LIT:
                 if pos >= n or groups[pos].surface != arg:
                     break
@@ -115,26 +124,28 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
             elif op == JUMP:
                 pc = arg
             elif pos == n:  # MATCH
-                return _result(rule, groups, chain)
+                return _result(rule, chain, scans)
             else:
                 break
     return None
 
 
-def _result(rule: SyntacticRule, groups: tuple[TokenGroup, ...], chain) -> ParseResult:
+def _result(rule: SyntacticRule, chain, scans: dict) -> ParseResult:
     matched = []
     while chain is not None:
-        category, value, start, end, chain = chain
-        matched.append((category, value, start, end))
-    counters: dict[Category, int] = {}
-    bindings = []
-    for category, value, start, end in reversed(matched):
-        ordinal = counters.get(category, 0)
-        counters[category] = ordinal + 1
-        surface = (groups[start].surface if end - start == 1
-                   else " ".join(g.surface for g in groups[start:end]))
-        bindings.append(ConstituentBinding(category, value, surface, ordinal))
-    return ParseResult(rule.id, rule.family, tuple(bindings))
+        binding, chain = chain
+        matched.append(binding)
+    key = tuple(reversed(matched))
+    bindings = scans.get(key)
+    if bindings is None:  # ordinals depend on the sequence alone
+        counters: dict[Category, int] = {}
+        built = []
+        for category, value, surface in key:
+            ordinal = counters.get(category, 0)
+            counters[category] = ordinal + 1
+            built.append(ConstituentBinding(category, value, surface, ordinal))
+        bindings = scans[key] = tuple(built)
+    return ParseResult(rule.id, rule.family, bindings)
 
 
 def parse(query: str, grammar: tuple[SyntacticRule, ...],

@@ -89,6 +89,67 @@ def test_group_that_can_match_empty(lexicon):
     assert len(parse("viết , đã đã ?", grammar, lexicon)[0].bindings) == 3
 
 
+class _Asked(dict):
+    """A group's category map that records each (position, category) asked."""
+
+    def __init__(self, categories, at, asked):
+        super().__init__(categories)
+        self.at, self.asked = at, asked
+
+    def get(self, category, default=None):
+        self.asked.append((self.at, category))
+        return super().get(category, default)
+
+
+@pytest.mark.parametrize("body, asked", [
+    # the second optional then asks at 1, so the first one took "đã"
+    ("[<vperfect>] [<vperfect>]",
+     [(0, Category.VPERFECT), (1, Category.VPERFECT), (1, Category.VERB_WRITE)]),
+    # a second iteration asks at 1 again before the group exits
+    ("{[<vperfect>] [<vperfect>]}",
+     [(0, Category.VPERFECT), (1, Category.VPERFECT), (1, Category.VPERFECT),
+      (1, Category.VERB_WRITE)]),
+])
+def test_paths_that_converge_between_splits(lexicon, body, asked):
+    # taking "đã" in either optional reaches <verb_write> at 1: the second
+    # path meets the first between two SPLITs, where nothing is visited
+    grammar = parse_rule_dsl(f'<R> = {body} <verb_write> "?"\n')
+    results = parse("đã viết ?", grammar, lexicon)
+    assert results == legacy_parse("đã viết ?", grammar, lexicon)
+    assert [b.category for b in results[0].bindings] == [Category.VPERFECT, Category.VERB_WRITE]
+    calls = []
+    groups = tuple(g._replace(categories=_Asked(g.categories, at, calls))
+                   for at, g in enumerate(tokenize("đã viết ?", lexicon)))
+    assert match_rule(groups, grammar[0]) == results[0]
+    assert calls == asked
+
+
+def test_failing_question_against_nested_groups_stops(lexicon, attempts):
+    # every way to share the 800 groups among the two loops and optionals
+    # reaches the trailing "đã" and fails there; only the SPLIT visited set
+    # keeps the search from trying each of them
+    grammar = parse_rule_dsl('<R> = <verb_write> {{[<vperfect>] [","]}} "?"\n')
+    assert parse("viết " + "đã , " * 400 + "? đã", grammar, lexicon) == []
+    assert attempts == ["R"]  # the prefilter let the rule through
+
+
+@pytest.mark.parametrize("form", [_active, _passive])
+def test_parses_with_equal_matches_share_bindings(grammar, lexicon, form):
+    first, second = parse(form(40), grammar, lexicon)
+    assert first.rule_id != second.rule_id
+    assert first.bindings is second.bindings
+
+
+def test_shared_bindings_on_generated_corpus(grammar, lexicon, generated):
+    # a question's parses hold one bindings tuple per distinct value
+    shared = 0
+    for query in generated:
+        bindings = [result.bindings for result in parse(query, grammar, lexicon)]
+        assert len({id(b) for b in bindings}) == len(set(bindings)), query
+        shared += len(bindings) - len(set(bindings))
+    assert shared == 516  # of the 1656 parses
+
+
 def test_matches_legacy_on_generated_corpus(grammar, lexicon, generated):
     for sentence in generated:
         assert parse(sentence, grammar, lexicon) == legacy_parse(sentence, grammar, lexicon), sentence
