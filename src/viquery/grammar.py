@@ -75,9 +75,14 @@ class SyntacticRule(NamedTuple):
     terms: tuple
     #: the compiled body, see :func:`compile_terms`
     program: tuple[tuple, ...]
-    #: what the body consumes wherever it matches (see :func:`_needs`): a
-    #: stream lacking any of these keys cannot match
-    required: frozenset[tuple]
+    #: literals and categories the body consumes wherever it matches (see
+    #: :func:`_needs`): a stream lacking any of them cannot match
+    required: frozenset
+    #: keys of which the first group of every match holds one and, for a
+    #: body ending in a literal or a one-token slot (else None), the group
+    #: before the last; None in a set: there may be no such group
+    first: frozenset
+    last: frozenset | None
 
 
 _FAMILY_RE = re.compile(r"^(.+\d)([a-z])$")
@@ -94,30 +99,61 @@ def family_of(rule_id: str) -> str:
     return m.group(1) if m else rule_id
 
 
-def _needs(parts) -> set[tuple]:
-    """The ``(LIT, s)``/``(CAT, c)`` keys that rule terms or template parts
-    consume wherever they match: each literal, each non-template category
-    and one-category part, and what every alternative of a template
-    category needs.  A :class:`Bracket`, or a part that lists several
-    categories such as ``(POSSESSIVE, AGENT)``, needs nothing."""
-    keys: set[tuple] = set()
+def _needs(parts) -> set:
+    """The literals and categories that rule terms or template parts consume
+    wherever they match: each literal, each non-template category and
+    one-category part, and what every alternative of a template category
+    needs.  A :class:`Bracket`, or a part that lists several categories such
+    as ``(POSSESSIVE, AGENT)``, needs nothing."""
+    keys: set = set()
     for part in parts:
-        if isinstance(part, Category):  # before str: a Category is a str
-            if part in TEMPLATES:
-                keys |= set.intersection(*(_needs(alternative)
-                                           for alternative, _build in TEMPLATES[part]))
-            else:
-                keys.add((CAT, part))
+        if isinstance(part, Category) and part in TEMPLATES:  # not a literal
+            keys |= _TEMPLATE_KEYS[part, 0]
         elif isinstance(part, str):
-            keys.add((LIT, part))
+            keys.add(part)
         elif type(part) is tuple and len(part) == 1:
-            keys.add((CAT, part[0]))
+            keys.add(part[0])
     return keys
 
 
+def _edge(parts, step: int) -> frozenset:
+    """The keys of which the first (``step`` 1) or last (``step`` -1) group
+    that rule terms or template parts consume holds one, plus None if they
+    can consume none.  A template category gives the union over its
+    alternatives."""
+    keys: set = {None}
+    for part in parts[::step]:
+        if isinstance(part, Bracket):
+            keys |= _edge(part.body, step)
+            continue
+        keys.discard(None)
+        if isinstance(part, Category) and part in TEMPLATES:  # not a literal
+            keys |= _TEMPLATE_KEYS[part, step]
+        elif type(part) is tuple:
+            keys.update(part)
+        else:  # a literal or a non-template category
+            keys.add(part)
+        break
+    return frozenset(keys)
+
+
+# per template category, worked out once: what every alternative needs (0),
+# begins (1) and ends (-1) with; a template nests only earlier templates
+_TEMPLATE_KEYS: dict[tuple[Category, int], frozenset] = {}
+for _category, _alternatives in TEMPLATES.items():
+    _parts = [parts for parts, _build in _alternatives]
+    _TEMPLATE_KEYS[_category, 0] = frozenset(set.intersection(*map(_needs, _parts)))
+    for _step in (1, -1):
+        _TEMPLATE_KEYS[_category, _step] = frozenset().union(*[_edge(p, _step) for p in _parts])
+
+
 def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
+    end = terms[-1]
+    # a literal or a one-token slot at the end consumes the last group alone
+    anchored = type(end) is str or isinstance(end, Category) and end not in TEMPLATES
     return SyntacticRule(rule_id, family_of(rule_id), terms, compile_terms(terms),
-                         frozenset(_needs(terms)))
+                         frozenset(_needs(terms)), _edge(terms, 1),
+                         _edge(terms[:-1], -1) if anchored else None)
 
 
 def _parse_body(text: str, lineno: int) -> tuple:

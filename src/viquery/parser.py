@@ -24,11 +24,15 @@ shares one table among all rules of a query.  It holds each span scanned,
 by (position, category), as a finished ``(category, value, surface)``,
 and each matched sequence of those with its :class:`ConstituentBinding`
 tuple, so parses that bind the same constituents share one ``bindings``
-tuple.  :func:`parse` skips a rule unless the query holds every key in
-``rule.required``: each top-level literal and non-template category, and
-what every alternative of each top-level template needs.  A template match
-consumes token groups holding each of those keys, so a skipped rule is one
-that cannot match.
+tuple.  :func:`parse` tries only the rules :func:`candidate_rules` keeps.
+It skips a rule unless the query holds all its ``required`` keys, its first
+group one of its ``first`` keys (the body's FIRST set) and, where ``last``
+is not None, the group before the last one of the ``last`` keys (None
+stands for no group, in a one-group query); see
+:class:`viquery.grammar.SyntacticRule`.  Keys are literals and categories;
+a ``Category`` is a ``str`` equal to its value, so a literal equal to one
+only lets a rule through.  Every match consumes groups holding such keys at
+those places, so a skipped rule is one that cannot match.
 """
 
 from __future__ import annotations
@@ -164,19 +168,28 @@ def parse(query: str, grammar: tuple[SyntacticRule, ...],
     if not normalized:
         raise BlankQueryError("query is empty or blank")
     groups = tokenize(normalized, lexicon)
-    present = {(LIT, surface) for surface in {group.surface for group in groups}}
-    # unpack a list, not a generator: CPython resizes the argument tuple it
-    # builds from a generator, and such tuples pile up on its free lists
-    present.update((CAT, category)
-                   for category in set().union(*[group.categories for group in groups]))
     scans: dict = {}
     results = []
-    for rule in grammar:
-        if rule.required <= present:
-            result = match_rule(groups, rule, scans)
-            if result is not None:
-                results.append(result)
+    for rule in candidate_rules(groups, grammar):
+        result = match_rule(groups, rule, scans)
+        if result is not None:
+            results.append(result)
     return results
+
+
+def candidate_rules(groups: tuple[TokenGroup, ...],
+                    grammar: tuple[SyntacticRule, ...]) -> list[SyntacticRule]:
+    """The rules, in priority order, that :func:`parse` tries on a non-empty
+    tuple of token groups (see the module doc)."""
+    # unpack a list, not a generator: CPython resizes the argument tuple it
+    # builds from a generator, and such tuples pile up on its free lists
+    present = {g.surface for g in groups}.union(*[g.categories for g in groups])
+    head = {groups[0].surface, *groups[0].categories}
+    # None stands for the missing group before the last of a one-group query
+    before = {groups[-2].surface, *groups[-2].categories} if len(groups) > 1 else {None}
+    return [rule for rule in grammar
+            if rule.required <= present and not rule.first.isdisjoint(head)
+            and (rule.last is None or not rule.last.isdisjoint(before))]
 
 
 def constituents(parse_result: ParseResult) -> list[tuple[Category, str, object]]:

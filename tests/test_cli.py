@@ -347,11 +347,13 @@ def test_compiled_grammars_are_pinned(grammar):
     the toy grammar: a change in how rule bodies are held must not change
     what they compile to."""
     rules = grammar + parse_rule_dsl(TOY_RULES.read_text(encoding="utf-8"))
-    lines = [repr((r.id, r.family, r.program, sorted(map(repr, r.required))))
+    lines = [repr((r.id, r.family, r.program,
+                   *(keys if keys is None else sorted(map(repr, keys))
+                     for keys in (r.required, r.first, r.last))))
              for r in rules]
     assert len(lines) == 60
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "8c0d92012d39543a207f32f9a5d49b0d0f94577c45a034d09b9a4d6c542df694"
+    assert digest == "4eed2bac924d46174d4533403380b95adf3a7594984144f340cf20d3b28bc2be"
 
 
 def _mutate(sentence: str, op: str, at: int, word: str) -> str:
@@ -375,6 +377,7 @@ def test_main_is_total(lexicon, generated, data, command):
     words = sorted({s for category in Category for s in lexicon.surfaces(category)})
     query = data.draw(st.one_of(
         st.text(max_size=80),
+        st.sampled_from(["-x", "--seed=3", "--json", "--", "-", "-h", "--he", "--help"]),
         st.text(min_size=1, max_size=5).map(lambda t: t * (MAX_QUERY_CHARS // len(t) + 1)),
         st.lists(st.sampled_from(words), max_size=12).map(" ".join),
         st.builds(_mutate, st.sampled_from(generated),
@@ -383,10 +386,15 @@ def test_main_is_total(lexicon, generated, data, command):
     ))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(command + ["--", query])  # so "-x" stays a query, not an option
+        try:
+            code = main(command + [query])
+        except SystemExit as exc:  # "-h" or a prefix of "--help" such as "--he"
+            code = ("help", exc.code)
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in err
-    if code == 0:
+    if code == ("help", 0):
+        assert out.startswith("usage:") and err == ""
+    elif code == 0:
         assert out
     elif code == 2:
         assert err == "no parse\n"

@@ -1,5 +1,5 @@
 """The compiled matcher: agreement with the recursive backtracker it replaced,
-questions with hundreds of coordinated books, the required-word prefilter,
+questions with hundreds of coordinated books, the rule prefilter,
 and rule-attempt and scan counts."""
 
 from pathlib import Path
@@ -12,7 +12,7 @@ from viquery import parser
 from viquery.cli import main
 from viquery.grammar import CAT, JUMP, LIT, MATCH, SPLIT, TOK, compile_terms, parse_rule_dsl
 from viquery.lexicon import Category, normalize, tokenize
-from viquery.parser import match_rule, parse
+from viquery.parser import candidate_rules, match_rule, parse
 
 TOY_RULES = Path(__file__).parent / "data" / "toy_rules.bnf"
 
@@ -54,19 +54,22 @@ def test_compile_priority_order():
     )
     # <book> needs a book_type token in every alternative; the optional
     # <conjunction> and the group's books add nothing
-    assert rule.required == {(LIT, "?"), (CAT, Category.BOOK_TYPE)}
+    assert rule.required == {"?", Category.BOOK_TYPE}
+    assert rule.first == {Category.BOOK_TYPE}
+    # what a <book> alternative ends in: the group may be taken or not
+    assert rule.last == {Category.NAME_BOOK, Category.NAME_SUBJECT, "nào", Category.BOOK_TYPE}
     assert compile_terms(rule.terms) == rule.program
 
 
 def test_required_holds_what_every_template_alternative_needs(lexicon):
     rule = parse_rule_dsl('<R> = <by_author> <subject> [<book>] <time_phrase> "?"\n')[0]
     assert rule.required == {
-        (LIT, "?"),
+        "?",
         # <author>; the part "của"|"do"|"bởi" lists two categories: nothing
-        (CAT, Category.CREATOR), (CAT, Category.NAME_AUTHOR),
+        Category.CREATOR, Category.NAME_AUTHOR,
         # the only part both <subject> alternatives have
-        (CAT, Category.NAME_SUBJECT),
-        (CAT, Category.PREP_TIME), (CAT, Category.NOUN_TIME), (CAT, Category.YEAR),
+        Category.NAME_SUBJECT,
+        Category.PREP_TIME, Category.NOUN_TIME, Category.YEAR,
     }
     query = "bởi tác giả a chủ đề t vào năm 2001 ?"
     assert parse(query, (rule,), lexicon) == legacy_parse(query, (rule,), lexicon) != []
@@ -87,6 +90,22 @@ def test_group_that_can_match_empty(lexicon):
     for query in ("viết ?", "viết đã , ?", "viết , đã đã ?", "viết đã viết ?"):
         assert parse(query, grammar, lexicon) == legacy_parse(query, grammar, lexicon), query
     assert len(parse("viết , đã đã ?", grammar, lexicon)[0].bindings) == 3
+
+
+@pytest.mark.parametrize("body, query", [
+    # an optional or a group before the first slot widens the first anchor
+    ('[<vperfect>] <verb_write> "?"', "viết ?"),
+    ('[<vperfect>] <verb_write> "?"', "đã viết ?"),
+    ('{<vperfect>} <verb_write> <book> [<time_phrase>]', "đã đã viết sách B"),
+    # bodies ending in a template slot or a bracket have no end anchor
+    ('<what_author> <verb_write> <book>', "ai viết sách B"),
+    ('{<vperfect>} <verb_write> <book> [<time_phrase>]', "viết sách B trước năm 1990"),
+    # one group: the rest of the body matches empty
+    ('{<vperfect>} "?"', "?"),
+])
+def test_rules_at_the_edges_of_the_prefilter(lexicon, body, query):
+    grammar = parse_rule_dsl(f"<R> = {body}\n")
+    assert parse(query, grammar, lexicon) == legacy_parse(query, grammar, lexicon) != []
 
 
 class _Asked(dict):
@@ -129,8 +148,10 @@ def test_failing_question_against_nested_groups_stops(lexicon, attempts):
     # reaches the trailing "đã" and fails there; only the SPLIT visited set
     # keeps the search from trying each of them
     grammar = parse_rule_dsl('<R> = <verb_write> {{[<vperfect>] [","]}} "?"\n')
-    assert parse("viết " + "đã , " * 400 + "? đã", grammar, lexicon) == []
-    assert attempts == ["R"]  # the prefilter let the rule through
+    query = "viết " + "đã , " * 400 + "? đã"
+    assert match_rule(tokenize(normalize(query), lexicon), grammar[0]) is None
+    assert parse(query, grammar, lexicon) == []
+    assert attempts == []  # "?" comes before the last group: the end anchor skips R
 
 
 @pytest.mark.parametrize("form", [_active, _passive])
@@ -206,17 +227,21 @@ def rules(grammar):
 
 
 def _skipped_rules_do_not_match(query, rules, lexicon):
+    """The rules the parser selects; every other rule fails to match."""
     groups = tokenize(normalize(query), lexicon)
-    present = {(LIT, g.surface) for g in groups}
-    present |= {(CAT, c) for g in groups for c in g.categories}
+    selected = candidate_rules(groups, rules)
     for rule in rules:
-        if not rule.required <= present:
+        if not any(rule is chosen for chosen in selected):
             assert match_rule(groups, rule) is None, (rule.id, query)
+    return selected
 
 
-def test_prefilter_skips_no_match_on_generated_corpus(rules, lexicon, generated):
+def test_prefilter_skips_no_match_on_generated_corpus(rules, lexicon, generated, attempts):
     for query in generated + [_active(40), _passive(40)]:
-        _skipped_rules_do_not_match(query, rules, lexicon)
+        selected = _skipped_rules_do_not_match(query, rules, lexicon)
+        attempts.clear()
+        parse(query, rules, lexicon)  # parse tries exactly the selected rules
+        assert attempts == [rule.id for rule in selected], query
 
 
 @given(index=st.integers(0, 1139), op=st.sampled_from(["drop", "duplicate", "swap", "strip"]),
@@ -276,10 +301,10 @@ def test_scans_grow_linearly_with_books(grammar, lexicon, form, scans):
 
 def test_match_counts_on_generated_corpus(grammar, lexicon, generated, attempts, scans):
     parses = sum(len(parse(query, grammar, lexicon)) for query in generated)
-    assert (len(attempts), len(scans), parses) == (4555, 6397, 1656)
+    assert (len(attempts), len(scans), parses) == (2606, 5353, 1656)
 
 
-@pytest.mark.parametrize("form, count", [(_active, 2), (_passive, 4)])
+@pytest.mark.parametrize("form, count", [(_active, 2), (_passive, 2)])
 def test_match_attempts_on_coordinated_books(grammar, lexicon, attempts, form, count):
     parse(form(40), grammar, lexicon)
     assert len(attempts) == count, attempts
