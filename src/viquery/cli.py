@@ -23,6 +23,8 @@ from .semantics import (TransformError, check_families, classify, render_full,
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_PARSE = 2
+# what ``str.splitlines`` breaks at, escaped so that an error stays one line
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def data_path(name: str) -> Path:
@@ -233,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except (argparse.ArgumentError, _ReadError, BlankQueryError, QueryTooLongError,
             LexiconError, GrammarError, CatalogError, EvaluationError, TransformError,
             OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -128,13 +128,11 @@ class BookValue(NamedTuple):
 
 
 class TokenGroup(NamedTuple):
-    """One span, ``start``/``end`` in syllables (end exclusive), and the
-    canonical form of each category it has; several categories are a tie
-    that the parser resolves by rule demand.  ``categories`` is read-only:
-    a lexicon surface's map is shared by every group of that surface."""
+    """One span's surface and the canonical form of each category it has;
+    several categories are a tie that the parser resolves by rule demand.
+    A lexicon surface's group is built once at load and shared by every
+    span of that surface, so ``categories`` is read-only."""
 
-    start: int
-    end: int
     surface: str
     categories: Mapping[Category, str]
 
@@ -153,17 +151,18 @@ class Lexicon:
             by_category.setdefault(entry.category, []).append(entry.surface)
             by_surface.setdefault(entry.surface, {})[entry.category] = entry.canonical
         self._surfaces = {c: tuple(sorted(s)) for c, s in by_category.items()}
-        # syllable trie: a node maps a syllable to (child node, the read-only
-        # category map of the surface that ends there, or None); each map
+        # syllable trie: a node maps a syllable to (child node, the group of
+        # the surface that ends there, or None); each group's read-only map
         # lists its categories in value order
-        self._trie: dict[str, tuple[dict, Mapping[Category, str] | None]] = {}
+        self._trie: dict[str, tuple[dict, TokenGroup | None]] = {}
         for surface, categories in by_surface.items():
             *head, last = surface.split(" ")
             node = self._trie
             for syllable in head:
                 node = node.setdefault(syllable, ({}, None))[0]
             ordered = sorted(categories.items(), key=lambda item: item[0].value)
-            node[last] = (node.get(last, ({}, None))[0], MappingProxyType(dict(ordered)))
+            group = TokenGroup(surface, MappingProxyType(dict(ordered)))
+            node[last] = (node.get(last, ({}, None))[0], group)
 
     def surfaces(self, category: Category) -> tuple[str, ...]:
         return self._surfaces.get(category, ())
@@ -208,15 +207,15 @@ def load_lexicon(document: str) -> Lexicon:
     return Lexicon(tuple(entries))
 
 
-_PUNCT_CATEGORIES = {p: MappingProxyType({Category.PUNCT: p}) for p in "?,"}
+_PUNCT_GROUPS = {p: TokenGroup(p, MappingProxyType({Category.PUNCT: p})) for p in "?,"}
 
 
-def _name_group(syllables: list[str], start: int, end: int) -> TokenGroup:
-    run = " ".join(syllables[start:end])
+def _name_group(syllables: list[str]) -> TokenGroup:
+    run = " ".join(syllables)
     categories = dict.fromkeys(NAME_KINDS, run)
-    if end - start == 1 and _YEAR_RE.match(run):
+    if len(syllables) == 1 and _YEAR_RE.match(run):
         categories[Category.YEAR] = run
-    return TokenGroup(start, end, run, MappingProxyType(categories))
+    return TokenGroup(run, MappingProxyType(categories))
 
 
 def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
@@ -228,7 +227,8 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     gazetteer kind (plus a year literal when the run is a single 4-digit
     number).  Entries are unique by (category, surface), so a span never
     holds one category twice.  The lexicon's trie is walked once per
-    position.
+    position.  Each lexicon surface, "?" and "," has one group, built once
+    and shared by all its spans; only an unknown run gets a new group.
     """
     syllables = query.split(" ") if query else []
     trie = lexicon._trie
@@ -237,10 +237,9 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     i = 0
     n = len(syllables)
     while i < n:
-        syl = syllables[i]
-        categories = _PUNCT_CATEGORIES.get(syl)
+        group = _PUNCT_GROUPS.get(syllables[i])
         end = i + 1
-        if categories is None:
+        if group is None:
             node = trie
             k = i
             while k < n:
@@ -250,20 +249,19 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
                 node, found = hit
                 k += 1
                 if found is not None:
-                    categories, end = found, k
-            if categories is None:
+                    group, end = found, k
+            if group is None:
                 if run is None:
                     run = i
                 i += 1
                 continue
         if run is not None:
-            groups.append(_name_group(syllables, run, i))
+            groups.append(_name_group(syllables[run:i]))
             run = None
-        span = syl if end == i + 1 else " ".join(syllables[i:end])
-        groups.append(TokenGroup(i, end, span, categories))
+        groups.append(group)
         i = end
     if run is not None:
-        groups.append(_name_group(syllables, run, n))
+        groups.append(_name_group(syllables[run:]))
     return tuple(groups)
 
 

@@ -177,14 +177,14 @@ def legacy_tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     while i < n:
         syl = syllables[i]
         if syl in ("?", ","):
-            groups.append(TokenGroup(i, i + 1, syl, {Category.PUNCT: syl}))
+            groups.append(TokenGroup(syl, {Category.PUNCT: syl}))
             i += 1
             continue
         length, matches = _match_at(lexicon, syllables, i)
         if matches:
             span = " ".join(syllables[i:i + length])
             categories = {e.category: e.canonical for e in matches}
-            groups.append(TokenGroup(i, i + length, span, categories))
+            groups.append(TokenGroup(span, categories))
             i += length
             continue
         # maximal unknown run -> proper-name candidates
@@ -195,7 +195,7 @@ def legacy_tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
         categories = dict.fromkeys(NAME_KINDS, run)
         if j - i == 1 and _YEAR_RE.match(run):
             categories[Category.YEAR] = run
-        groups.append(TokenGroup(i, j, run, categories))
+        groups.append(TokenGroup(run, categories))
         i = j
     return tuple(groups)
 

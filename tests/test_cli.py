@@ -267,6 +267,18 @@ def test_unreadable_file_is_one_error_line(tmp_path, capsys, which, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--catalog", "no\nsuch", "ask", S1], "error: cannot read no\\nsuch: "),
+    (["batch", "no\r\nsuch\u2028"], "error: cannot read no\\r\\nsuch\\u2028: "),
+    (["ask", "-\n"], "error: unrecognized arguments: -\\n (put -- "),
+], ids=["catalog", "batch", "option"])
+def test_line_break_in_argument_keeps_one_error_line(capsys, argv, expected):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_first_bad_input_in_load_order_is_reported(tmp_path, capsys):
     grammar = tmp_path / "g.bnf"
     grammar.write_text('<X> = <book> foo "?"\n', encoding="utf-8")
@@ -377,7 +389,8 @@ def test_main_is_total(lexicon, generated, data, command):
     words = sorted({s for category in Category for s in lexicon.surfaces(category)})
     query = data.draw(st.one_of(
         st.text(max_size=80),
-        st.sampled_from(["-x", "--seed=3", "--json", "--", "-", "-h", "--he", "--help"]),
+        st.sampled_from(["-x", "--seed=3", "--json", "--", "-", "-h", "--he", "--help",
+                         "-\n", "-x\ny"]),
         st.text(min_size=1, max_size=5).map(lambda t: t * (MAX_QUERY_CHARS // len(t) + 1)),
         st.lists(st.sampled_from(words), max_size=12).map(" ".join),
         st.builds(_mutate, st.sampled_from(generated),

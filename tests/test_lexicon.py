@@ -13,6 +13,7 @@ from viquery.lexicon import (
     LexiconError,
     NAME_KINDS,
     TimeValue,
+    TokenGroup,
     load_lexicon,
     normalize,
     scan_constituent,
@@ -115,9 +116,8 @@ def test_tokenize_category_tie_emits_both(lexicon):
 def test_tokenize_partition(lexicon, corpus):
     for _, sentence in corpus[:60]:
         stream = tokenize(sentence, lexicon)
+        # the surfaces rejoin to the sentence, so the spans are contiguous
         assert " ".join(g.surface for g in stream) == sentence
-        offsets = [(g.start, g.end) for g in stream]
-        assert all(a[1] == b[0] for a, b in zip(offsets, offsets[1:]))
 
 
 def test_tokenize_unknown_run_becomes_name_candidates(lexicon):
@@ -209,7 +209,7 @@ def test_scan_template_alternatives(lexicon, query, at, category, expected):
 # --- the trie front end against the legacy regex and bucket scan -------------
 
 def _groups(stream):
-    return [(g.start, g.end, g.surface, dict(g.categories), list(g.categories))
+    return [(g.surface, dict(g.categories), list(g.categories))
             for g in stream]
 
 
@@ -260,3 +260,24 @@ def test_group_categories_are_read_only(lexicon):
             group.categories[Category.PUNCT] = "x"
     assert tokenize("có", lexicon)[0].categories == {
         Category.INTERROGATIVE1: "có", Category.VERB_HAVE: "có"}
+
+
+def test_group_fields():
+    assert TokenGroup._fields == ("surface", "categories")
+
+
+def test_lexicon_surface_and_punctuation_groups_are_shared(lexicon):
+    stream = tokenize("sách b và sách d ?", lexicon)
+    assert [g.surface for g in stream] == ["sách", "b", "và", "sách", "d", "?"]
+    assert stream[0] is stream[3]
+    again = tokenize("? sách ?", lexicon)
+    assert again[1] is stream[0]
+    assert again[0] is again[2] is stream[5]
+
+
+def test_unknown_run_group_is_new_per_call(lexicon):
+    # "b" is a name in the built-in lexicon, so its group is shared; an
+    # unlisted name is not, while the surface before it is
+    first, second = tokenize("sách xyzzy ?", lexicon), tokenize("sách xyzzy ?", lexicon)
+    assert first[0] is second[0]
+    assert first[1] == second[1] and first[1] is not second[1]
