@@ -134,7 +134,8 @@ def cmd_generate(args, grammar, lexicon) -> None:
 
 def cmd_batch(text: str, grammar, lexicon) -> int:
     total = parsed = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # _read made "\r\n" and "\r" a "\n"; other line breaks are whitespace here
+    for lineno, line in enumerate(text.split("\n"), start=1):
         query = line.strip()
         if not query:
             continue

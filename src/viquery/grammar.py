@@ -8,11 +8,13 @@ the parts a phrase template alternative uses (see
 terminal is a plain ``str`` and a bracket is a :class:`Bracket`.  Since a
 ``Category`` is a ``str``, code telling parts apart tests ``Category``
 first.  File order is priority order for the parser.  Each rule compiles,
-when it is built, to the flat program the parser's matcher runs.
+when it is built, and each template at import, to a flat program that the
+parser's matcher runs; a rule's prefilter keys come from the programs.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from typing import NamedTuple
@@ -35,10 +37,11 @@ class Bracket(NamedTuple):
 
 #: Matcher instructions, as ``(op, arg, alt)`` triples.  ``LIT s`` consumes
 #: one token group whose surface is ``s``; ``TOK c`` consumes one token group
-#: of the non-template category ``c``; ``CAT c`` consumes one constituent of
-#: the template category ``c`` (see :data:`viquery.lexicon.TEMPLATES`);
+#: of the non-template category ``c`` (or of a tuple's first it has);
+#: ``CAT c`` consumes one constituent of the template category ``c``;
 #: ``SPLIT a b`` tries ``a`` first and ``b`` on failure; ``JUMP a`` continues
-#: at ``a``; ``MATCH`` accepts at the end of the stream.
+#: at ``a``; ``MATCH`` accepts at the end of the stream, or for a template
+#: anywhere, with the value that the builder it names makes.
 LIT, TOK, CAT, SPLIT, JUMP, MATCH = range(6)
 
 
@@ -48,6 +51,8 @@ def _emit(terms: tuple, program: list) -> None:
             program.append((CAT if term in TEMPLATES else TOK, term, 0))
         elif isinstance(term, str):
             program.append((LIT, term, 0))
+        elif type(term) is tuple:  # a template part: one token of its categories
+            program.append((TOK, term[0] if len(term) == 1 else term, 0))
         else:
             # [body]: SPLIT body, after (present before absent)
             # {body}: L: SPLIT body, after; body; JUMP L (one more iteration
@@ -68,6 +73,26 @@ def compile_terms(terms: tuple) -> tuple[tuple, ...]:
     return tuple(program)
 
 
+def _compile_template(alternatives: list) -> tuple[tuple, ...]:
+    """Compile a template's alternatives, each but the last tried first by a
+    ``SPLIT`` and each ending in a ``MATCH`` that names its builder."""
+    program: list = []
+    for parts, builder in alternatives[:-1]:
+        split = len(program)
+        program.append(None)
+        _emit(parts, program)
+        program.append((MATCH, builder, 0))
+        program[split] = (SPLIT, split + 1, len(program))
+    parts, builder = alternatives[-1]
+    _emit(parts, program)
+    return (*program, (MATCH, builder, 0))
+
+
+#: Each template category's program, which the parser runs for a ``CAT``.
+TEMPLATE_PROGRAMS = {category: _compile_template(alternatives)
+                     for category, alternatives in TEMPLATES.items()}
+
+
 class SyntacticRule(NamedTuple):
     id: str
     family: str
@@ -75,8 +100,8 @@ class SyntacticRule(NamedTuple):
     terms: tuple
     #: the compiled body, see :func:`compile_terms`
     program: tuple[tuple, ...]
-    #: literals and categories the body consumes wherever it matches (see
-    #: :func:`_needs`): a stream lacking any of them cannot match
+    #: literals and categories the program consumes wherever it matches (see
+    #: :func:`_walk`): a stream lacking any of them cannot match
     required: frozenset
     #: keys of which the first group of every match holds one and, for a
     #: body ending in a literal or a one-token slot (else None), the group
@@ -99,61 +124,54 @@ def family_of(rule_id: str) -> str:
     return m.group(1) if m else rule_id
 
 
-def _needs(parts) -> set:
-    """The literals and categories that rule terms or template parts consume
-    wherever they match: each literal, each non-template category and
-    one-category part, and what every alternative of a template category
-    needs.  A :class:`Bracket`, or a part that lists several categories such
-    as ``(POSSESSIVE, AGENT)``, needs nothing."""
-    keys: set = set()
-    for part in parts:
-        if isinstance(part, Category) and part in TEMPLATES:  # not a literal
-            keys |= _TEMPLATE_KEYS[part, 0]
-        elif isinstance(part, str):
-            keys.add(part)
-        elif type(part) is tuple and len(part) == 1:
-            keys.add(part[0])
-    return keys
+def _walk(program: tuple) -> tuple[dict, dict, dict]:
+    """What a program consumes on its way to each instruction, and to any
+    ``MATCH`` at ``len(program)``: the keys every path consumes, and those
+    of which the first and the last group it consumes holds one (None: a
+    path may consume none).  One pass in order sees every path, as every
+    step goes forward once a ``JUMP`` back to its group's ``SPLIT`` is taken
+    as a step to the group's exit, the next instruction: another iteration
+    adds no key."""
+    needs, heads, tails = {0: frozenset()}, {0: frozenset([None])}, {0: frozenset([None])}
+    for pc, (op, arg, alt) in enumerate(program):
+        need, head, tail = needs[pc], heads[pc], tails[pc]
+        if op in (LIT, TOK, CAT):
+            consumed, first, tail = _consumed(op, arg)
+            need |= consumed
+            if None in head:
+                head = head - {None} | first
+        steps = (len(program),) if op == MATCH else (pc + 1, alt) if op == SPLIT else (pc + 1,)
+        for step in steps:
+            if step in needs:  # a join: merge with what reached it before
+                needs[step], heads[step], tails[step] = (
+                    needs[step] & need, heads[step] | head, tails[step] | tail)
+            else:
+                needs[step], heads[step], tails[step] = need, head, tail
+    return needs, heads, tails
 
 
-def _edge(parts, step: int) -> frozenset:
-    """The keys of which the first (``step`` 1) or last (``step`` -1) group
-    that rule terms or template parts consume holds one, plus None if they
-    can consume none.  A template category gives the union over its
-    alternatives."""
-    keys: set = {None}
-    for part in parts[::step]:
-        if isinstance(part, Bracket):
-            keys |= _edge(part.body, step)
-            continue
-        keys.discard(None)
-        if isinstance(part, Category) and part in TEMPLATES:  # not a literal
-            keys |= _TEMPLATE_KEYS[part, step]
-        elif type(part) is tuple:
-            keys.update(part)
-        else:  # a literal or a non-template category
-            keys.add(part)
-        break
-    return frozenset(keys)
-
-
-# per template category, worked out once: what every alternative needs (0),
-# begins (1) and ends (-1) with; a template nests only earlier templates
-_TEMPLATE_KEYS: dict[tuple[Category, int], frozenset] = {}
-for _category, _alternatives in TEMPLATES.items():
-    _parts = [parts for parts, _build in _alternatives]
-    _TEMPLATE_KEYS[_category, 0] = frozenset(set.intersection(*map(_needs, _parts)))
-    for _step in (1, -1):
-        _TEMPLATE_KEYS[_category, _step] = frozenset().union(*[_edge(p, _step) for p in _parts])
+@functools.lru_cache(maxsize=1024)
+def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
+    """The keys a ``LIT``, ``TOK`` or ``CAT`` consumes wherever it matches, and
+    those of which its first and its last group holds one."""
+    if op == CAT:  # what the template's program consumes to any MATCH
+        program = TEMPLATE_PROGRAMS[arg]
+        return tuple(keys[len(program)] for keys in _walk(program))
+    if type(arg) is tuple:  # several categories: none of them is required
+        return frozenset(), frozenset(arg), frozenset(arg)
+    keys = frozenset([arg])
+    return keys, keys, keys
 
 
 def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
+    program = compile_terms(terms)
+    needs, heads, tails = _walk(program)
     end = terms[-1]
-    # a literal or a one-token slot at the end consumes the last group alone
+    # a literal or a one-token slot at the end consumes the last group alone,
+    # and what reaches it holds the group before
     anchored = type(end) is str or isinstance(end, Category) and end not in TEMPLATES
-    return SyntacticRule(rule_id, family_of(rule_id), terms, compile_terms(terms),
-                         frozenset(_needs(terms)), _edge(terms, 1),
-                         _edge(terms[:-1], -1) if anchored else None)
+    return SyntacticRule(rule_id, family_of(rule_id), terms, program, needs[len(program)],
+                         heads[len(program)], tails[len(program) - 2] if anchored else None)
 
 
 def _parse_body(text: str, lineno: int) -> tuple:
@@ -241,12 +259,10 @@ def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
     each problem :func:`viquery.semantics.check_families` reports."""
     diagnostics: list[str] = []
     for rule in grammar:
-        for category in _categories_of(rule.terms):
-            if category in TEMPLATES or lexicon.surfaces(category):
-                continue
-            diagnostics.append(
-                f"{rule.id}: category <{category.value}> has no lexicon entries"
-            )
+        for op, category, _ in rule.program:  # a one-token slot's category
+            if op == TOK and not lexicon.surfaces(category):
+                diagnostics.append(
+                    f"{rule.id}: category <{category.value}> has no lexicon entries")
         if type(rule.terms[-1]) is not str or rule.terms[-1] != "?":
             diagnostics.append(f'{rule.id}: rule does not end with "?"')
     diagnostics.extend(_family_problems(grammar))

@@ -5,7 +5,7 @@ verbs, heads, particles) plus open-class gazetteers of proper names (authors,
 titles, publishers, subjects, fields, places).  Tokenization is deterministic
 longest-match over syllables, walked in a syllable trie built at load; spans
 matching no entry become proper-name candidates so that questions about
-unlisted titles still parse.
+unlisted titles still parse.  The phrase templates are data here too.
 """
 
 from __future__ import annotations
@@ -268,85 +268,38 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
 # --- constituent templates ---------------------------------------------------
 #
 # A template category maps to its ordered alternatives, each a tuple of parts
-# and a function that builds the constituent's value from the parts' values.
-# A part is a tuple of token categories (one token of any of them; its value
-# is the token's canonical form), a literal surface (its value is itself) or a
-# Category (a nested constituent); a rule body in ``viquery.grammar`` uses
-# the last two, plus brackets.  Templates are atomic: the first
-# alternative that matches wins and no later one is tried.  The sampler
-# realizes the first alternative.  Positions are indices into the tuple of
-# token groups that :func:`tokenize` returns.
+# and the name of the builder that makes the constituent's value.  A part is
+# a tuple of token categories (one token of the first of them it has), a
+# literal surface or a Category (a nested constituent); a rule body in
+# ``viquery.grammar`` uses the last two, plus brackets.  The parser runs each
+# template as a program of its rule matcher: the first alternative that
+# matches wins and no later one is tried.  The sampler realizes the first.
 
-def _last(*values):
-    return values[-1]
-
-
-def _any_book(*_values):
-    return BookValue()
-
+#: Value builders by name, over the values of an alternative's non-literal parts
+BUILDERS = {
+    "last": lambda values: values[-1],
+    "title": lambda values: BookValue(values[-1]),
+    "any_book": lambda values: BookValue(),
+    "book_of_subject": lambda values: BookValue(subject=values[-1]),
+    "time": lambda values: TimeValue(values[0], int(values[-1])),
+}
 
 _C = Category
 TEMPLATES = {
-    _C.AUTHOR: [(((_C.CREATOR,), (_C.NAME_AUTHOR,)), _last)],
-    _C.PUBLISHER: [(((_C.PUBLISHER,), (_C.NAME_PUBLISHER,)), _last)],
+    _C.AUTHOR: [(((_C.CREATOR,), (_C.NAME_AUTHOR,)), "last")],
+    _C.PUBLISHER: [(((_C.PUBLISHER,), (_C.NAME_PUBLISHER,)), "last")],
     # a bare name follows a multi-syllable is_of surface such as "thuộc chủ
     # đề", which absorbs the head
-    _C.SUBJECT: [(((_C.SUBJECT,), (_C.NAME_SUBJECT,)), _last),
-                 (((_C.NAME_SUBJECT,),), _last)],
+    _C.SUBJECT: [(((_C.SUBJECT,), (_C.NAME_SUBJECT,)), "last"),
+                 (((_C.NAME_SUBJECT,),), "last")],
     # "nào" after the head marks an unbound book ("any/which book"), which
     # may carry a subject qualifier: "sách nào thuộc chủ đề T"
-    _C.BOOK: [(((_C.BOOK_TYPE,), (_C.NAME_BOOK,)),
-               lambda _head, title: BookValue(title, None)),
-              (((_C.BOOK_TYPE,), "nào", (_C.IS_OF,), _C.SUBJECT),
-               lambda *values: BookValue(subject=values[-1])),
-              (((_C.BOOK_TYPE,), "nào"), _any_book),
-              (((_C.BOOK_TYPE,),), _any_book)],
-    _C.TIME_PHRASE: [(((_C.PREP_TIME,), (_C.NOUN_TIME,), (_C.YEAR,)),
-                      lambda prep, _noun, year: TimeValue(prep, int(year)))],
-    _C.OF_AUTHOR: [(((_C.POSSESSIVE,), _C.AUTHOR), _last)],
-    _C.BY_AUTHOR: [(((_C.POSSESSIVE, _C.AGENT), _C.AUTHOR), _last)],
-    _C.BY_PUBLISHER: [(((_C.POSSESSIVE, _C.AGENT), _C.PUBLISHER), _last)],
+    _C.BOOK: [(((_C.BOOK_TYPE,), (_C.NAME_BOOK,)), "title"),
+              (((_C.BOOK_TYPE,), "nào", (_C.IS_OF,), _C.SUBJECT), "book_of_subject"),
+              (((_C.BOOK_TYPE,), "nào"), "any_book"),
+              (((_C.BOOK_TYPE,),), "any_book")],
+    _C.TIME_PHRASE: [(((_C.PREP_TIME,), (_C.NOUN_TIME,), (_C.YEAR,)), "time")],
+    _C.OF_AUTHOR: [(((_C.POSSESSIVE,), _C.AUTHOR), "last")],
+    _C.BY_AUTHOR: [(((_C.POSSESSIVE, _C.AGENT), _C.AUTHOR), "last")],
+    _C.BY_PUBLISHER: [(((_C.POSSESSIVE, _C.AGENT), _C.PUBLISHER), "last")],
 }
-
-
-def scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category):
-    """Match one constituent of ``category`` starting at group index ``at``.
-
-    Returns (canonical value, first unconsumed position) or None.  A template
-    category matches its first matching alternative in :data:`TEMPLATES`;
-    other categories consume a single token of that category.
-    """
-    n = len(groups)
-    if at >= n:
-        return None
-    alternatives = TEMPLATES.get(category)
-    if alternatives is None:
-        canonical = groups[at].categories.get(category)
-        return None if canonical is None else (canonical, at + 1)
-    for parts, build in alternatives:
-        values = []
-        pos = at
-        for part in parts:
-            if type(part) is tuple:  # one token of any of these categories
-                categories = groups[pos].categories if pos < n else {}
-                for kind in part:
-                    value = categories.get(kind)
-                    if value is not None:
-                        break
-                else:  # no category of the part: the alternative fails
-                    break
-                pos += 1
-            elif isinstance(part, Category):  # before str: Category is a str
-                found = scan_constituent(groups, pos, part)
-                if found is None:
-                    break
-                value, pos = found
-            elif pos < n and groups[pos].surface == part:
-                value = part
-                pos += 1
-            else:
-                break
-            values.append(value)
-        else:
-            return build(*values), pos
-    return None

@@ -17,30 +17,35 @@ straight line that cannot match on a second walk if it did not on the
 first: the search is bounded by ``SPLIT`` states times straight-line
 length.  Bindings are kept in a chain of ``(binding, parent)`` links.
 
-A ``TOK`` slot (a non-template category) reads the one token group at the
-position inline; a ``CAT`` slot (a template category) consumes one
-constituent via :func:`viquery.lexicon.scan_constituent`.  :func:`parse`
-shares one table among all rules of a query.  It holds each span scanned,
-by (position, category), as a finished ``(category, value, surface)``,
-and each matched sequence of those with its :class:`ConstituentBinding`
-tuple, so parses that bind the same constituents share one ``bindings``
-tuple.  :func:`parse` tries only the rules :func:`candidate_rules` keeps.
-It skips a rule unless the query holds all its ``required`` keys, its first
-group one of its ``first`` keys (the body's FIRST set) and, where ``last``
-is not None, the group before the last one of the ``last`` keys (None
-stands for no group, in a one-group query); see
-:class:`viquery.grammar.SyntacticRule`.  Keys are literals and categories;
-a ``Category`` is a ``str`` equal to its value, so a literal equal to one
-only lets a rule through.  Every match consumes groups holding such keys at
-those places, so a skipped rule is one that cannot match.
+One loop runs the programs of rules and of phrase templates.  A ``TOK``
+reads the token group at the position inline; a ``CAT`` consumes one
+constituent of a template category, which :func:`scan_constituent` matches
+by running that template's program.  A rule's ``MATCH`` accepts only after
+the last group, a template's wherever it is reached, so the first template
+alternative that matches wins and no later one is tried (an atomic ordered
+choice).  :func:`parse` shares one table among all rules of a query.  It
+holds each span a rule's ``CAT`` scanned, by (position, category), as a
+finished ``(category, value, surface)``, and each matched sequence of those
+with its :class:`ConstituentBinding` tuple, so parses that bind the same
+constituents share one ``bindings`` tuple.
+
+:func:`parse` tries only the rules :func:`candidate_rules` keeps.  It skips
+a rule unless the query holds all its ``required`` keys, its first group
+one of its ``first`` keys (the body's FIRST set) and, where ``last`` is not
+None, the group before the last one of the ``last`` keys (None stands for
+no group, in a one-group query), all worked out from the programs (see
+:class:`viquery.grammar.SyntacticRule`).  Keys are literals and
+categories; a ``Category`` is a ``str`` equal to its value, so a literal
+equal to one only lets a rule through.  Every match consumes groups holding
+such keys at those places, so a skipped rule is one that cannot match.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grammar import CAT, JUMP, LIT, SPLIT, TOK, SyntacticRule
-from .lexicon import Category, Lexicon, TokenGroup, normalize, scan_constituent, tokenize
+from .grammar import CAT, JUMP, LIT, SPLIT, TEMPLATE_PROGRAMS, TOK, SyntacticRule
+from .lexicon import BUILDERS, Category, Lexicon, TokenGroup, normalize, tokenize
 
 #: Longest query :func:`parse` accepts, in characters before normalization.
 MAX_QUERY_CHARS = 100_000
@@ -79,11 +84,50 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
     """
     if scans is None:
         scans = {}
-    program = rule.program
+    found = _run(rule.program, groups, 0, scans)
+    if found is None:
+        return None
+    chain = found[0]
+    matched = []
+    while chain is not None:
+        binding, chain = chain
+        matched.append(binding)
+    key = tuple(reversed(matched))
+    bindings = scans.get(key)
+    if bindings is None:  # ordinals depend on the sequence alone
+        counters: dict[Category, int] = {}
+        built = []
+        for category, value, surface in key:
+            ordinal = counters.get(category, 0)
+            counters[category] = ordinal + 1
+            built.append(ConstituentBinding(category, value, surface, ordinal))
+        bindings = scans[key] = tuple(built)
+    return ParseResult(rule.id, rule.family, bindings)
+
+
+def scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category):
+    """One constituent of the template ``category`` at group index ``at``:
+    (the value its ``MATCH``'s builder makes, first unconsumed position) or
+    None."""
+    found = _run(TEMPLATE_PROGRAMS[category], groups, at, {})
+    if found is None:
+        return None
+    chain, after, builder = found
+    values = []
+    while chain is not None:
+        (_, value, _), chain = chain
+        values.append(value)
+    return BUILDERS[builder](values[::-1]), after
+
+
+def _run(program: tuple, groups: tuple[TokenGroup, ...], at: int, scans: dict):
+    """Run a program from group index ``at``: (binding chain, end position,
+    builder name) at the first ``MATCH`` that accepts, or None.  A rule's
+    ``MATCH`` (no builder) accepts only at the end, a template's anywhere."""
     n = len(groups)
     width = n + 1
     visited: set[int] = set()
-    stack = [(0, 0, None)]
+    stack = [(0, at, None)]
     while stack:
         pc, pos, chain = stack.pop()
         while True:
@@ -98,7 +142,10 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
             elif op == TOK:
                 if pos >= n:
                     break
-                value = groups[pos].categories.get(arg)
+                categories = groups[pos].categories
+                value = categories.get(arg)
+                if value is None and type(arg) is tuple:  # the first category it has
+                    value = next((v for v in map(categories.get, arg) if v is not None), None)
                 if value is None:
                     break
                 chain = ((arg, value, groups[pos].surface), chain)
@@ -127,29 +174,11 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
                 pos += 1
             elif op == JUMP:
                 pc = arg
-            elif pos == n:  # MATCH
-                return _result(rule, chain, scans)
+            elif arg is not None or pos == n:  # MATCH
+                return chain, pos, arg
             else:
                 break
     return None
-
-
-def _result(rule: SyntacticRule, chain, scans: dict) -> ParseResult:
-    matched = []
-    while chain is not None:
-        binding, chain = chain
-        matched.append(binding)
-    key = tuple(reversed(matched))
-    bindings = scans.get(key)
-    if bindings is None:  # ordinals depend on the sequence alone
-        counters: dict[Category, int] = {}
-        built = []
-        for category, value, surface in key:
-            ordinal = counters.get(category, 0)
-            counters[category] = ordinal + 1
-            built.append(ConstituentBinding(category, value, surface, ordinal))
-        bindings = scans[key] = tuple(built)
-    return ParseResult(rule.id, rule.family, bindings)
 
 
 def parse(query: str, grammar: tuple[SyntacticRule, ...],

@@ -4,7 +4,9 @@ The parse oracle replaces the parser's backtracking control with explicit
 enumeration: it expands every optional/repetition assignment of a rule into
 a flat term list (in the parser's preference order) and linearly matches
 each expansion.  The legacy parser is the recursive backtracker that the
-compiled matcher replaced, kept as a fast differential reference.  The
+compiled matcher replaced, kept as a fast differential reference; both
+scan phrase templates with the legacy template scanner, the recursive part
+interpreter that running templates on the compiled matcher replaced.  The
 evaluation oracle re-derives answers per record by walking the semantic tree
 directly instead of compiling a filter list; a yes/no question that names
 several books holds when each of its one-book readings holds.  The legacy
@@ -32,8 +34,8 @@ from viquery.lexicon import (
     Lexicon,
     TokenGroup,
     TimeValue,
+    TEMPLATES,
     normalize,
-    scan_constituent,
     tokenize,
 )
 from viquery.parser import ConstituentBinding, ParseResult
@@ -48,6 +50,61 @@ from viquery.semantics import (
     TransformError,
     resolve_time,
 )
+
+
+# --- legacy template scanner -------------------------------------------------
+#
+# The recursive part interpreter the parser used before phrase templates ran
+# on its rule matcher, with value builders of its own: a reference for
+# ``viquery.parser.scan_constituent`` that shares only ``TEMPLATES`` with it.
+
+_LEGACY_BUILDERS = {
+    "last": lambda *values: values[-1],
+    "title": lambda _head, title: BookValue(title, None),
+    "any_book": lambda *_values: BookValue(),
+    "book_of_subject": lambda *values: BookValue(subject=values[-1]),
+    "time": lambda prep, _noun, year: TimeValue(prep, int(year)),
+}
+
+
+def legacy_scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category):
+    """One constituent of ``category`` at group index ``at``: (value, first
+    unconsumed position) or None.  A template category matches its first
+    matching alternative; other categories consume a single token."""
+    n = len(groups)
+    if at >= n:
+        return None
+    alternatives = TEMPLATES.get(category)
+    if alternatives is None:
+        canonical = groups[at].categories.get(category)
+        return None if canonical is None else (canonical, at + 1)
+    for parts, builder in alternatives:
+        values = []
+        pos = at
+        for part in parts:
+            if type(part) is tuple:  # one token of any of these categories
+                categories = groups[pos].categories if pos < n else {}
+                for kind in part:
+                    value = categories.get(kind)
+                    if value is not None:
+                        break
+                else:  # no category of the part: the alternative fails
+                    break
+                pos += 1
+            elif isinstance(part, Category):  # before str: Category is a str
+                found = legacy_scan_constituent(groups, pos, part)
+                if found is None:
+                    break
+                value, pos = found
+            elif pos < n and groups[pos].surface == part:
+                value = part
+                pos += 1
+            else:
+                break
+            values.append(value)
+        else:
+            return _LEGACY_BUILDERS[builder](*values), pos
+    return None
 
 
 def _min_flat_len(terms: tuple) -> int:
@@ -97,7 +154,7 @@ def _match_flat(flat: tuple, stream: tuple[TokenGroup, ...], lexicon: Lexicon):
                 return None
             pos += 1
         else:
-            found = scan_constituent(stream, pos, term)
+            found = legacy_scan_constituent(stream, pos, term)
             if found is None:
                 return None
             value, after = found
@@ -224,7 +281,7 @@ def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
         if isinstance(head, _Progress):
             return match_seq(rest, pos) if pos > head.at else None
         if isinstance(head, Category):  # before str: a Category is a str
-            found = scan_constituent(stream, pos, head)
+            found = legacy_scan_constituent(stream, pos, head)
             if found is None:
                 return None
             value, after = found

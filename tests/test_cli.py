@@ -188,6 +188,18 @@ def test_batch_mixed(tmp_path, capsys):
     assert out[-1] == "1/2"
 
 
+def test_batch_breaks_lines_at_line_feeds_only(tmp_path, capsys):
+    # a form feed is whitespace inside a question, as it is for ask
+    f = tmp_path / "queries.txt"
+    f.write_text("Ai viết sách B?\nAi viết\x0c sách B?\n", encoding="utf-8")
+    assert main(["batch", str(f)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in out] == ["Q1.1a", "Q1.1a", "2/2"]
+    f.write_text("ai\x0c ai\n" + "a" * 100_001, encoding="utf-8")
+    assert main(["batch", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_batch_empty_file(tmp_path, capsys):
     f = tmp_path / "queries.txt"
     f.write_text("", encoding="utf-8")

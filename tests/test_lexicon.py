@@ -16,9 +16,9 @@ from viquery.lexicon import (
     TokenGroup,
     load_lexicon,
     normalize,
-    scan_constituent,
     tokenize,
 )
+from viquery.parser import scan_constituent
 
 S1 = "tác giả a có viết sách b vào năm 2008 không ?"
 

@@ -1,17 +1,20 @@
-"""The compiled matcher: agreement with the recursive backtracker it replaced,
-questions with hundreds of coordinated books, the rule prefilter,
-and rule-attempt and scan counts."""
+"""The compiled matcher: agreement with the recursive backtracker and the
+template part interpreter it replaced, template programs and their
+atomicity, questions with hundreds of coordinated books, the rule
+prefilter, and rule-attempt and scan counts."""
 
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import legacy_parse
+from oracles import legacy_parse, legacy_scan_constituent
 from viquery import parser
 from viquery.cli import main
-from viquery.grammar import CAT, JUMP, LIT, MATCH, SPLIT, TOK, compile_terms, parse_rule_dsl
-from viquery.lexicon import Category, normalize, tokenize
+from viquery.grammar import (CAT, JUMP, LIT, MATCH, SPLIT, TEMPLATE_PROGRAMS, TOK, compile_terms,
+                             parse_rule_dsl)
+from viquery.lexicon import BUILDERS, TEMPLATES, Category, normalize, tokenize
 from viquery.parser import candidate_rules, match_rule, parse
 
 TOY_RULES = Path(__file__).parent / "data" / "toy_rules.bnf"
@@ -59,6 +62,68 @@ def test_compile_priority_order():
     # what a <book> alternative ends in: the group may be taken or not
     assert rule.last == {Category.NAME_BOOK, Category.NAME_SUBJECT, "nào", Category.BOOK_TYPE}
     assert compile_terms(rule.terms) == rule.program
+
+
+def test_compile_template_programs():
+    assert TEMPLATE_PROGRAMS[Category.BOOK] == (
+        (SPLIT, 1, 4),                   # alternatives in order: first first
+        (TOK, Category.BOOK_TYPE, 0),
+        (TOK, Category.NAME_BOOK, 0),
+        (MATCH, "title", 0),             # each alternative names its builder
+        (SPLIT, 5, 10),
+        (TOK, Category.BOOK_TYPE, 0),
+        (LIT, "nào", 0),
+        (TOK, Category.IS_OF, 0),
+        (CAT, Category.SUBJECT, 0),      # a nested template
+        (MATCH, "book_of_subject", 0),
+        (SPLIT, 11, 14),
+        (TOK, Category.BOOK_TYPE, 0),
+        (LIT, "nào", 0),
+        (MATCH, "any_book", 0),
+        (TOK, Category.BOOK_TYPE, 0),    # the last alternative: no SPLIT
+        (MATCH, "any_book", 0),
+    )
+    # a part of several categories: one token of the first the group has
+    assert TEMPLATE_PROGRAMS[Category.BY_AUTHOR] == (
+        (TOK, (Category.POSSESSIVE, Category.AGENT), 0),
+        (CAT, Category.AUTHOR, 0),
+        (MATCH, "last", 0),
+    )
+    assert TEMPLATE_PROGRAMS.keys() == TEMPLATES.keys()
+    assert {arg for program in TEMPLATE_PROGRAMS.values()
+            for op, arg, _ in program if op == MATCH} == BUILDERS.keys()
+
+
+def test_template_scans_match_legacy(lexicon, generated):
+    """Each template's program gives what the legacy part interpreter gives,
+    for every template category at every position."""
+    rng = random.Random(0)
+    queries = generated + [_active(40), _passive(40)]
+    for query in generated:
+        words = query.split(" ")
+        rng.shuffle(words)
+        queries.append(" ".join(words))
+    for query in queries:
+        groups = tokenize(normalize(query), lexicon)
+        for at in range(len(groups) + 1):
+            for category in TEMPLATES:
+                assert (parser.scan_constituent(groups, at, category)
+                        == legacy_scan_constituent(groups, at, category)), (query, at, category)
+
+
+@pytest.mark.parametrize("body, query, surface", [
+    # <book> takes "sách nào" and keeps it: "sách" alone is never tried
+    ('<book> "nào" "?"', "sách nào ?", None),
+    # <book> takes the whole qualified book, so no <is_of> <subject> is left
+    ('<book> <is_of> <subject> "?"', "sách nào thuộc chủ đề t ?", None),
+    ('<book> "?"', "sách nào ?", "sách nào"),
+])
+def test_templates_are_atomic(lexicon, body, query, surface):
+    grammar = parse_rule_dsl(f"<R> = {body}\n")
+    assert candidate_rules(tokenize(normalize(query), lexicon), grammar) == list(grammar)
+    results = parse(query, grammar, lexicon)
+    assert results == legacy_parse(query, grammar, lexicon)
+    assert [r.bindings[0].surface for r in results] == ([surface] if surface else [])
 
 
 def test_required_holds_what_every_template_alternative_needs(lexicon):
@@ -268,13 +333,20 @@ def attempts(monkeypatch):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """(position, category) of every scan_constituent call the parser makes."""
+    """(position, category) of every scan_constituent call a rule's CAT step
+    makes; the calls a template's CAT step makes inside one are not counted."""
     calls = []
     original = parser.scan_constituent
+    depth = []
 
     def counting(stream, at, category):
-        calls.append((at, category))
-        return original(stream, at, category)
+        if not depth:
+            calls.append((at, category))
+        depth.append(at)
+        try:
+            return original(stream, at, category)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(parser, "scan_constituent", counting)
     return calls
