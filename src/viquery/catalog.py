@@ -40,8 +40,7 @@ class Answer(NamedTuple):
     value: object                # bool | tuple[str, ...] | int
 
 
-_REQUIRED_KEYS = ("title", "authors", "publisher", "year", "subject",
-                  "place", "price", "currency")
+_REQUIRED_KEYS = BookRecord._fields
 _STRING_KEYS = ("publisher", "subject", "place", "currency")
 
 
@@ -102,7 +101,6 @@ _FIELDS = {
     "book": lambda r: {r.title},
     "publisher": lambda r: {r.publisher},
     "subject": lambda r: {r.subject},
-    "field": lambda r: {r.subject},
     "location": lambda r: {r.place},
     "year": lambda r: {str(r.year)},
     "price": lambda r: {format_price(r)},
@@ -177,10 +175,7 @@ def evaluate(sem: SemanticNode, records: tuple[BookRecord, ...]) -> Answer:
     focus_kind, focus_role = focus[0]
     if focus_kind == "amount":
         return Answer("count", len(matching))
-    if focus_kind == "time":
-        values = {str(r.year) for r in matching}
-        return Answer("entities", tuple(sorted(values)))
-    projector = _FIELDS.get(focus_role)
+    projector = _FIELDS.get("year" if focus_kind == "time" else focus_role)
     if projector is None:
         raise EvaluationError(f"focused role {focus_role!r} has no record field")
     values: set[str] = set()

@@ -15,11 +15,12 @@ parser's matcher runs; a rule's prefilter keys come from the programs.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import re
 from typing import NamedTuple
 
-from .lexicon import Category, GRAMMAR_CATEGORIES, TEMPLATES, Lexicon
+from .lexicon import Category, GRAMMAR_CATEGORIES, NAME_KINDS, TEMPLATES, Lexicon
 from .semantics import _family_problems
 
 
@@ -37,11 +38,11 @@ class Bracket(NamedTuple):
 
 #: Matcher instructions, as ``(op, arg, alt)`` triples.  ``LIT s`` consumes
 #: one token group whose surface is ``s``; ``TOK c`` consumes one token group
-#: of the non-template category ``c`` (or of a tuple's first it has);
-#: ``CAT c`` consumes one constituent of the template category ``c``;
-#: ``SPLIT a b`` tries ``a`` first and ``b`` on failure; ``JUMP a`` continues
-#: at ``a``; ``MATCH`` accepts at the end of the stream, or for a template
-#: anywhere, with the value that the builder it names makes.
+#: of the non-template category ``c``; ``CAT c`` consumes one constituent of
+#: the template category ``c``; ``SPLIT a b`` tries ``a`` first and ``b`` on
+#: failure; ``JUMP a`` continues at ``a``; ``MATCH`` accepts at the end of the
+#: stream, or for a template anywhere, with the value that the builder it
+#: names makes.
 LIT, TOK, CAT, SPLIT, JUMP, MATCH = range(6)
 
 
@@ -51,8 +52,8 @@ def _emit(terms: tuple, program: list) -> None:
             program.append((CAT if term in TEMPLATES else TOK, term, 0))
         elif isinstance(term, str):
             program.append((LIT, term, 0))
-        elif type(term) is tuple:  # a template part: one token of its categories
-            program.append((TOK, term[0] if len(term) == 1 else term, 0))
+        elif type(term) is tuple:  # a template part, one category by now
+            program.append((TOK, term[0], 0))
         else:
             # [body]: SPLIT body, after (present before absent)
             # {body}: L: SPLIT body, after; body; JUMP L (one more iteration
@@ -65,31 +66,28 @@ def _emit(terms: tuple, program: list) -> None:
             program[split] = (SPLIT, split + 1, len(program))
 
 
-def compile_terms(terms: tuple) -> tuple[tuple, ...]:
-    """Compile a rule body to its matcher program, ending in ``MATCH``."""
+def compile_program(alternatives: list) -> tuple[tuple, ...]:
+    """Compile ordered ``(parts, builder)`` alternatives, each but the last
+    tried first by a ``SPLIT`` and each ending in a ``MATCH`` that names its
+    builder; a rule body is one alternative with builder None.  A part of
+    several categories becomes one alternative per category, in order."""
+    *tried, last = [(choice, builder) for parts, builder in alternatives
+                    for choice in itertools.product(*[
+                        [(c,) for c in part] if type(part) is tuple else [part]
+                        for part in parts])]
     program: list = []
-    _emit(terms, program)
-    program.append((MATCH, None, 0))
-    return tuple(program)
-
-
-def _compile_template(alternatives: list) -> tuple[tuple, ...]:
-    """Compile a template's alternatives, each but the last tried first by a
-    ``SPLIT`` and each ending in a ``MATCH`` that names its builder."""
-    program: list = []
-    for parts, builder in alternatives[:-1]:
+    for parts, builder in tried:
         split = len(program)
         program.append(None)
         _emit(parts, program)
         program.append((MATCH, builder, 0))
         program[split] = (SPLIT, split + 1, len(program))
-    parts, builder = alternatives[-1]
-    _emit(parts, program)
-    return (*program, (MATCH, builder, 0))
+    _emit(last[0], program)
+    return (*program, (MATCH, last[1], 0))
 
 
 #: Each template category's program, which the parser runs for a ``CAT``.
-TEMPLATE_PROGRAMS = {category: _compile_template(alternatives)
+TEMPLATE_PROGRAMS = {category: compile_program(alternatives)
                      for category, alternatives in TEMPLATES.items()}
 
 
@@ -98,7 +96,7 @@ class SyntacticRule(NamedTuple):
     family: str
     #: ``Category`` slots, ``str`` literals and :class:`Bracket` parts
     terms: tuple
-    #: the compiled body, see :func:`compile_terms`
+    #: the compiled body, see :func:`compile_program`
     program: tuple[tuple, ...]
     #: literals and categories the program consumes wherever it matches (see
     #: :func:`_walk`): a stream lacking any of them cannot match
@@ -157,14 +155,12 @@ def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
     if op == CAT:  # what the template's program consumes to any MATCH
         program = TEMPLATE_PROGRAMS[arg]
         return tuple(keys[len(program)] for keys in _walk(program))
-    if type(arg) is tuple:  # several categories: none of them is required
-        return frozenset(), frozenset(arg), frozenset(arg)
     keys = frozenset([arg])
     return keys, keys, keys
 
 
 def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
-    program = compile_terms(terms)
+    program = compile_program([(terms, None)])
     needs, heads, tails = _walk(program)
     end = terms[-1]
     # a literal or a one-token slot at the end consumes the last group alone,
@@ -254,13 +250,24 @@ def _categories_of(terms: tuple):
             yield from _categories_of(term.body)
 
 
+def _token_categories(program: tuple):
+    """The category of each ``TOK`` in a program and, through each ``CAT``,
+    in the template programs it runs, in program order."""
+    for op, arg, _ in program:
+        if op == TOK:
+            yield arg
+        elif op == CAT:
+            yield from _token_categories(TEMPLATE_PROGRAMS[arg])
+
+
 def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
-    """Diagnostics: unrealizable categories, rules not ending in '?', then
-    each problem :func:`viquery.semantics.check_families` reports."""
+    """Diagnostics: unrealizable categories (a year and a name need no
+    entry: tokenize gives them to unknown runs), rules not ending in '?',
+    then each problem :func:`viquery.semantics.check_families` reports."""
     diagnostics: list[str] = []
     for rule in grammar:
-        for op, category, _ in rule.program:  # a one-token slot's category
-            if op == TOK and not lexicon.surfaces(category):
+        for category in dict.fromkeys(_token_categories(rule.program)):
+            if category not in (Category.YEAR, *NAME_KINDS) and not lexicon.surfaces(category):
                 diagnostics.append(
                     f"{rule.id}: category <{category.value}> has no lexicon entries")
         if type(rule.terms[-1]) is not str or rule.terms[-1] != "?":

@@ -137,6 +137,9 @@ class TokenGroup(NamedTuple):
     categories: Mapping[Category, str]
 
 
+_PUNCT_GROUPS = {p: TokenGroup(p, MappingProxyType({Category.PUNCT: p})) for p in "?,"}
+
+
 class Lexicon:
     """The loaded entries in file order, unique by (category, surface) as
     :func:`load_lexicon` checks, plus two indexes built once from them: the
@@ -163,6 +166,8 @@ class Lexicon:
             ordered = sorted(categories.items(), key=lambda item: item[0].value)
             group = TokenGroup(surface, MappingProxyType(dict(ordered)))
             node[last] = (node.get(last, ({}, None))[0], group)
+        # "?" and "," are one span of their shared group, whatever is listed
+        self._trie.update((p, ({}, group)) for p, group in _PUNCT_GROUPS.items())
 
     def surfaces(self, category: Category) -> tuple[str, ...]:
         return self._surfaces.get(category, ())
@@ -207,9 +212,6 @@ def load_lexicon(document: str) -> Lexicon:
     return Lexicon(tuple(entries))
 
 
-_PUNCT_GROUPS = {p: TokenGroup(p, MappingProxyType({Category.PUNCT: p})) for p in "?,"}
-
-
 def _name_group(syllables: list[str]) -> TokenGroup:
     run = " ".join(syllables)
     categories = dict.fromkeys(NAME_KINDS, run)
@@ -227,8 +229,9 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     gazetteer kind (plus a year literal when the run is a single 4-digit
     number).  Entries are unique by (category, surface), so a span never
     holds one category twice.  The lexicon's trie is walked once per
-    position.  Each lexicon surface, "?" and "," has one group, built once
-    and shared by all its spans; only an unknown run gets a new group.
+    position.  Each lexicon surface has one group, built once and shared by
+    all its spans, and "?" and "," the groups every lexicon's trie holds at
+    its root; only an unknown run gets a new group.
     """
     syllables = query.split(" ") if query else []
     trie = lexicon._trie
@@ -237,24 +240,22 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     i = 0
     n = len(syllables)
     while i < n:
-        group = _PUNCT_GROUPS.get(syllables[i])
-        end = i + 1
+        group = None
+        node = trie
+        k = i
+        while k < n:
+            hit = node.get(syllables[k])
+            if hit is None:
+                break
+            node, found = hit
+            k += 1
+            if found is not None:
+                group, end = found, k
         if group is None:
-            node = trie
-            k = i
-            while k < n:
-                hit = node.get(syllables[k])
-                if hit is None:
-                    break
-                node, found = hit
-                k += 1
-                if found is not None:
-                    group, end = found, k
-            if group is None:
-                if run is None:
-                    run = i
-                i += 1
-                continue
+            if run is None:
+                run = i
+            i += 1
+            continue
         if run is not None:
             groups.append(_name_group(syllables[run:i]))
             run = None
@@ -269,11 +270,11 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
 #
 # A template category maps to its ordered alternatives, each a tuple of parts
 # and the name of the builder that makes the constituent's value.  A part is
-# a tuple of token categories (one token of the first of them it has), a
-# literal surface or a Category (a nested constituent); a rule body in
-# ``viquery.grammar`` uses the last two, plus brackets.  The parser runs each
-# template as a program of its rule matcher: the first alternative that
-# matches wins and no later one is tried.  The sampler realizes the first.
+# a tuple of token categories (one token of the first of them it has, as
+# one alternative per category), a literal surface or a Category (a nested
+# constituent); a rule body in ``viquery.grammar`` uses the last two, plus
+# brackets.  The parser runs each template as a program of its rule matcher:
+# the first alternative that matches wins.  The sampler realizes the first.
 
 #: Value builders by name, over the values of an alternative's non-literal parts
 BUILDERS = {

@@ -2,7 +2,7 @@
 
 Each rule compiles once, when it is built, to a flat program of ``LIT``,
 ``TOK``, ``CAT``, ``SPLIT``, ``JUMP`` and ``MATCH`` instructions (see
-:func:`viquery.grammar.compile_terms`).  An optional ``[body]`` becomes
+:func:`viquery.grammar.compile_program`).  An optional ``[body]`` becomes
 ``SPLIT body, after`` and a group ``{body}`` becomes
 ``L: SPLIT body, after; body; JUMP L``, so an optional is tried present
 before absent and a group tries one more iteration before it exits.
@@ -140,12 +140,7 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], at: int, scans: dict):
                 stack.append((alt, pos, chain))
                 pc = arg
             elif op == TOK:
-                if pos >= n:
-                    break
-                categories = groups[pos].categories
-                value = categories.get(arg)
-                if value is None and type(arg) is tuple:  # the first category it has
-                    value = next((v for v in map(categories.get, arg) if v is not None), None)
+                value = groups[pos].categories.get(arg) if pos < n else None
                 if value is None:
                     break
                 chain = ((arg, value, groups[pos].surface), chain)

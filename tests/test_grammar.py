@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viquery.cli import data_path
 from viquery.grammar import (
     CAT,
     LIT,
@@ -133,8 +134,24 @@ def test_builtin_grammar_validates_against_seed_lexicon(grammar, lexicon):
 def test_validate_reports_unrealizable_category(grammar):
     tiny = load_lexicon("verb_write\tviết\tviết\n")
     diagnostics = validate(parse_rule_dsl('<X> = <plural> <book> "?"'), tiny)
+    # once each, in the order a walk through <book>'s program meets them;
+    # name_book and name_subject need no entry: unknown runs have them
     assert diagnostics == ["X: category <plural> has no lexicon entries",
+                           "X: category <book_type> has no lexicon entries",
+                           "X: category <is_of> has no lexicon entries",
+                           "X: category <subject> has no lexicon entries",
                            "X: unregistered family 'X'"]
+
+
+def test_validate_reports_category_read_inside_a_template(grammar):
+    lines = data_path("lexicon_v1.tsv").read_text(encoding="utf-8").splitlines()
+    lexicon = load_lexicon("\n".join(line for line in lines
+                                      if not line.startswith("noun_time\t")))
+    # every rule with a time phrase needs "năm"; none of them says noun_time
+    with_time = [rule.id for rule in grammar if "<time_phrase>" in render_dsl((rule,))]
+    assert len(with_time) == 44
+    assert validate(grammar, lexicon) == [
+        f"{rule_id}: category <noun_time> has no lexicon entries" for rule_id in with_time]
 
 
 def test_validate_reports_family_problems(lexicon):

@@ -275,6 +275,18 @@ def test_lexicon_surface_and_punctuation_groups_are_shared(lexicon):
     assert again[0] is again[2] is stream[5]
 
 
+def test_punctuation_entries_do_not_replace_the_shared_groups(lexicon):
+    # a lexicon listing "?" and a surface that begins with "," still gets
+    # the punctuation groups every lexicon shares
+    odd = load_lexicon("verb_write\t?\tviết\nconjunction\t, và\tvà\nconjunction\tvà\tvà\n")
+    query = "sách , và b ?"
+    stream = tokenize(query, odd)
+    assert [g.surface for g in stream] == ["sách", ",", "và", "b", "?"]
+    assert stream == legacy_tokenize(query, odd)
+    shared = tokenize("sách b , c ?", lexicon)
+    assert stream[1] is shared[2] and stream[4] is shared[4]
+
+
 def test_unknown_run_group_is_new_per_call(lexicon):
     # "b" is a name in the built-in lexicon, so its group is shared; an
     # unlisted name is not, while the surface before it is

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import legacy_parse, legacy_scan_constituent
 from viquery import parser
 from viquery.cli import main
-from viquery.grammar import (CAT, JUMP, LIT, MATCH, SPLIT, TEMPLATE_PROGRAMS, TOK, compile_terms,
-                             parse_rule_dsl)
+from viquery.grammar import (CAT, JUMP, LIT, MATCH, SPLIT, TEMPLATE_PROGRAMS, TOK,
+                             compile_program, parse_rule_dsl)
 from viquery.lexicon import BUILDERS, TEMPLATES, Category, normalize, tokenize
 from viquery.parser import candidate_rules, match_rule, parse
 
@@ -61,7 +61,8 @@ def test_compile_priority_order():
     assert rule.first == {Category.BOOK_TYPE}
     # what a <book> alternative ends in: the group may be taken or not
     assert rule.last == {Category.NAME_BOOK, Category.NAME_SUBJECT, "nào", Category.BOOK_TYPE}
-    assert compile_terms(rule.terms) == rule.program
+    # a rule body is one alternative, with no builder
+    assert compile_program([(rule.terms, None)]) == rule.program
 
 
 def test_compile_template_programs():
@@ -83,15 +84,26 @@ def test_compile_template_programs():
         (TOK, Category.BOOK_TYPE, 0),    # the last alternative: no SPLIT
         (MATCH, "any_book", 0),
     )
-    # a part of several categories: one token of the first the group has
+    # a part of several categories: one alternative per category, in order
     assert TEMPLATE_PROGRAMS[Category.BY_AUTHOR] == (
-        (TOK, (Category.POSSESSIVE, Category.AGENT), 0),
+        (SPLIT, 1, 4),
+        (TOK, Category.POSSESSIVE, 0),
+        (CAT, Category.AUTHOR, 0),
+        (MATCH, "last", 0),
+        (TOK, Category.AGENT, 0),
         (CAT, Category.AUTHOR, 0),
         (MATCH, "last", 0),
     )
     assert TEMPLATE_PROGRAMS.keys() == TEMPLATES.keys()
     assert {arg for program in TEMPLATE_PROGRAMS.values()
             for op, arg, _ in program if op == MATCH} == BUILDERS.keys()
+
+
+def test_every_token_instruction_reads_one_category(grammar):
+    toy = parse_rule_dsl(TOY_RULES.read_text(encoding="utf-8"))
+    programs = [rule.program for rule in grammar + toy] + list(TEMPLATE_PROGRAMS.values())
+    args = [arg for program in programs for op, arg, _ in program if op == TOK]
+    assert args and all(isinstance(arg, Category) for arg in args)
 
 
 def test_template_scans_match_legacy(lexicon, generated):
