@@ -8,8 +8,8 @@ the parts a phrase template alternative uses (see
 terminal is a plain ``str`` and a bracket is a :class:`Bracket`.  Since a
 ``Category`` is a ``str``, code telling parts apart tests ``Category``
 first.  File order is priority order for the parser.  Each rule compiles,
-when it is built, and each template at import, to a flat program that the
-parser's matcher runs; a rule's prefilter keys come from the programs.
+when it is built, to one flat program that the parser's matcher runs, with
+each template slot inlined; its prefilter keys come from the program.
 """
 
 from __future__ import annotations
@@ -36,20 +36,23 @@ class Bracket(NamedTuple):
     body: tuple
 
 
-#: Matcher instructions, as ``(op, arg, alt)`` triples.  ``LIT s`` consumes
-#: one token group whose surface is ``s``; ``TOK c`` consumes one token group
-#: of the non-template category ``c``; ``CAT c`` consumes one constituent of
-#: the template category ``c``; ``SPLIT a b`` tries ``a`` first and ``b`` on
-#: failure; ``JUMP a`` continues at ``a``; ``MATCH`` accepts at the end of the
-#: stream, or for a template anywhere, with the value that the builder it
-#: names makes.
-LIT, TOK, CAT, SPLIT, JUMP, MATCH = range(6)
+#: Matcher instructions, as ``(op, arg, alt)`` triples; jumps are relative.
+#: ``LIT s`` consumes one token group whose surface is ``s``, ``TOK c`` one
+#: of the category ``c``; ``ATOM c`` (``alt``: the block's length) opens an
+#: inlined template of the category ``c``, whose alternatives each end in a
+#: ``COMMIT b`` that makes the value with the builder ``b`` and goes on after
+#: the block; ``SPLIT d`` tries the next instruction, then on failure the
+#: one ``d`` further on; ``JUMP d`` goes ``d`` on; ``MATCH`` accepts at the end.
+LIT, TOK, ATOM, SPLIT, JUMP, COMMIT, MATCH = range(7)
 
 
 def _emit(terms: tuple, program: list) -> None:
     for term in terms:
         if isinstance(term, Category):  # before str: a Category is a str
-            program.append((CAT if term in TEMPLATES else TOK, term, 0))
+            if term in TEMPLATES:
+                program.extend(_block(term))
+            else:
+                program.append((TOK, term, 0))
         elif isinstance(term, str):
             program.append((LIT, term, 0))
         elif type(term) is tuple:  # a template part, one category by now
@@ -62,15 +65,16 @@ def _emit(terms: tuple, program: list) -> None:
             program.append(None)
             _emit(term.body, program)
             if term.opener == "{":
-                program.append((JUMP, split, 0))
-            program[split] = (SPLIT, split + 1, len(program))
+                program.append((JUMP, split - len(program), 0))
+            program[split] = (SPLIT, len(program) - split, 0)
 
 
 def compile_program(alternatives: list) -> tuple[tuple, ...]:
     """Compile ordered ``(parts, builder)`` alternatives, each but the last
-    tried first by a ``SPLIT`` and each ending in a ``MATCH`` that names its
-    builder; a rule body is one alternative with builder None.  A part of
-    several categories becomes one alternative per category, in order."""
+    tried first by a ``SPLIT`` and each ending in a ``COMMIT`` of its
+    builder; a rule body is one alternative with builder None, which ends in
+    ``MATCH``.  A part of several categories becomes one alternative per
+    category, in order."""
     *tried, last = [(choice, builder) for parts, builder in alternatives
                     for choice in itertools.product(*[
                         [(c,) for c in part] if type(part) is tuple else [part]
@@ -80,15 +84,18 @@ def compile_program(alternatives: list) -> tuple[tuple, ...]:
         split = len(program)
         program.append(None)
         _emit(parts, program)
-        program.append((MATCH, builder, 0))
-        program[split] = (SPLIT, split + 1, len(program))
+        program.append((COMMIT, builder, 0))
+        program[split] = (SPLIT, len(program) - split, 0)
     _emit(last[0], program)
-    return (*program, (MATCH, last[1], 0))
+    return (*program, (MATCH, None, 0) if last[1] is None else (COMMIT, last[1], 0))
 
 
-#: Each template category's program, which the parser runs for a ``CAT``.
-TEMPLATE_PROGRAMS = {category: compile_program(alternatives)
-                     for category, alternatives in TEMPLATES.items()}
+@functools.cache
+def _block(category: Category) -> tuple[tuple, ...]:
+    """A template slot's code, compiled once and copied into every slot: no
+    brackets, so each ``SPLIT`` in it is reached only through its ``ATOM``."""
+    body = compile_program(TEMPLATES[category])
+    return ((ATOM, category, 1 + len(body)), *body)
 
 
 class SyntacticRule(NamedTuple):
@@ -124,37 +131,42 @@ def family_of(rule_id: str) -> str:
 
 def _walk(program: tuple) -> tuple[dict, dict, dict]:
     """What a program consumes on its way to each instruction, and to any
-    ``MATCH`` at ``len(program)``: the keys every path consumes, and those
-    of which the first and the last group it consumes holds one (None: a
-    path may consume none).  One pass in order sees every path, as every
-    step goes forward once a ``JUMP`` back to its group's ``SPLIT`` is taken
-    as a step to the group's exit, the next instruction: another iteration
-    adds no key."""
+    ``MATCH`` or ``COMMIT`` at ``len(program)``: the keys every path
+    consumes, and those of which the first and the last group it consumes
+    holds one (None: a path may consume none).  One pass in order sees
+    every path, as every step goes forward once a ``JUMP`` back to its
+    group's ``SPLIT`` is taken as a step to the group's exit, the next
+    instruction (another iteration adds no key), and an inlined block is
+    stepped over with what its template consumes."""
     needs, heads, tails = {0: frozenset()}, {0: frozenset([None])}, {0: frozenset([None])}
-    for pc, (op, arg, alt) in enumerate(program):
+    pc = 0
+    while pc < len(program):
+        op, arg, alt = program[pc]
         need, head, tail = needs[pc], heads[pc], tails[pc]
-        if op in (LIT, TOK, CAT):
+        if op in (LIT, TOK, ATOM):
             consumed, first, tail = _consumed(op, arg)
             need |= consumed
             if None in head:
                 head = head - {None} | first
-        steps = (len(program),) if op == MATCH else (pc + 1, alt) if op == SPLIT else (pc + 1,)
+        steps = ((len(program),) if op in (COMMIT, MATCH) else (pc + 1, pc + arg)
+                 if op == SPLIT else (pc + alt,) if op == ATOM else (pc + 1,))
         for step in steps:
             if step in needs:  # a join: merge with what reached it before
                 needs[step], heads[step], tails[step] = (
                     needs[step] & need, heads[step] | head, tails[step] | tail)
             else:
                 needs[step], heads[step], tails[step] = need, head, tail
+        pc = pc + alt if op == ATOM else pc + 1
     return needs, heads, tails
 
 
 @functools.lru_cache(maxsize=1024)
 def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
-    """The keys a ``LIT``, ``TOK`` or ``CAT`` consumes wherever it matches, and
-    those of which its first and its last group holds one."""
-    if op == CAT:  # what the template's program consumes to any MATCH
-        program = TEMPLATE_PROGRAMS[arg]
-        return tuple(keys[len(program)] for keys in _walk(program))
+    """The keys a ``LIT``, a ``TOK`` or an inlined block consumes wherever
+    it matches, and those of which its first and its last group holds one."""
+    if op == ATOM:  # what the template's alternatives consume to a COMMIT
+        body = _block(arg)[1:]
+        return tuple(keys[len(body)] for keys in _walk(body))
     keys = frozenset([arg])
     return keys, keys, keys
 
@@ -250,23 +262,13 @@ def _categories_of(terms: tuple):
             yield from _categories_of(term.body)
 
 
-def _token_categories(program: tuple):
-    """The category of each ``TOK`` in a program and, through each ``CAT``,
-    in the template programs it runs, in program order."""
-    for op, arg, _ in program:
-        if op == TOK:
-            yield arg
-        elif op == CAT:
-            yield from _token_categories(TEMPLATE_PROGRAMS[arg])
-
-
 def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
     """Diagnostics: unrealizable categories (a year and a name need no
     entry: tokenize gives them to unknown runs), rules not ending in '?',
     then each problem :func:`viquery.semantics.check_families` reports."""
     diagnostics: list[str] = []
     for rule in grammar:
-        for category in dict.fromkeys(_token_categories(rule.program)):
+        for category in dict.fromkeys(arg for op, arg, _ in rule.program if op == TOK):
             if category not in (Category.YEAR, *NAME_KINDS) and not lexicon.surfaces(category):
                 diagnostics.append(
                     f"{rule.id}: category <{category.value}> has no lexicon entries")

@@ -273,8 +273,9 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
 # a tuple of token categories (one token of the first of them it has, as
 # one alternative per category), a literal surface or a Category (a nested
 # constituent); a rule body in ``viquery.grammar`` uses the last two, plus
-# brackets.  The parser runs each template as a program of its rule matcher:
-# the first alternative that matches wins.  The sampler realizes the first.
+# brackets.  Each slot inlines its template into the rule's program as an
+# atomic group: the first alternative that matches wins.  The sampler
+# realizes the first.
 
 #: Value builders by name, over the values of an alternative's non-literal parts
 BUILDERS = {

@@ -1,32 +1,37 @@
 """Compiled matcher: tokens against flat rule patterns, full span only.
 
-Each rule compiles once, when it is built, to a flat program of ``LIT``,
-``TOK``, ``CAT``, ``SPLIT``, ``JUMP`` and ``MATCH`` instructions (see
-:func:`viquery.grammar.compile_program`).  An optional ``[body]`` becomes
-``SPLIT body, after`` and a group ``{body}`` becomes
+Each rule compiles once, when it is built, to one flat program of ``LIT``,
+``TOK``, ``ATOM``, ``COMMIT``, ``SPLIT``, ``JUMP`` and ``MATCH``
+instructions (see :func:`viquery.grammar.compile_program`).  An optional
+``[body]`` becomes ``SPLIT body, after`` and a group ``{body}`` becomes
 ``L: SPLIT body, after; body; JUMP L``, so an optional is tried present
 before absent and a group tries one more iteration before it exits.
 
-:func:`match_rule` runs a program as an iterative depth-first search that
-takes the first branch of every ``SPLIT`` first, so the first complete match
-it finds is the first in that priority order and results are deterministic.
-A visited set over (``SPLIT``, position) explores no branch point twice.
-Every loop passes through its ``SPLIT``, which rejects a group iteration
-that consumes nothing, and the states between two ``SPLIT``s form a
-straight line that cannot match on a second walk if it did not on the
-first: the search is bounded by ``SPLIT`` states times straight-line
-length.  Bindings are kept in a chain of ``(binding, parent)`` links.
+:func:`match_rule` runs a program in one loop, as an iterative depth-first
+search that takes the first branch of every ``SPLIT`` first, so the first
+complete match it finds is the first in that priority order and results
+are deterministic.  A visited set over (``SPLIT``, position) explores no
+branch point twice.  Every loop passes through its ``SPLIT``, which rejects
+a group iteration that consumes nothing, and the states between two
+``SPLIT``s form a straight line that cannot match on a second walk if it
+did not on the first: the search is bounded by ``SPLIT`` states times
+straight-line length.  Bindings are kept in a chain of ``(binding,
+parent)`` links.
 
-One loop runs the programs of rules and of phrase templates.  A ``TOK``
-reads the token group at the position inline; a ``CAT`` consumes one
-constituent of a template category, which :func:`scan_constituent` matches
-by running that template's program.  A rule's ``MATCH`` accepts only after
-the last group, a template's wherever it is reached, so the first template
-alternative that matches wins and no later one is tried (an atomic ordered
-choice).  :func:`parse` shares one table among all rules of a query.  It
-holds each span a rule's ``CAT`` scanned, by (position, category), as a
-finished ``(category, value, surface)``, and each matched sequence of those
-with its :class:`ConstituentBinding` tuple, so parses that bind the same
+A ``TOK`` reads the token group at the position inline.  A phrase template
+slot is an atomic group (the Choice/Commit pair of Medeiros and
+Ierusalimschy's parsing machine for PEGs): ``ATOM c``, then the template's
+alternatives, each ending in ``COMMIT``.  :func:`parse` shares one table
+among all rules of a query that holds, by (position, category), a
+template's finished ``(category, value, surface)`` span and the position
+after it, or None where it does not match.  An ``ATOM`` with an entry binds
+the span and goes on after its block, or fails.  Without one it notes the
+stack depth, its key and the chain, pushes a failure marker (which stores
+the failure when popped) and tries the alternatives.  The first ``COMMIT``
+reached builds the value from the bindings made since the ``ATOM``, stores
+the span and drops the marker and the untried alternatives.  The table
+also holds each matched sequence of spans with its
+:class:`ConstituentBinding` tuple, so parses that bind the same
 constituents share one ``bindings`` tuple.
 
 :func:`parse` tries only the rules :func:`candidate_rules` keeps.  It skips
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grammar import CAT, JUMP, LIT, SPLIT, TEMPLATE_PROGRAMS, TOK, SyntacticRule
+from .grammar import ATOM, COMMIT, JUMP, LIT, SPLIT, TOK, SyntacticRule
 from .lexicon import BUILDERS, Category, Lexicon, TokenGroup, normalize, tokenize
 
 #: Longest query :func:`parse` accepts, in characters before normalization.
@@ -72,28 +77,19 @@ class ParseResult(NamedTuple):
     bindings: tuple[ConstituentBinding, ...]
 
 
-_UNSCANNED = object()
-
-
 def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
-               scans: dict | None = None) -> ParseResult | None:
+               table: dict | None = None) -> ParseResult | None:
     """Match the whole tuple of token groups against one rule, or return None.
 
-    ``scans`` is the per-query table of spans and bindings tuples that
+    ``table`` is the per-query table of spans and bindings tuples that
     :func:`parse` shares among all rules of a query (see the module doc).
     """
-    if scans is None:
-        scans = {}
-    found = _run(rule.program, groups, 0, scans)
-    if found is None:
+    if table is None:
+        table = {}
+    key = _run(rule.program, groups, table)
+    if key is None:
         return None
-    chain = found[0]
-    matched = []
-    while chain is not None:
-        binding, chain = chain
-        matched.append(binding)
-    key = tuple(reversed(matched))
-    bindings = scans.get(key)
+    bindings = table.get(key)
     if bindings is None:  # ordinals depend on the sequence alone
         counters: dict[Category, int] = {}
         built = []
@@ -101,35 +97,23 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
             ordinal = counters.get(category, 0)
             counters[category] = ordinal + 1
             built.append(ConstituentBinding(category, value, surface, ordinal))
-        bindings = scans[key] = tuple(built)
+        bindings = table[key] = tuple(built)
     return ParseResult(rule.id, rule.family, bindings)
 
 
-def scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category):
-    """One constituent of the template ``category`` at group index ``at``:
-    (the value its ``MATCH``'s builder makes, first unconsumed position) or
-    None."""
-    found = _run(TEMPLATE_PROGRAMS[category], groups, at, {})
-    if found is None:
-        return None
-    chain, after, builder = found
-    values = []
-    while chain is not None:
-        (_, value, _), chain = chain
-        values.append(value)
-    return BUILDERS[builder](values[::-1]), after
-
-
-def _run(program: tuple, groups: tuple[TokenGroup, ...], at: int, scans: dict):
-    """Run a program from group index ``at``: (binding chain, end position,
-    builder name) at the first ``MATCH`` that accepts, or None.  A rule's
-    ``MATCH`` (no builder) accepts only at the end, a template's anywhere."""
+def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict):
+    """Run a rule's program over all the groups: the tuple of spans its
+    first match binds (empty when it binds none), or None."""
     n = len(groups)
     width = n + 1
     visited: set[int] = set()
-    stack = [(0, at, None)]
+    stack = [(0, 0, None)]
+    atoms = []  # (stack depth, table key, chain, end) of each open ATOM
     while stack:
         pc, pos, chain = stack.pop()
+        if pc is None:  # no alternative of the ATOM matched
+            table[atoms.pop()[1]] = None
+            continue
         while True:
             op, arg, alt = program[pc]
             if op == SPLIT:
@@ -137,8 +121,8 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], at: int, scans: dict):
                 if state in visited:
                     break
                 visited.add(state)
-                stack.append((alt, pos, chain))
-                pc = arg
+                stack.append((pc + arg, pos, chain))
+                pc += 1
             elif op == TOK:
                 value = groups[pos].categories.get(arg) if pos < n else None
                 if value is None:
@@ -146,31 +130,43 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], at: int, scans: dict):
                 chain = ((arg, value, groups[pos].surface), chain)
                 pc += 1
                 pos += 1
-            elif op == CAT:
+            elif op == ATOM:
                 key = (pos, arg)
-                span = scans.get(key, _UNSCANNED)
-                if span is _UNSCANNED:  # join the surface once per span
-                    span = scan_constituent(groups, pos, arg)
-                    if span is not None:
-                        value, after = span
-                        surface = (groups[pos].surface if after == pos + 1 else
-                                   " ".join([g.surface for g in groups[pos:after]]))
-                        span = ((arg, value, surface), after)
-                    scans[key] = span
-                if span is None:
+                span = table.get(key, ())  # (): no entry yet
+                if span:
+                    binding, pos = span
+                    chain = (binding, chain)
+                    pc += alt
+                elif span is None:
                     break
-                binding, pos = span
-                chain = (binding, chain)
-                pc += 1
+                else:
+                    atoms.append((len(stack), key, chain, pc + alt))
+                    stack.append((None, 0, None))  # the failure marker
+                    pc += 1
             elif op == LIT:
                 if pos >= n or groups[pos].surface != arg:
                     break
                 pc += 1
                 pos += 1
+            elif op == COMMIT:
+                depth, key, outer, pc = atoms.pop()
+                values = []
+                while chain is not outer:
+                    (_, value, _), chain = chain
+                    values.append(value)
+                surface = " ".join([g.surface for g in groups[key[0]:pos]])
+                binding = (key[1], BUILDERS[arg](values[::-1]), surface)
+                table[key] = (binding, pos)
+                del stack[depth:]
+                chain = (binding, outer)
             elif op == JUMP:
-                pc = arg
-            elif arg is not None or pos == n:  # MATCH
-                return chain, pos, arg
+                pc += arg
+            elif pos == n:  # MATCH
+                matched = []
+                while chain is not None:
+                    binding, chain = chain
+                    matched.append(binding)
+                return tuple(reversed(matched))
             else:
                 break
     return None
@@ -192,10 +188,10 @@ def parse(query: str, grammar: tuple[SyntacticRule, ...],
     if not normalized:
         raise BlankQueryError("query is empty or blank")
     groups = tokenize(normalized, lexicon)
-    scans: dict = {}
+    table: dict = {}
     results = []
     for rule in candidate_rules(groups, grammar):
-        result = match_rule(groups, rule, scans)
+        result = match_rule(groups, rule, table)
         if result is not None:
             results.append(result)
     return results

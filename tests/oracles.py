@@ -6,7 +6,9 @@ a flat term list (in the parser's preference order) and linearly matches
 each expansion.  The legacy parser is the recursive backtracker that the
 compiled matcher replaced, kept as a fast differential reference; both
 scan phrase templates with the legacy template scanner, the recursive part
-interpreter that running templates on the compiled matcher replaced.  The
+interpreter that running templates on the compiled matcher replaced.
+``scan_template`` runs one template the way the parser does, through
+``match_rule`` on a one-slot rule, for comparison with that scanner.  The
 evaluation oracle re-derives answers per record by walking the semantic tree
 directly instead of compiling a filter list; a yes/no question that names
 several books holds when each of its one-book readings holds.  The legacy
@@ -26,7 +28,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, format_price
-from viquery.grammar import Bracket, SyntacticRule
+from viquery.grammar import Bracket, SyntacticRule, parse_rule_dsl
 from viquery.lexicon import (
     NAME_KINDS,
     BookValue,
@@ -38,7 +40,7 @@ from viquery.lexicon import (
     normalize,
     tokenize,
 )
-from viquery.parser import ConstituentBinding, ParseResult
+from viquery.parser import ConstituentBinding, ParseResult, match_rule
 from viquery.semantics import (
     _TIME_RELATION_NAMES,
     REL_AMOUNT,
@@ -55,8 +57,8 @@ from viquery.semantics import (
 # --- legacy template scanner -------------------------------------------------
 #
 # The recursive part interpreter the parser used before phrase templates ran
-# on its rule matcher, with value builders of its own: a reference for
-# ``viquery.parser.scan_constituent`` that shares only ``TEMPLATES`` with it.
+# on its rule matcher, with value builders of its own: a reference for the
+# templates inlined in rule programs that shares only ``TEMPLATES`` with them.
 
 _LEGACY_BUILDERS = {
     "last": lambda *values: values[-1],
@@ -104,6 +106,27 @@ def legacy_scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: C
             values.append(value)
         else:
             return _LEGACY_BUILDERS[builder](*values), pos
+    return None
+
+
+@functools.cache
+def _one_slot_rule(category: Category) -> SyntacticRule:
+    return parse_rule_dsl(f"<R> = <{category.value}>\n")[0]
+
+
+def scan_template(groups: tuple[TokenGroup, ...], at: int, category: Category):
+    """The template ``category`` at group index ``at`` as the parser matches
+    it: (value, first unconsumed position) or None.  The one-slot rule
+    ``<R> = <category>`` is matched on ``groups[at:end]``, longest first.
+    The alternative committed on the whole stream is the one at the longest
+    ``end`` that matches: an alternative that fails on the whole stream also
+    fails on a prefix of it, and an atomic slot cannot stretch past its
+    commit, so every longer ``end`` fails."""
+    rule = _one_slot_rule(category)
+    for end in range(len(groups), at, -1):
+        result = match_rule(groups[at:end], rule)
+        if result is not None:
+            return result.bindings[0].value, end
     return None
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from viquery.cli import data_path
 from viquery.grammar import (
-    CAT,
+    ATOM,
     LIT,
     Bracket,
     GrammarError,
@@ -43,7 +43,7 @@ def test_literal_equal_to_a_category_value_stays_a_literal():
     # from loading to the family check may confuse the two
     document = '<Q6.1z> = "book" <what_price> "?"\n<X> = "book" <book> "?"\n'
     q61z, x = parse_rule_dsl(document)
-    assert repr(x.program[:2]) == repr(((LIT, "book", 0), (CAT, Category.BOOK, 0)))
+    assert repr(x.program[:2]) == repr(((LIT, "book", 0), (ATOM, Category.BOOK, 23)))
     assert type(x.terms[0]) is str and x.terms[1] is Category.BOOK
     with pytest.raises(TransformError) as caught:
         check_families((q61z,))
@@ -96,7 +96,8 @@ def test_bracket_nesting_capped():
     with pytest.raises(GrammarError, match="nested deeper than 32"):
         parse_rule_dsl('<X> = ' + '{' * 33 + '<book>' + '}' * 33)
     at_cap = parse_rule_dsl('<X> = ' + '[' * 32 + '<book>' + ']' * 32 + ' "?"')
-    assert len(at_cap[0].program) == 32 + 3  # a SPLIT per level, <book>, "?", MATCH
+    # a SPLIT per level, the 23 instructions of the <book> block, "?", MATCH
+    assert len(at_cap[0].program) == 32 + 23 + 2
 
 
 _DSL_PIECES = st.sampled_from(

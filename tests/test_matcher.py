@@ -1,7 +1,7 @@
 """The compiled matcher: agreement with the recursive backtracker and the
-template part interpreter it replaced, template programs and their
+template part interpreter it replaced, inlined template blocks and their
 atomicity, questions with hundreds of coordinated books, the rule
-prefilter, and rule-attempt and scan counts."""
+prefilter, and rule-attempt and span counts."""
 
 import random
 from pathlib import Path
@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import legacy_parse, legacy_scan_constituent
+from oracles import legacy_parse, legacy_scan_constituent, scan_template
 from viquery import parser
 from viquery.cli import main
-from viquery.grammar import (CAT, JUMP, LIT, MATCH, SPLIT, TEMPLATE_PROGRAMS, TOK,
-                             compile_program, parse_rule_dsl)
+from viquery.grammar import (ATOM, COMMIT, JUMP, LIT, MATCH, SPLIT, TOK, compile_program,
+                             parse_rule_dsl)
 from viquery.lexicon import BUILDERS, TEMPLATES, Category, normalize, tokenize
 from viquery.parser import candidate_rules, match_rule, parse
 
@@ -43,15 +43,48 @@ def _passive(count: int, unknown_only: bool = False) -> str:
     return f"{_books(count, unknown_only)} đã được ai viết ?"
 
 
+C = Category
+#: what a <subject> slot compiles to, wherever it is
+SUBJECT = (
+    (ATOM, C.SUBJECT, 7),          # the block's length: go on after it
+    (SPLIT, 4, 0),                 # alternatives in order: first first
+    (TOK, C.SUBJECT, 0),
+    (TOK, C.NAME_SUBJECT, 0),
+    (COMMIT, "last", 0),           # each alternative names its builder
+    (TOK, C.NAME_SUBJECT, 0),      # the last alternative: no SPLIT
+    (COMMIT, "last", 0),
+)
+#: what a <book> slot compiles to, wherever it is
+BOOK = (
+    (ATOM, C.BOOK, 23),
+    (SPLIT, 4, 0),
+    (TOK, C.BOOK_TYPE, 0),
+    (TOK, C.NAME_BOOK, 0),
+    (COMMIT, "title", 0),
+    (SPLIT, 12, 0),
+    (TOK, C.BOOK_TYPE, 0),
+    (LIT, "nào", 0),
+    (TOK, C.IS_OF, 0),
+    *SUBJECT,                      # a nested template: inlined the same way
+    (COMMIT, "book_of_subject", 0),
+    (SPLIT, 4, 0),
+    (TOK, C.BOOK_TYPE, 0),
+    (LIT, "nào", 0),
+    (COMMIT, "any_book", 0),
+    (TOK, C.BOOK_TYPE, 0),
+    (COMMIT, "any_book", 0),
+)
+
+
 def test_compile_priority_order():
     rule = parse_rule_dsl('<R> = <book> {[<conjunction>] <book>} "?"\n')[0]
     assert rule.program == (
-        (CAT, Category.BOOK, 0),
-        (SPLIT, 2, 6),                 # group: one more iteration first
-        (SPLIT, 3, 4),                 # optional: present first
+        *BOOK,                         # 0-22
+        (SPLIT, 27, 0),                # 23, group: one more iteration first
+        (SPLIT, 2, 0),                 # optional: present first
         (TOK, Category.CONJUNCTION, 0),  # one token: matched inline
-        (CAT, Category.BOOK, 0),
-        (JUMP, 1, 0),
+        *BOOK,                         # 26-48
+        (JUMP, -26, 0),                # back to the group's SPLIT
         (LIT, "?", 0),
         (MATCH, None, 0),
     )
@@ -66,49 +99,40 @@ def test_compile_priority_order():
 
 
 def test_compile_template_programs():
-    assert TEMPLATE_PROGRAMS[Category.BOOK] == (
-        (SPLIT, 1, 4),                   # alternatives in order: first first
-        (TOK, Category.BOOK_TYPE, 0),
-        (TOK, Category.NAME_BOOK, 0),
-        (MATCH, "title", 0),             # each alternative names its builder
-        (SPLIT, 5, 10),
-        (TOK, Category.BOOK_TYPE, 0),
-        (LIT, "nào", 0),
-        (TOK, Category.IS_OF, 0),
-        (CAT, Category.SUBJECT, 0),      # a nested template
-        (MATCH, "book_of_subject", 0),
-        (SPLIT, 11, 14),
-        (TOK, Category.BOOK_TYPE, 0),
-        (LIT, "nào", 0),
-        (MATCH, "any_book", 0),
-        (TOK, Category.BOOK_TYPE, 0),    # the last alternative: no SPLIT
-        (MATCH, "any_book", 0),
-    )
+    # each slot holds its template's block, compiled once and shared
+    rule = parse_rule_dsl('<R> = <book> <book> "?"\n')[0]
+    assert rule.program == (*BOOK, *BOOK, (LIT, "?", 0), (MATCH, None, 0))
+    assert all(a is b for a, b in zip(rule.program[:len(BOOK)], rule.program[len(BOOK):-2]))
     # a part of several categories: one alternative per category, in order
-    assert TEMPLATE_PROGRAMS[Category.BY_AUTHOR] == (
-        (SPLIT, 1, 4),
-        (TOK, Category.POSSESSIVE, 0),
-        (CAT, Category.AUTHOR, 0),
-        (MATCH, "last", 0),
-        (TOK, Category.AGENT, 0),
-        (CAT, Category.AUTHOR, 0),
-        (MATCH, "last", 0),
+    author = ((ATOM, C.AUTHOR, 4), (TOK, C.CREATOR, 0), (TOK, C.NAME_AUTHOR, 0),
+              (COMMIT, "last", 0))
+    assert parse_rule_dsl('<R> = <by_author> "?"\n')[0].program == (
+        (ATOM, C.BY_AUTHOR, 14),
+        (SPLIT, 7, 0),
+        (TOK, C.POSSESSIVE, 0),
+        *author,
+        (COMMIT, "last", 0),
+        (TOK, C.AGENT, 0),
+        *author,
+        (COMMIT, "last", 0),
+        (LIT, "?", 0),
+        (MATCH, None, 0),
     )
-    assert TEMPLATE_PROGRAMS.keys() == TEMPLATES.keys()
-    assert {arg for program in TEMPLATE_PROGRAMS.values()
-            for op, arg, _ in program if op == MATCH} == BUILDERS.keys()
+    every = parse_rule_dsl("<R> = " + " ".join(f"<{c.value}>" for c in TEMPLATES) + "\n")[0]
+    assert {arg for op, arg, _ in every.program if op == ATOM} == TEMPLATES.keys()
+    assert {arg for op, arg, _ in every.program if op == COMMIT} == BUILDERS.keys()
 
 
 def test_every_token_instruction_reads_one_category(grammar):
     toy = parse_rule_dsl(TOY_RULES.read_text(encoding="utf-8"))
-    programs = [rule.program for rule in grammar + toy] + list(TEMPLATE_PROGRAMS.values())
+    programs = [rule.program for rule in grammar + toy]
     args = [arg for program in programs for op, arg, _ in program if op == TOK]
     assert args and all(isinstance(arg, Category) for arg in args)
 
 
 def test_template_scans_match_legacy(lexicon, generated):
-    """Each template's program gives what the legacy part interpreter gives,
-    for every template category at every position."""
+    """Each template, run through a one-slot rule, gives what the legacy
+    part interpreter gives, for every template category at every position."""
     rng = random.Random(0)
     queries = generated + [_active(40), _passive(40)]
     for query in generated:
@@ -119,7 +143,7 @@ def test_template_scans_match_legacy(lexicon, generated):
         groups = tokenize(normalize(query), lexicon)
         for at in range(len(groups) + 1):
             for category in TEMPLATES:
-                assert (parser.scan_constituent(groups, at, category)
+                assert (scan_template(groups, at, category)
                         == legacy_scan_constituent(groups, at, category)), (query, at, category)
 
 
@@ -343,49 +367,51 @@ def attempts(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """(position, category) of every scan_constituent call a rule's CAT step
-    makes; the calls a template's CAT step makes inside one are not counted."""
-    calls = []
-    original = parser.scan_constituent
-    depth = []
-
-    def counting(stream, at, category):
-        if not depth:
-            calls.append((at, category))
-        depth.append(at)
-        try:
-            return original(stream, at, category)
-        finally:
-            depth.pop()
-
-    monkeypatch.setattr(parser, "scan_constituent", counting)
-    return calls
+def _spans(query, grammar, lexicon) -> dict:
+    """The (position, category) entries, a span or None each, of a table
+    that match_rule fills for each candidate rule of a query, as parse
+    does; the table's other entries are bindings tuples."""
+    groups = tokenize(normalize(query), lexicon)
+    table: dict = {}
+    for rule in candidate_rules(groups, grammar):
+        match_rule(groups, rule, table)
+    return {key: span for key, span in table.items() if key and type(key[0]) is int}
 
 
-def test_each_scan_made_once_per_parse(grammar, lexicon, corpus, scans):
+def test_each_scan_made_once_per_parse(grammar, lexicon, corpus, monkeypatch):
+    # every value built is a span stored once: no template is matched twice
+    # at one position in a question, not even nested in another
+    built = []
+
+    def counting(builder):
+        def build(values):
+            built.append(values)
+            return builder(values)
+        return build
+
+    for name, builder in list(BUILDERS.items()):
+        monkeypatch.setitem(BUILDERS, name, counting(builder))
     queries = [s for _, s in corpus] + [_active(40), _passive(40)]
     for query in queries:
-        scans.clear()
-        parse(query, grammar, lexicon)
-        assert len(scans) == len(set(scans)), query
+        built.clear()
+        spans = _spans(query, grammar, lexicon)
+        assert len(built) == sum(span is not None for span in spans.values()) > 0, query
 
 
 @pytest.mark.parametrize("form", [_active, _passive])
-def test_scans_grow_linearly_with_books(grammar, lexicon, form, scans):
+def test_scans_grow_linearly_with_books(grammar, lexicon, form):
     counts = []
     for books in (25, 50, 100, 200, 400):
-        scans.clear()
         assert parse(form(books), grammar, lexicon)
-        counts.append(len(scans))
+        counts.append(len(_spans(form(books), grammar, lexicon)))
     for fewer, more in zip(counts, counts[1:]):
         assert more <= 2.2 * fewer, counts
 
 
-def test_match_counts_on_generated_corpus(grammar, lexicon, generated, attempts, scans):
+def test_match_counts_on_generated_corpus(grammar, lexicon, generated, attempts):
     parses = sum(len(parse(query, grammar, lexicon)) for query in generated)
-    assert (len(attempts), len(scans), parses) == (2606, 5353, 1656)
+    spans = sum(len(_spans(query, grammar, lexicon)) for query in generated)
+    assert (len(attempts), spans, parses) == (2606, 5677, 1656)
 
 
 @pytest.mark.parametrize("form, count", [(_active, 2), (_passive, 2)])
