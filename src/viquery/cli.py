@@ -60,7 +60,7 @@ def _parse_report(result: ParseResult, json_output: bool) -> str:
             "family": result.family,
             "bindings": [
                 {
-                    "category": b.category.value,
+                    "category": b.category,
                     "surface": b.surface,
                     # a TimeValue or BookValue becomes an object
                     "value": b.value._asdict() if isinstance(b.value, tuple) else b.value,
@@ -72,7 +72,7 @@ def _parse_report(result: ParseResult, json_output: bool) -> str:
     lines = [f"rule: {result.rule_id}"]
     for b in result.bindings:
         value = "" if b.value is None else f"  ->  {_text_value(b.value)}"
-        lines.append(f"  {b.category.value}: {b.surface}{value}")
+        lines.append(f"  {b.category}: {b.surface}{value}")
     return "\n".join(lines)
 
 

@@ -4,10 +4,10 @@ Rules are flat patterns over category slots — no nonterminal cascades.  A
 rule body is a sequence of ``<category>`` slots, ``[ ... ]`` optionals,
 ``{ ... }`` zero-or-more groups and double-quoted terminals.  It is held in
 the parts a phrase template alternative uses (see
-:data:`viquery.lexicon.TEMPLATES`): a slot is its :class:`Category`, a
-terminal is a plain ``str`` and a bracket is a :class:`Bracket`.  Since a
-``Category`` is a ``str``, code telling parts apart tests ``Category``
-first.  File order is priority order for the parser.  Each rule compiles,
+:data:`viquery.lexicon.TEMPLATES`): a slot is its category's name, a plain
+``str``, a terminal is a :class:`~viquery.lexicon.Lit` and a bracket is a
+:class:`Bracket`, so code telling parts apart reads each part's type once.
+File order is priority order for the parser.  Each rule compiles,
 when it is built, to one flat program that the parser's matcher runs, with
 each template slot inlined; its prefilter keys come from the program.
 """
@@ -18,9 +18,10 @@ import functools
 import itertools
 import random
 import re
+import sys
 from typing import NamedTuple
 
-from .lexicon import Category, GRAMMAR_CATEGORIES, NAME_KINDS, TEMPLATES, Lexicon
+from .lexicon import GRAMMAR_CATEGORIES, NAME_KINDS, TEMPLATES, Lexicon, Lit
 from .semantics import _family_problems
 
 
@@ -48,13 +49,13 @@ LIT, TOK, ATOM, SPLIT, JUMP, COMMIT, MATCH = range(7)
 
 def _emit(terms: tuple, program: list) -> None:
     for term in terms:
-        if isinstance(term, Category):  # before str: a Category is a str
+        if type(term) is str:
             if term in TEMPLATES:
                 program.extend(_block(term))
             else:
                 program.append((TOK, term, 0))
-        elif isinstance(term, str):
-            program.append((LIT, term, 0))
+        elif type(term) is Lit:
+            program.append((LIT, term.surface, 0))
         elif type(term) is tuple:  # a template part, one category by now
             program.append((TOK, term[0], 0))
         else:
@@ -91,7 +92,7 @@ def compile_program(alternatives: list) -> tuple[tuple, ...]:
 
 
 @functools.cache
-def _block(category: Category) -> tuple[tuple, ...]:
+def _block(category: str) -> tuple[tuple, ...]:
     """A template slot's code, compiled once and copied into every slot: no
     brackets, so each ``SPLIT`` in it is reached only through its ``ATOM``."""
     body = compile_program(TEMPLATES[category])
@@ -101,7 +102,8 @@ def _block(category: Category) -> tuple[tuple, ...]:
 class SyntacticRule(NamedTuple):
     id: str
     family: str
-    #: ``Category`` slots, ``str`` literals and :class:`Bracket` parts
+    #: category slots (``str``), :class:`~viquery.lexicon.Lit` and
+    #: :class:`Bracket` parts
     terms: tuple
     #: the compiled body, see :func:`compile_program`
     program: tuple[tuple, ...]
@@ -118,7 +120,6 @@ class SyntacticRule(NamedTuple):
 _FAMILY_RE = re.compile(r"^(.+\d)([a-z])$")
 _LHS_RE = re.compile(r"^<([^<>\s]+)>\s*=\s*(.*)$")
 _BODY_TOKEN_RE = re.compile(r'<([^<>\s]+)>|"([^"]*)"|([\[{])|([\]}])|(\S+)')
-_CATEGORIES = {c.value: c for c in GRAMMAR_CATEGORIES}
 #: deepest ``[...]``/``{...}`` nesting a rule body may use
 _MAX_NESTING = 32
 
@@ -177,7 +178,7 @@ def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
     end = terms[-1]
     # a literal or a one-token slot at the end consumes the last group alone,
     # and what reaches it holds the group before
-    anchored = type(end) is str or isinstance(end, Category) and end not in TEMPLATES
+    anchored = type(end) in (str, Lit) and end not in TEMPLATES
     return SyntacticRule(rule_id, family_of(rule_id), terms, program, needs[len(program)],
                          heads[len(program)], tails[len(program) - 2] if anchored else None)
 
@@ -188,12 +189,11 @@ def _parse_body(text: str, lineno: int) -> tuple:
     for m in _BODY_TOKEN_RE.finditer(text):
         name, literal, opener, closer, other = m.groups()
         if name is not None:
-            category = _CATEGORIES.get(name)
-            if category is None:
+            if name not in GRAMMAR_CATEGORIES:
                 raise GrammarError(f"line {lineno}: unknown category <{name}>")
-            terms.append(category)
+            terms.append(sys.intern(name))
         elif literal is not None:
-            terms.append(literal)
+            terms.append(Lit(literal))
         elif opener:
             if len(stack) == _MAX_NESTING:
                 raise GrammarError(
@@ -237,10 +237,10 @@ def parse_rule_dsl(document: str) -> tuple[SyntacticRule, ...]:
 
 
 def _render_term(term) -> str:
-    if isinstance(term, Category):  # before str: a Category is a str
-        return f"<{term.value}>"
-    if isinstance(term, str):
-        return f'"{term}"'
+    if type(term) is str:
+        return f"<{term}>"
+    if type(term) is Lit:
+        return f'"{term.surface}"'
     inner = " ".join(_render_term(t) for t in term.body)
     return f"[{inner}]" if term.opener == "[" else f"{{{inner}}}"
 
@@ -256,9 +256,9 @@ def render_dsl(grammar: tuple[SyntacticRule, ...]) -> str:
 
 def _categories_of(terms: tuple):
     for term in terms:
-        if isinstance(term, Category):
+        if type(term) is str:
             yield term
-        elif isinstance(term, Bracket):
+        elif type(term) is Bracket:
             yield from _categories_of(term.body)
 
 
@@ -269,10 +269,9 @@ def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
     diagnostics: list[str] = []
     for rule in grammar:
         for category in dict.fromkeys(arg for op, arg, _ in rule.program if op == TOK):
-            if category not in (Category.YEAR, *NAME_KINDS) and not lexicon.surfaces(category):
-                diagnostics.append(
-                    f"{rule.id}: category <{category.value}> has no lexicon entries")
-        if type(rule.terms[-1]) is not str or rule.terms[-1] != "?":
+            if category not in ("year", *NAME_KINDS) and not lexicon.surfaces(category):
+                diagnostics.append(f"{rule.id}: category <{category}> has no lexicon entries")
+        if rule.terms[-1] != Lit("?"):
             diagnostics.append(f'{rule.id}: rule does not end with "?"')
     diagnostics.extend(_family_problems(grammar))
     return diagnostics
@@ -293,28 +292,28 @@ def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
     """
     rng = random.Random(seed)
 
-    time_slots = [t for t in rule.terms if isinstance(t, Bracket) and t.opener == "["
-                  and Category.TIME_PHRASE in _categories_of(t.body)]
+    time_slots = [t for t in rule.terms if type(t) is Bracket and t.opener == "["
+                  and "time_phrase" in _categories_of(t.body)]
     allowed_time = rng.choice(time_slots) if len(time_slots) > 1 else None
 
-    def token(categories: tuple[Category, ...]) -> str:
-        if categories == (Category.YEAR,):
+    def token(categories: tuple[str, ...]) -> str:
+        if categories == ("year",):
             return str(rng.randint(1900, 2025))
         surfaces = [s for category in categories for s in lexicon.surfaces(category)]
         if not surfaces:
-            names = "|".join(f"<{category.value}>" for category in categories)
+            names = "|".join(f"<{category}>" for category in categories)
             raise GrammarError(f"category {names} has no realizable surface")
         return rng.choice(surfaces)
 
     def expand(parts: tuple, out: list[str]) -> None:
         for part in parts:
-            if isinstance(part, Category):  # before str: a Category is a str
+            if type(part) is str:
                 if part in TEMPLATES:  # the parts of its first alternative
                     expand(TEMPLATES[part][0][0], out)
                 else:
                     out.append(token((part,)))
-            elif isinstance(part, str):
-                out.append(part)
+            elif type(part) is Lit:
+                out.append(part.surface)
             elif type(part) is tuple:
                 out.append(token(part))
             elif part.opener == "{":
@@ -323,9 +322,9 @@ def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
             else:
                 include = rng.random() < 0.5
                 if (len(time_slots) > 1 and part is not allowed_time
-                        and Category.TIME_PHRASE in _categories_of(part.body)):
+                        and "time_phrase" in _categories_of(part.body)):
                     include = False
-                if include and not out and all(type(t) is str for t in part.body):
+                if include and not out and all(type(t) is Lit for t in part.body):
                     include = False  # no separator before any content
                 if include:
                     expand(part.body, out)

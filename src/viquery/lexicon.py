@@ -11,93 +11,37 @@ unlisted titles still parse.  The phrase templates are data here too.
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from collections.abc import Mapping
-from enum import Enum
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 
-class Category(str, Enum):
-    """Token and rule-slot categories.
-
-    The first block is the category inventory the grammar may reference;
-    the second block holds lexical-only kinds (proper-name gazetteers,
-    year literals, punctuation and minor head/marker words) that appear on
-    tokens but never in syntactic rules.
-    """
-
-    # grammar categories
-    WHAT_AUTHOR = "what_author"
-    WHAT_PUBLISHER = "what_publisher"
-    WHAT_TIME = "what_time"
-    WHAT_SUBJECT = "what_subject"
-    WHAT_PLACE = "what_place"
-    WHAT_PRICE = "what_price"
-    AUTHOR = "author"
-    PUBLISHER = "publisher"
-    BOOK = "book"
-    SUBJECT = "subject"
-    FIELD = "field"
-    BOOK_TYPE = "book_type"
-    CREATOR = "creator"
-    PRICE = "price"
-    TIME_PHRASE = "time_phrase"
-    PREP_TIME = "prep_time"
-    VPERFECT = "vperfect"
-    VPASSIVE = "vpassive"
-    VERB_WRITE = "verb_write"
-    VERB_PUBLISH = "verb_publish"
-    VERB_BE = "verb_be"
-    VERB_HAVE = "verb_have"
-    VERB_LOCATE = "verb_locate"
-    VERB_BUY = "verb_buy"
-    VERB_COST = "verb_cost"
-    IS_OF = "is_of"
-    POSSESSIVE = "possessive"
-    OF_AUTHOR = "of_author"
-    BY_AUTHOR = "by_author"
-    BY_PUBLISHER = "by_publisher"
-    CONJUNCTION = "conjunction"
-    PLURAL = "plural"
-    HOW_MANY = "how_many"
-    IN_ELIB = "in_elib"
-    INTERROGATIVE1 = "interrogative1"
-    INTERROGATIVE2 = "interrogative2"
-    INTERROGATIVE3 = "interrogative3"
-    INTERROGATIVE4 = "interrogative4"
-    # lexical-only kinds
-    NOUN_TIME = "noun_time"
-    AGENT = "agent"
-    NAME_AUTHOR = "name_author"
-    NAME_BOOK = "name_book"
-    NAME_PUBLISHER = "name_publisher"
-    NAME_SUBJECT = "name_subject"
-    NAME_FIELD = "name_field"
-    NAME_PLACE = "name_place"
-    YEAR = "year"
-    PUNCT = "punct"
-
-
-#: Categories a syntactic rule may reference.
-GRAMMAR_CATEGORIES = frozenset(
-    c for c in Category
-    if c not in {
-        Category.NOUN_TIME, Category.AGENT, Category.YEAR, Category.PUNCT,
-        Category.NAME_AUTHOR, Category.NAME_BOOK, Category.NAME_PUBLISHER,
-        Category.NAME_SUBJECT, Category.NAME_FIELD, Category.NAME_PLACE,
-    }
-)
+#: Categories a syntactic rule may reference.  Every category is its name,
+#: interned, so the loaders below hand out these very objects.
+GRAMMAR_CATEGORIES = frozenset(map(sys.intern, """
+    what_author what_publisher what_time what_subject what_place what_price
+    author publisher book subject field book_type creator price time_phrase
+    prep_time vperfect vpassive verb_write verb_publish verb_be verb_have
+    verb_locate verb_buy verb_cost is_of possessive of_author by_author
+    by_publisher conjunction plural how_many in_elib interrogative1
+    interrogative2 interrogative3 interrogative4""".split()))
 
 #: Proper-name gazetteer kinds, in the order an unknown run lists them.
-NAME_KINDS = (
-    Category.NAME_AUTHOR,
-    Category.NAME_BOOK,
-    Category.NAME_PUBLISHER,
-    Category.NAME_SUBJECT,
-    Category.NAME_FIELD,
-    Category.NAME_PLACE,
-)
+NAME_KINDS = tuple(map(sys.intern, """
+    name_author name_book name_publisher name_subject name_field
+    name_place""".split()))
+
+#: Every token and rule-slot category: the grammar's, plus lexical-only kinds
+#: (gazetteers, year literals, punctuation, minor head and marker words) that
+#: appear on tokens but never in syntactic rules.
+CATEGORIES = GRAMMAR_CATEGORIES.union(
+    NAME_KINDS, map(sys.intern, ("noun_time", "agent", "year", "punct")))
+
+#: The categories as attributes, for code that spells them so: ``Category.BOOK
+#: is "book"``
+Category = SimpleNamespace(**{c.upper(): c for c in CATEGORIES})
 
 _YEAR_RE = re.compile(r"^[1-9]\d{3}$")
 
@@ -107,7 +51,7 @@ class LexiconError(ValueError):
 
 
 class LexiconEntry(NamedTuple):
-    category: Category
+    category: str
     surface: str          # normalized, space-separated syllables
     canonical: str        # lemma or entity id (entity ids keep display casing)
 
@@ -134,10 +78,10 @@ class TokenGroup(NamedTuple):
     span of that surface, so ``categories`` is read-only."""
 
     surface: str
-    categories: Mapping[Category, str]
+    categories: Mapping[str, str]
 
 
-_PUNCT_GROUPS = {p: TokenGroup(p, MappingProxyType({Category.PUNCT: p})) for p in "?,"}
+_PUNCT_GROUPS = {p: TokenGroup(p, MappingProxyType({"punct": p})) for p in "?,"}
 
 
 class Lexicon:
@@ -148,28 +92,28 @@ class Lexicon:
 
     def __init__(self, entries: tuple[LexiconEntry, ...]):
         self.entries = entries
-        by_category: dict[Category, list[str]] = {}
-        by_surface: dict[str, dict[Category, str]] = {}
+        by_category: dict[str, list[str]] = {}
+        by_surface: dict[str, dict[str, str]] = {}
         for entry in entries:
             by_category.setdefault(entry.category, []).append(entry.surface)
             by_surface.setdefault(entry.surface, {})[entry.category] = entry.canonical
         self._surfaces = {c: tuple(sorted(s)) for c, s in by_category.items()}
         # syllable trie: a node maps a syllable to (child node, the group of
         # the surface that ends there, or None); each group's read-only map
-        # lists its categories in value order
+        # lists its categories in name order
         self._trie: dict[str, tuple[dict, TokenGroup | None]] = {}
         for surface, categories in by_surface.items():
             *head, last = surface.split(" ")
             node = self._trie
             for syllable in head:
                 node = node.setdefault(syllable, ({}, None))[0]
-            ordered = sorted(categories.items(), key=lambda item: item[0].value)
+            ordered = sorted(categories.items())
             group = TokenGroup(surface, MappingProxyType(dict(ordered)))
             node[last] = (node.get(last, ({}, None))[0], group)
         # "?" and "," are one span of their shared group, whatever is listed
         self._trie.update((p, ({}, group)) for p, group in _PUNCT_GROUPS.items())
 
-    def surfaces(self, category: Category) -> tuple[str, ...]:
+    def surfaces(self, category: str) -> tuple[str, ...]:
         return self._surfaces.get(category, ())
 
 
@@ -183,7 +127,7 @@ def normalize(text: str) -> str:
 def load_lexicon(document: str) -> Lexicon:
     """Parse a lexicon document (see data/lexicon_v1.tsv for the format)."""
     entries: list[LexiconEntry] = []
-    seen: set[tuple[Category, str]] = set()
+    seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -194,10 +138,9 @@ def load_lexicon(document: str) -> Lexicon:
                 f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
         cat_name, surface, canonical = (f.strip() for f in fields)
-        try:
-            category = Category(cat_name)
-        except ValueError:
-            raise LexiconError(f"line {lineno}: unknown category {cat_name!r}") from None
+        if cat_name not in CATEGORIES:
+            raise LexiconError(f"line {lineno}: unknown category {cat_name!r}")
+        category = sys.intern(cat_name)
         surface = normalize(surface)
         if not surface:
             raise LexiconError(f"line {lineno}: empty surface")
@@ -216,7 +159,7 @@ def _name_group(syllables: list[str]) -> TokenGroup:
     run = " ".join(syllables)
     categories = dict.fromkeys(NAME_KINDS, run)
     if len(syllables) == 1 and _YEAR_RE.match(run):
-        categories[Category.YEAR] = run
+        categories["year"] = run
     return TokenGroup(run, MappingProxyType(categories))
 
 
@@ -270,12 +213,19 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
 #
 # A template category maps to its ordered alternatives, each a tuple of parts
 # and the name of the builder that makes the constituent's value.  A part is
-# a tuple of token categories (one token of the first of them it has, as
-# one alternative per category), a literal surface or a Category (a nested
-# constituent); a rule body in ``viquery.grammar`` uses the last two, plus
+# a category name (a nested constituent), a :class:`Lit` or a tuple of token
+# categories (one token of the first of them it has, as one alternative per
+# category); a rule body in ``viquery.grammar`` uses the first two, plus
 # brackets.  Each slot inlines its template into the rule's program as an
 # atomic group: the first alternative that matches wins.  The sampler
 # realizes the first.
+
+
+class Lit(NamedTuple):
+    """A literal part: one token group whose surface is ``surface``."""
+
+    surface: str
+
 
 #: Value builders by name, over the values of an alternative's non-literal parts
 BUILDERS = {
@@ -286,22 +236,21 @@ BUILDERS = {
     "time": lambda values: TimeValue(values[0], int(values[-1])),
 }
 
-_C = Category
 TEMPLATES = {
-    _C.AUTHOR: [(((_C.CREATOR,), (_C.NAME_AUTHOR,)), "last")],
-    _C.PUBLISHER: [(((_C.PUBLISHER,), (_C.NAME_PUBLISHER,)), "last")],
+    "author": [((("creator",), ("name_author",)), "last")],
+    "publisher": [((("publisher",), ("name_publisher",)), "last")],
     # a bare name follows a multi-syllable is_of surface such as "thuộc chủ
     # đề", which absorbs the head
-    _C.SUBJECT: [(((_C.SUBJECT,), (_C.NAME_SUBJECT,)), "last"),
-                 (((_C.NAME_SUBJECT,),), "last")],
+    "subject": [((("subject",), ("name_subject",)), "last"),
+                ((("name_subject",),), "last")],
     # "nào" after the head marks an unbound book ("any/which book"), which
     # may carry a subject qualifier: "sách nào thuộc chủ đề T"
-    _C.BOOK: [(((_C.BOOK_TYPE,), (_C.NAME_BOOK,)), "title"),
-              (((_C.BOOK_TYPE,), "nào", (_C.IS_OF,), _C.SUBJECT), "book_of_subject"),
-              (((_C.BOOK_TYPE,), "nào"), "any_book"),
-              (((_C.BOOK_TYPE,),), "any_book")],
-    _C.TIME_PHRASE: [(((_C.PREP_TIME,), (_C.NOUN_TIME,), (_C.YEAR,)), "time")],
-    _C.OF_AUTHOR: [(((_C.POSSESSIVE,), _C.AUTHOR), "last")],
-    _C.BY_AUTHOR: [(((_C.POSSESSIVE, _C.AGENT), _C.AUTHOR), "last")],
-    _C.BY_PUBLISHER: [(((_C.POSSESSIVE, _C.AGENT), _C.PUBLISHER), "last")],
+    "book": [((("book_type",), ("name_book",)), "title"),
+             ((("book_type",), Lit("nào"), ("is_of",), "subject"), "book_of_subject"),
+             ((("book_type",), Lit("nào")), "any_book"),
+             ((("book_type",),), "any_book")],
+    "time_phrase": [((("prep_time",), ("noun_time",), ("year",)), "time")],
+    "of_author": [((("possessive",), "author"), "last")],
+    "by_author": [((("possessive", "agent"), "author"), "last")],
+    "by_publisher": [((("possessive", "agent"), "publisher"), "last")],
 }

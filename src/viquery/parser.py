@@ -39,10 +39,10 @@ a rule unless the query holds all its ``required`` keys, its first group
 one of its ``first`` keys (the body's FIRST set) and, where ``last`` is not
 None, the group before the last one of the ``last`` keys (None stands for
 no group, in a one-group query), all worked out from the programs (see
-:class:`viquery.grammar.SyntacticRule`).  Keys are literals and
-categories; a ``Category`` is a ``str`` equal to its value, so a literal
-equal to one only lets a rule through.  Every match consumes groups holding
-such keys at those places, so a skipped rule is one that cannot match.
+:class:`viquery.grammar.SyntacticRule`).  Keys are literal surfaces and
+category names, both plain ``str``s, so a literal equal to a name only lets
+a rule through.  Every match consumes groups holding such keys at those
+places, so a skipped rule is one that cannot match.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .grammar import ATOM, COMMIT, JUMP, LIT, SPLIT, TOK, SyntacticRule
-from .lexicon import BUILDERS, Category, Lexicon, TokenGroup, normalize, tokenize
+from .lexicon import BUILDERS, Lexicon, TokenGroup, normalize, tokenize
 
 #: Longest query :func:`parse` accepts, in characters before normalization.
 MAX_QUERY_CHARS = 100_000
@@ -65,7 +65,7 @@ class QueryTooLongError(ValueError):
 
 
 class ConstituentBinding(NamedTuple):
-    category: Category
+    category: str
     value: object            # str, TimeValue, BookValue, or None (asked slot)
     surface: str
     ordinal: int              # occurrence index per category, from 0
@@ -91,7 +91,7 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
         return None
     bindings = table.get(key)
     if bindings is None:  # ordinals depend on the sequence alone
-        counters: dict[Category, int] = {}
+        counters: dict[str, int] = {}
         built = []
         for category, value, surface in key:
             ordinal = counters.get(category, 0)
@@ -212,6 +212,6 @@ def candidate_rules(groups: tuple[TokenGroup, ...],
             and (rule.last is None or not rule.last.isdisjoint(before))]
 
 
-def constituents(parse_result: ParseResult) -> list[tuple[Category, str, object]]:
+def constituents(parse_result: ParseResult) -> list[tuple[str, str, object]]:
     """Bindings projected for display, in surface order."""
     return [(b.category, b.surface, b.value) for b in parse_result.bindings]

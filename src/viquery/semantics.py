@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .lexicon import Category
-
 if TYPE_CHECKING:  # ``grammar`` imports this module for its family check
     from .grammar import SyntacticRule
     from .parser import ParseResult
@@ -150,25 +148,25 @@ def render_full(sem: SemanticNode) -> str:
 
 # --- transformation ----------------------------------------------------------
 
-_AUTHOR = ("need", "author", REL_SUB, Category.AUTHOR)
-_PUBLISHER = ("need", "publisher", REL_SUB, Category.PUBLISHER)
-_BOOKS = ("books", "book", REL_OBJ, Category.BOOK)
-_TIMES = ("times", None, None, Category.TIME_PHRASE)
-_YEAR = ("year", None, None, Category.PREP_TIME)
+_AUTHOR = ("need", "author", REL_SUB, "author")
+_PUBLISHER = ("need", "publisher", REL_SUB, "publisher")
+_BOOKS = ("books", "book", REL_OBJ, "book")
+_TIMES = ("times", None, None, "time_phrase")
+_YEAR = ("year", None, None, "prep_time")
 _AMOUNT = ("amount", None, REL_AMOUNT, None)
 _ASK_SUBJECT = ("ask", "subject", REL_OBJ, None)
 #: Q3.1 / Q3.2: an explicit book, possibly restricted by author, publisher
 #: and time
 _DESCRIBED_BOOK = ("node", None, REL_SUB, ("is_of", False, (
-    ("books", "book", REL_SUB, Category.BOOK),
-    ("opt", "author", REL_OBJ, Category.OF_AUTHOR),
-    ("opt", "publisher", REL_OBJ, Category.BY_PUBLISHER),
+    ("books", "book", REL_SUB, "book"),
+    ("opt", "author", REL_OBJ, "of_author"),
+    ("opt", "publisher", REL_OBJ, "by_publisher"),
     _TIMES,
 )))
 #: Q4.1 / Q4.2: the books of a subject
 _BOOKS_OF_SUBJECT = ("node", None, REL_OBJ, ("is_of", False, (
     ("ask", "book", REL_SUB, None),
-    ("need", "subject", REL_OBJ, Category.SUBJECT),
+    ("need", "subject", REL_OBJ, "subject"),
 )))
 
 #: The transformation table: family -> node, see the module docstring.
@@ -182,28 +180,28 @@ FAMILIES = {
     "Q2.2": ("verb_publish", True, (_PUBLISHER, _BOOKS, _TIMES)),
     "Q2.3": ("verb_publish", False, (_PUBLISHER, _BOOKS, _YEAR)),
     "Q3.1": ("is_of", False, (_DESCRIBED_BOOK, _ASK_SUBJECT)),
-    "Q3.2": ("is_of", True, (_DESCRIBED_BOOK, ("need", "subject", REL_OBJ, Category.SUBJECT))),
+    "Q3.2": ("is_of", True, (_DESCRIBED_BOOK, ("need", "subject", REL_OBJ, "subject"))),
     # Q3.3 / Q3.4: the (unbound) books some actor wrote or published
     "Q3.3": ("is_of", False, (("node", None, REL_SUB, ("is_of", False, (
         ("free", "book", REL_SUB, None),
-        ("need", "author", REL_OBJ, Category.AUTHOR),
+        ("need", "author", REL_OBJ, "author"),
         _TIMES,
     ))), _ASK_SUBJECT)),
     "Q3.4": ("is_of", False, (("node", None, REL_SUB, ("is_of", False, (
         ("free", "book", REL_SUB, None),
-        ("need", "publisher", REL_OBJ, Category.PUBLISHER),
+        ("need", "publisher", REL_OBJ, "publisher"),
         _TIMES,
     ))), _ASK_SUBJECT)),
     "Q4.1": ("verb_write", False, (
-        ("bind", "author", REL_SUB, Category.BY_AUTHOR), _BOOKS_OF_SUBJECT, _TIMES)),
+        ("bind", "author", REL_SUB, "by_author"), _BOOKS_OF_SUBJECT, _TIMES)),
     "Q4.2": ("verb_publish", False, (
-        ("bind", "publisher", REL_SUB, Category.BY_PUBLISHER), _BOOKS_OF_SUBJECT, _TIMES)),
-    "Q5.1": ("verb_publish", False, (("bind", "publisher", REL_SUB, Category.PUBLISHER),
+        ("bind", "publisher", REL_SUB, "by_publisher"), _BOOKS_OF_SUBJECT, _TIMES)),
+    "Q5.1": ("verb_publish", False, (("bind", "publisher", REL_SUB, "publisher"),
                                      _BOOKS, _TIMES, ("ask", "location", REL_LOC, None))),
     "Q5.2": ("verb_locate", False, (_PUBLISHER, ("ask", "location", REL_OBJ, None))),
-    "Q6.1": ("verb_cost", False, (("books", "book", REL_SUB, Category.BOOK),
+    "Q6.1": ("verb_cost", False, (("books", "book", REL_SUB, "book"),
                                   ("ask", "price", REL_OBJ, None))),
-    "Q7.1": ("verb_have", False, (("need", "source", REL_SUB, Category.IN_ELIB),
+    "Q7.1": ("verb_have", False, (("need", "source", REL_SUB, "in_elib"),
                                   _BOOKS, _AMOUNT)),
     "Q7.2": ("verb_write", False, (_AUTHOR, _BOOKS, _TIMES, _AMOUNT)),
     "Q7.3": ("verb_publish", False, (_PUBLISHER, _BOOKS, _TIMES, _AMOUNT)),
@@ -227,12 +225,10 @@ def _family_problems(grammar: tuple[SyntacticRule, ...]):
         if node is None:
             yield f"{rule.id}: unregistered family {rule.family!r}"
             continue
-        # only a top-level slot is its Category; ``is``, because a literal
-        # str may equal a Category's value
+        # a top-level slot is its category's name; a literal is a Lit
         yield from (
-            f"{rule.id}: family {rule.family} needs <{category.value}> outside [...] and {{...}}"
-            for category in _needs(node)
-            if not any(term is category for term in rule.terms)
+            f"{rule.id}: family {rule.family} needs <{category}> outside [...] and {{...}}"
+            for category in _needs(node) if category not in rule.terms
         )
 
 
@@ -250,11 +246,11 @@ def _build(parse: ParseResult, node) -> SemanticNode:
     predicate, focused, slots = node
     args = []
     for kind, role, relation, source in slots:
-        values = [b.value for b in parse.bindings if b.category is source]
+        values = [b.value for b in parse.bindings if b.category == source]
         value = values[0] if values else None
         if value is None and kind in ("need", "books"):
             raise TransformError(
-                f"{parse.rule_id}: missing mandatory constituent <{source.value}>"
+                f"{parse.rule_id}: missing mandatory constituent <{source}>"
             )
         if kind == "node":
             args.append((Argument("nested", nested=_build(parse, source)), relation))

@@ -34,6 +34,7 @@ from viquery.lexicon import (
     BookValue,
     Category,
     Lexicon,
+    Lit,
     TokenGroup,
     TimeValue,
     TEMPLATES,
@@ -69,7 +70,7 @@ _LEGACY_BUILDERS = {
 }
 
 
-def legacy_scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: Category):
+def legacy_scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: str):
     """One constituent of ``category`` at group index ``at``: (value, first
     unconsumed position) or None.  A template category matches its first
     matching alternative; other categories consume a single token."""
@@ -93,13 +94,13 @@ def legacy_scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: C
                 else:  # no category of the part: the alternative fails
                     break
                 pos += 1
-            elif isinstance(part, Category):  # before str: Category is a str
+            elif type(part) is str:  # a nested constituent
                 found = legacy_scan_constituent(groups, pos, part)
                 if found is None:
                     break
                 value, pos = found
-            elif pos < n and groups[pos].surface == part:
-                value = part
+            elif pos < n and groups[pos].surface == part.surface:  # a Lit
+                value = part.surface
                 pos += 1
             else:
                 break
@@ -110,11 +111,11 @@ def legacy_scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: C
 
 
 @functools.cache
-def _one_slot_rule(category: Category) -> SyntacticRule:
-    return parse_rule_dsl(f"<R> = <{category.value}>\n")[0]
+def _one_slot_rule(category: str) -> SyntacticRule:
+    return parse_rule_dsl(f"<R> = <{category}>\n")[0]
 
 
-def scan_template(groups: tuple[TokenGroup, ...], at: int, category: Category):
+def scan_template(groups: tuple[TokenGroup, ...], at: int, category: str):
     """The template ``category`` at group index ``at`` as the parser matches
     it: (value, first unconsumed position) or None.  The one-slot rule
     ``<R> = <category>`` is matched on ``groups[at:end]``, longest first.
@@ -131,7 +132,7 @@ def scan_template(groups: tuple[TokenGroup, ...], at: int, category: Category):
 
 
 def _min_flat_len(terms: tuple) -> int:
-    return sum(1 for t in terms if not isinstance(t, Bracket))
+    return sum(1 for t in terms if type(t) is not Bracket)
 
 
 def _expansions(terms: tuple, budget: int, capacity: int):
@@ -145,7 +146,7 @@ def _expansions(terms: tuple, budget: int, capacity: int):
         yield ()
         return
     head, rest = terms[0], terms[1:]
-    if not isinstance(head, Bracket):  # a literal or a category
+    if type(head) is not Bracket:  # a literal or a category
         for tail in _expansions(rest, budget, capacity - 1):
             yield (head,) + tail
     elif head.opener == "[":
@@ -172,8 +173,8 @@ def _match_flat(flat: tuple, stream: tuple[TokenGroup, ...], lexicon: Lexicon):
     pos = 0
     matched = []
     for term in flat:
-        if not isinstance(term, Category):  # a literal str
-            if pos >= len(stream) or stream[pos].surface != term:
+        if type(term) is Lit:
+            if pos >= len(stream) or stream[pos].surface != term.surface:
                 return None
             pos += 1
         else:
@@ -230,7 +231,7 @@ def _by_first(lexicon: Lexicon) -> dict:
         syllables = tuple(entry.surface.split(" "))
         by_first.setdefault(syllables[0], []).append((syllables, entry))
     for bucket in by_first.values():
-        bucket.sort(key=lambda item: (-len(item[0]), item[1].category.value))
+        bucket.sort(key=lambda item: (-len(item[0]), item[1].category))
     return by_first
 
 
@@ -303,7 +304,7 @@ def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
         head, rest = terms[0], terms[1:]
         if isinstance(head, _Progress):
             return match_seq(rest, pos) if pos > head.at else None
-        if isinstance(head, Category):  # before str: a Category is a str
+        if type(head) is str:  # a category
             found = legacy_scan_constituent(stream, pos, head)
             if found is None:
                 return None
@@ -312,8 +313,8 @@ def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
             if tail is None:
                 return None
             return [(head, value, pos, after)] + tail
-        if isinstance(head, str):
-            if pos < n and stream[pos].surface == head:
+        if type(head) is Lit:
+            if pos < n and stream[pos].surface == head.surface:
                 return match_seq(rest, pos + 1)
             return None
         if head.opener == "[":
@@ -474,11 +475,11 @@ FAMILY_SKELETONS = {
 # The eight family builders and their table, which the data table
 # ``viquery.semantics.FAMILIES`` and its walker replaced.
 
-def _bindings(parse: ParseResult, category: Category) -> list[ConstituentBinding]:
+def _bindings(parse: ParseResult, category: str) -> list[ConstituentBinding]:
     return [b for b in parse.bindings if b.category is category]
 
 
-def _first_value(parse: ParseResult, category: Category):
+def _first_value(parse: ParseResult, category: str):
     found = _bindings(parse, category)
     return found[0].value if found else None
 
@@ -531,11 +532,11 @@ def _asked_time_arg(parse: ParseResult):
     )
 
 
-def _require(parse: ParseResult, category: Category):
+def _require(parse: ParseResult, category: str):
     value = _first_value(parse, category)
     if value is None:
         raise TransformError(
-            f"{parse.rule_id}: missing mandatory constituent <{category.value}>"
+            f"{parse.rule_id}: missing mandatory constituent <{category}>"
         )
     return value
 
@@ -602,7 +603,7 @@ def _build_subject_of(parse: ParseResult, described: bool, actor: str | None = N
 
 
 def _build_qualified_list(parse: ParseResult, predicate: str, actor: str,
-                          source: Category):
+                          source: str):
     actor_value = _first_value(parse, source)
     nested = SemanticNode("is_of", False, (
         (_entity("book", focus=True), REL_SUB),

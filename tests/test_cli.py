@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from viquery import parse_rule_dsl
 from viquery.cli import _parse_report, data_path, main
-from viquery.lexicon import Category
+from viquery.lexicon import CATEGORIES
 from viquery.parser import MAX_QUERY_CHARS, parse
 from viquery.semantics import render_full, transform
 
@@ -377,20 +377,21 @@ def test_compiled_grammars_are_pinned(grammar):
     lines = [repr((r.id, r.program)) for r in _pinned_rules(grammar)]
     assert len(lines) == 60
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "7775621219edefa1da2d40a15f16adebf6d1e3c5b6be8040b39e0ae3e5a1307f"
+    assert digest == "7f0c8b885dc349423b397e720d13b8e2db3e62e692994c5f94847ed47fe592c2"
 
 
 def test_prefilter_keys_are_pinned(grammar):
     """Every rule's prefilter keys, for the built-in and the toy grammar:
     they have stayed the same since the keys became plain, through every
-    change in how programs are laid out."""
+    change in how programs are laid out.  A category shows as the repr of
+    its name, in the keys and in the programs."""
     lines = [repr((r.id, r.family,
                    *(keys if keys is None else sorted(map(repr, keys))
                      for keys in (r.required, r.first, r.last))))
              for r in _pinned_rules(grammar)]
     assert len(lines) == 60
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "2ad991b43ff47ea89cfde3db52d475205349905e16579c2401aa5b7d7b330059"
+    assert digest == "8a0e34e49fe962563253010f7c39b89018c9d2fdfdd6a9461cf062b8625000a6"
 
 
 def _mutate(sentence: str, op: str, at: int, word: str) -> str:
@@ -411,7 +412,7 @@ def _mutate(sentence: str, op: str, at: int, word: str) -> str:
        command=st.sampled_from([["parse"], ["semantics"], ["ask"], ["--json", "ask"]]))
 @settings(max_examples=300, deadline=None)
 def test_main_is_total(lexicon, generated, data, command):
-    words = sorted({s for category in Category for s in lexicon.surfaces(category)})
+    words = sorted({s for category in CATEGORIES for s in lexicon.surfaces(category)})
     query = data.draw(st.one_of(
         st.text(max_size=80),
         st.sampled_from(["-x", "--seed=3", "--json", "--", "-", "-h", "--he", "--help",

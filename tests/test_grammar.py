@@ -5,6 +5,7 @@ from viquery.cli import data_path
 from viquery.grammar import (
     ATOM,
     LIT,
+    TOK,
     Bracket,
     GrammarError,
     parse_rule_dsl,
@@ -12,8 +13,10 @@ from viquery.grammar import (
     sample,
     validate,
 )
-from viquery.lexicon import Category, load_lexicon
-from viquery.semantics import TransformError, check_families
+from viquery.lexicon import (CATEGORIES, GRAMMAR_CATEGORIES, TEMPLATES, Category, Lit,
+                             load_lexicon, normalize, tokenize)
+from viquery.parser import parse
+from viquery.semantics import FAMILIES, TransformError, check_families
 
 Q11A = ('<Q1.1a> = <what_author> [<vperfect>] [<interrogative1>] <verb_write> '
         '<book> {[<conjunction>] <book>} [<time_phrase>] "?"')
@@ -31,20 +34,18 @@ def test_parse_single_rule_shape():
         C.BOOK,
         Bracket("{", (Bracket("[", (C.CONJUNCTION,)), C.BOOK)),
         Bracket("[", (C.TIME_PHRASE,)),
-        "?",
+        Lit("?"),
     )
-    # "book" == Category.BOOK, so equality alone cannot tell a literal from
-    # a slot; the reprs can
     assert rule.terms == expected and repr(rule.terms) == repr(expected)
 
 
 def test_literal_equal_to_a_category_value_stays_a_literal():
-    # Category is a str enum, so the literal "book" == Category.BOOK; no step
-    # from loading to the family check may confuse the two
+    # a literal and a slot share the text "book"; no step from loading to
+    # the family check may confuse the two
     document = '<Q6.1z> = "book" <what_price> "?"\n<X> = "book" <book> "?"\n'
     q61z, x = parse_rule_dsl(document)
     assert repr(x.program[:2]) == repr(((LIT, "book", 0), (ATOM, Category.BOOK, 23)))
-    assert type(x.terms[0]) is str and x.terms[1] is Category.BOOK
+    assert type(x.terms[0]) is Lit and x.terms[1] is Category.BOOK
     with pytest.raises(TransformError) as caught:
         check_families((q61z,))
     assert str(caught.value) == "Q6.1z: family Q6.1 needs <book> outside [...] and {...}"
@@ -220,16 +221,81 @@ def test_sample_at_most_one_time_phrase(grammar, lexicon):
 
 
 def test_every_category_reachable(grammar):
-    seen: set[Category] = set()
+    seen: set[str] = set()
 
     def walk(terms):
         for term in terms:
-            if isinstance(term, Category):
+            if type(term) is str:
                 seen.add(term)
-            elif isinstance(term, Bracket):
+            elif type(term) is Bracket:
                 walk(term.body)
 
     for rule in grammar:
         walk(rule.terms)
-    expected = {c for c in Category if c.value.startswith(("what_", "verb_", "interrogative"))}
+    expected = {c for c in CATEGORIES if c.startswith(("what_", "verb_", "interrogative"))}
     assert expected <= seen
+
+
+def _named(parts):
+    """The categories that template parts name: slots, and the categories
+    of tuple parts."""
+    for part in parts:
+        if type(part) is str:
+            yield part
+        elif type(part) is tuple:
+            yield from part
+
+
+def _sources(node):
+    """The categories that a FAMILIES node's slots read, nested nodes too."""
+    for kind, _role, _relation, source in node[2]:
+        if kind == "node":
+            yield from _sources(source)
+        elif source is not None:
+            yield source
+
+
+def test_tables_name_only_known_categories():
+    # a category is a plain str, so a misspelt name in a table is caught here
+    assert TEMPLATES.keys() <= GRAMMAR_CATEGORIES
+    named = {c for alternatives in TEMPLATES.values()
+             for parts, _builder in alternatives for c in _named(parts)}
+    assert named and named <= CATEGORIES
+    sources = {c for node in FAMILIES.values() for c in _sources(node)}
+    assert sources and sources <= CATEGORIES
+
+
+def _assert_inventory_objects(grammar, lexicon, queries):
+    """Every category that loaded data or a parse holds is the inventory's
+    own object, so lookups by it hit by identity."""
+    own = {c: c for c in CATEGORIES}
+    held = [arg for rule in grammar for op, arg, _ in rule.program if op in (TOK, ATOM)]
+    held += [entry.category for entry in lexicon.entries]
+    books = []
+    for text in [entry.surface for entry in lexicon.entries] + queries:
+        for group in tokenize(normalize(text), lexicon):
+            held += group.categories
+    for query in queries:
+        for result in parse(query, grammar, lexicon):
+            held += [b.category for b in result.bindings]
+            books += [b for b in result.bindings if b.category is Category.BOOK]
+    assert books and all(own[c] is c for c in held)
+
+
+def test_loaded_categories_are_the_inventory_objects(grammar, lexicon, corpus):
+    _assert_inventory_objects(grammar, lexicon, [sentence for _, sentence in corpus])
+
+
+def test_categories_read_from_files_are_the_inventory_objects(tmp_path):
+    # names read from a file are new strings until the loaders intern them
+    rules, words = tmp_path / "rules.bnf", tmp_path / "lexicon.tsv"
+    rules.write_text('<Q1.1a> = <what_author> <verb_write> <book> "?"\n'
+                     '<X> = "book" <book> [<time_phrase>] "?"\n', encoding="utf-8")
+    words.write_text("what_author\tai\tai\nverb_write\tviết\tviết\nbook_type\tsách\tsách\n"
+                     "prep_time\tvào\tvào\nnoun_time\tnăm\tnăm\n", encoding="utf-8")
+    grammar = parse_rule_dsl(rules.read_text(encoding="utf-8"))
+    lexicon = load_lexicon(words.read_text(encoding="utf-8"))
+    _assert_inventory_objects(grammar, lexicon,
+                              ["ai viết sách b ?", "book sách b vào năm 2008 ?"])
+
+

@@ -14,7 +14,7 @@ from viquery import parser
 from viquery.cli import main
 from viquery.grammar import (ATOM, COMMIT, JUMP, LIT, MATCH, SPLIT, TOK, compile_program,
                              parse_rule_dsl)
-from viquery.lexicon import BUILDERS, TEMPLATES, Category, normalize, tokenize
+from viquery.lexicon import BUILDERS, CATEGORIES, TEMPLATES, Category, normalize, tokenize
 from viquery.parser import candidate_rules, match_rule, parse
 
 TOY_RULES = Path(__file__).parent / "data" / "toy_rules.bnf"
@@ -118,7 +118,7 @@ def test_compile_template_programs():
         (LIT, "?", 0),
         (MATCH, None, 0),
     )
-    every = parse_rule_dsl("<R> = " + " ".join(f"<{c.value}>" for c in TEMPLATES) + "\n")[0]
+    every = parse_rule_dsl("<R> = " + " ".join(f"<{c}>" for c in TEMPLATES) + "\n")[0]
     assert {arg for op, arg, _ in every.program if op == ATOM} == TEMPLATES.keys()
     assert {arg for op, arg, _ in every.program if op == COMMIT} == BUILDERS.keys()
 
@@ -127,7 +127,7 @@ def test_every_token_instruction_reads_one_category(grammar):
     toy = parse_rule_dsl(TOY_RULES.read_text(encoding="utf-8"))
     programs = [rule.program for rule in grammar + toy]
     args = [arg for program in programs for op, arg, _ in program if op == TOK]
-    assert args and all(isinstance(arg, Category) for arg in args)
+    assert args and all(arg in CATEGORIES for arg in args)
 
 
 def test_template_scans_match_legacy(lexicon, generated):
