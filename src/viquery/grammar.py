@@ -9,7 +9,7 @@ the parts a phrase template alternative uses (see
 :class:`Bracket`, so code telling parts apart reads each part's type once.
 File order is priority order for the parser.  Each rule compiles,
 when it is built, to one flat program that the parser's matcher runs, with
-each template slot inlined; its prefilter keys come from the program.
+each template slot inlined; its prefilter keys come from its parts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .lexicon import GRAMMAR_CATEGORIES, NAME_KINDS, TEMPLATES, Lexicon, Lit
+from .lexicon import GRAMMAR_CATEGORIES, NAME_KINDS, TEMPLATES, Lexicon, Lit, normalize
 from .semantics import _family_problems
 
 
@@ -93,8 +93,7 @@ def compile_program(alternatives: list) -> tuple[tuple, ...]:
 
 @functools.cache
 def _block(category: str) -> tuple[tuple, ...]:
-    """A template slot's code, compiled once and copied into every slot: no
-    brackets, so each ``SPLIT`` in it is reached only through its ``ATOM``."""
+    """A template slot's code, compiled once and copied into every slot."""
     body = compile_program(TEMPLATES[category])
     return ((ATOM, category, 1 + len(body)), *body)
 
@@ -107,8 +106,8 @@ class SyntacticRule(NamedTuple):
     terms: tuple
     #: the compiled body, see :func:`compile_program`
     program: tuple[tuple, ...]
-    #: literals and categories the program consumes wherever it matches (see
-    #: :func:`_walk`): a stream lacking any of them cannot match
+    #: literals and categories the body consumes wherever it matches (see
+    #: :func:`_keys`): a stream lacking any of them cannot match
     required: frozenset
     #: keys of which the first group of every match holds one and, for a
     #: body ending in a literal or a one-token slot (else None), the group
@@ -130,57 +129,50 @@ def family_of(rule_id: str) -> str:
     return m.group(1) if m else rule_id
 
 
-def _walk(program: tuple) -> tuple[dict, dict, dict]:
-    """What a program consumes on its way to each instruction, and to any
-    ``MATCH`` or ``COMMIT`` at ``len(program)``: the keys every path
-    consumes, and those of which the first and the last group it consumes
-    holds one (None: a path may consume none).  One pass in order sees
-    every path, as every step goes forward once a ``JUMP`` back to its
-    group's ``SPLIT`` is taken as a step to the group's exit, the next
-    instruction (another iteration adds no key), and an inlined block is
-    stepped over with what its template consumes."""
-    needs, heads, tails = {0: frozenset()}, {0: frozenset([None])}, {0: frozenset([None])}
-    pc = 0
-    while pc < len(program):
-        op, arg, alt = program[pc]
-        need, head, tail = needs[pc], heads[pc], tails[pc]
-        if op in (LIT, TOK, ATOM):
-            consumed, first, tail = _consumed(op, arg)
-            need |= consumed
-            if None in head:
-                head = head - {None} | first
-        steps = ((len(program),) if op in (COMMIT, MATCH) else (pc + 1, pc + arg)
-                 if op == SPLIT else (pc + alt,) if op == ATOM else (pc + 1,))
-        for step in steps:
-            if step in needs:  # a join: merge with what reached it before
-                needs[step], heads[step], tails[step] = (
-                    needs[step] & need, heads[step] | head, tails[step] | tail)
-            else:
-                needs[step], heads[step], tails[step] = need, head, tail
-        pc = pc + alt if op == ATOM else pc + 1
-    return needs, heads, tails
+_NONE = frozenset([None])
 
 
-@functools.lru_cache(maxsize=1024)
-def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
-    """The keys a ``LIT``, a ``TOK`` or an inlined block consumes wherever
-    it matches, and those of which its first and its last group holds one."""
-    if op == ATOM:  # what the template's alternatives consume to a COMMIT
-        body = _block(arg)[1:]
-        return tuple(keys[len(body)] for keys in _walk(body))
-    keys = frozenset([arg])
-    return keys, keys, keys
+@functools.cache
+def _template_keys(category: str) -> tuple[frozenset, frozenset, frozenset]:
+    """What a template slot consumes: the keys all its alternatives need,
+    and those any of them begins or ends with."""
+    needs, heads, tails, _ = zip(*[_keys(parts) for parts, _ in TEMPLATES[category]])
+    return frozenset.intersection(*needs), frozenset().union(*heads), frozenset().union(*tails)
+
+
+def _keys(parts: tuple) -> tuple[frozenset, frozenset, frozenset, frozenset]:
+    """The keys a sequence of parts consumes wherever it matches, those of
+    which its first and its last group holds one (its FIRST and LAST sets;
+    None: there may be no such group) and the LAST set before its last part,
+    folded left over the parts."""
+    need, head, tail, before = frozenset(), _NONE, _NONE, _NONE
+    for part in parts:
+        if type(part) is Bracket:  # may match nothing
+            _, first, last, _ = _keys(part.body)
+            consumed, first, last = frozenset(), first | _NONE, last | _NONE
+        elif type(part) is str and part in TEMPLATES:
+            consumed, first, last = _template_keys(part)
+        else:  # one group, holding one of these keys
+            first = last = frozenset(part if type(part) is tuple else [
+                part.surface if type(part) is Lit else part])
+            # several categories compile to one alternative each: none is needed
+            consumed = first if len(first) == 1 else frozenset()
+        before = tail
+        need |= consumed
+        if None in head:
+            head = head - _NONE | first
+        tail = last - _NONE | tail if None in last else last
+    return need, head, tail, before
 
 
 def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
-    program = compile_program([(terms, None)])
-    needs, heads, tails = _walk(program)
+    need, head, _, before = _keys(terms)
     end = terms[-1]
     # a literal or a one-token slot at the end consumes the last group alone,
-    # and what reaches it holds the group before
+    # and what comes before it holds the group before
     anchored = type(end) in (str, Lit) and end not in TEMPLATES
-    return SyntacticRule(rule_id, family_of(rule_id), terms, program, needs[len(program)],
-                         heads[len(program)], tails[len(program) - 2] if anchored else None)
+    return SyntacticRule(rule_id, family_of(rule_id), terms, compile_program([(terms, None)]),
+                         need, head, before if anchored else None)
 
 
 def _parse_body(text: str, lineno: int) -> tuple:
@@ -193,6 +185,9 @@ def _parse_body(text: str, lineno: int) -> tuple:
                 raise GrammarError(f"line {lineno}: unknown category <{name}>")
             terms.append(sys.intern(name))
         elif literal is not None:
+            if not literal or normalize(literal) != literal:  # LIT reads normalized groups
+                raise GrammarError(
+                    f'line {lineno}: literal "{literal}" is not a normalized surface')
             terms.append(Lit(literal))
         elif opener:
             if len(stack) == _MAX_NESTING:

@@ -38,7 +38,7 @@ constituents share one ``bindings`` tuple.
 a rule unless the query holds all its ``required`` keys, its first group
 one of its ``first`` keys (the body's FIRST set) and, where ``last`` is not
 None, the group before the last one of the ``last`` keys (None stands for
-no group, in a one-group query), all worked out from the programs (see
+no group, in a one-group query), all worked out from the rule's parts (see
 :class:`viquery.grammar.SyntacticRule`).  Keys are literal surfaces and
 category names, both plain ``str``s, so a literal equal to a name only lets
 a rule through.  Every match consumes groups holding such keys at those

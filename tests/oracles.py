@@ -13,7 +13,9 @@ evaluation oracle re-derives answers per record by walking the semantic tree
 directly instead of compiling a filter list; a yes/no question that names
 several books holds when each of its one-book readings holds.  The legacy
 front end is the regex normalizer and the per-first-syllable bucket scan
-that the syllable trie replaced.  The legacy transformer is the set of
+that the syllable trie replaced.  ``legacy_rule_keys`` reads a rule's
+prefilter keys off its compiled program by the dataflow pass that folding
+them over the rule's parts replaced.  The legacy transformer is the set of
 per-family builder functions that the family data table replaced, and
 ``FAMILY_SKELETONS`` is the hand-written skeleton of every family, kept as an
 independent conformance reference for the table.
@@ -28,7 +30,8 @@ import unicodedata
 from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, format_price
-from viquery.grammar import Bracket, SyntacticRule, parse_rule_dsl
+from viquery.grammar import (ATOM, COMMIT, LIT, MATCH, SPLIT, TOK, Bracket, SyntacticRule,
+                             _block, compile_program, parse_rule_dsl)
 from viquery.lexicon import (
     NAME_KINDS,
     BookValue,
@@ -341,6 +344,63 @@ def legacy_parse(query: str, grammar: tuple[SyntacticRule, ...],
         if result is not None:
             results.append(result)
     return results
+
+
+# --- legacy prefilter keys ---------------------------------------------------
+#
+# The dataflow pass over a compiled program that worked out a rule's
+# prefilter keys before they were folded over the rule's parts.
+
+def _walk(program: tuple) -> tuple[dict, dict, dict]:
+    """What a program consumes on its way to each instruction, and to any
+    ``MATCH`` or ``COMMIT`` at ``len(program)``: the keys every path
+    consumes, and those of which the first and the last group it consumes
+    holds one (None: a path may consume none).  One pass in order sees
+    every path, as every step goes forward once a ``JUMP`` back to its
+    group's ``SPLIT`` is taken as a step to the group's exit, the next
+    instruction (another iteration adds no key), and an inlined block is
+    stepped over with what its template consumes."""
+    needs, heads, tails = {0: frozenset()}, {0: frozenset([None])}, {0: frozenset([None])}
+    pc = 0
+    while pc < len(program):
+        op, arg, alt = program[pc]
+        need, head, tail = needs[pc], heads[pc], tails[pc]
+        if op in (LIT, TOK, ATOM):
+            consumed, first, tail = _consumed(op, arg)
+            need |= consumed
+            if None in head:
+                head = head - {None} | first
+        steps = ((len(program),) if op in (COMMIT, MATCH) else (pc + 1, pc + arg)
+                 if op == SPLIT else (pc + alt,) if op == ATOM else (pc + 1,))
+        for step in steps:
+            if step in needs:  # a join: merge with what reached it before
+                needs[step], heads[step], tails[step] = (
+                    needs[step] & need, heads[step] | head, tails[step] | tail)
+            else:
+                needs[step], heads[step], tails[step] = need, head, tail
+        pc = pc + alt if op == ATOM else pc + 1
+    return needs, heads, tails
+
+
+@functools.lru_cache(maxsize=1024)
+def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
+    """The keys a ``LIT``, a ``TOK`` or an inlined block consumes wherever
+    it matches, and those of which its first and its last group holds one."""
+    if op == ATOM:  # what the template's alternatives consume to a COMMIT
+        body = _block(arg)[1:]
+        return tuple(keys[len(body)] for keys in _walk(body))
+    keys = frozenset([arg])
+    return keys, keys, keys
+
+
+def legacy_rule_keys(terms: tuple) -> tuple[frozenset, frozenset, frozenset | None]:
+    """A rule body's ``(required, first, last)``, read off its program."""
+    program = compile_program([(terms, None)])
+    needs, heads, tails = _walk(program)
+    end = terms[-1]
+    anchored = type(end) in (str, Lit) and end not in TEMPLATES
+    return (needs[len(program)], heads[len(program)],
+            tails[len(program) - 2] if anchored else None)
 
 
 # --- evaluation oracle --------------------------------------------------------

@@ -248,6 +248,15 @@ def test_stray_word_in_grammar_is_load_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_literal_not_in_normalized_form_is_load_error(tmp_path, capsys):
+    f = tmp_path / "g.bnf"
+    f.write_text('<Q1.1z> = <what_author> <verb_write> "Sách" <book> "?"\n', encoding="utf-8")
+    assert main(["--grammar", str(f), "generate", "all", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == 'error: line 1: literal "Sách" is not a normalized surface\n'
+
+
 @pytest.mark.parametrize("which", ["--grammar", "--lexicon", "--catalog", "batch"])
 def test_undecodable_data_file_is_load_error(tmp_path, capsys, which):
     f = tmp_path / "data"

@@ -83,6 +83,11 @@ def test_missing_equals_rejected():
     ("# note\n<X> =", "line 2: empty rule body"),
     ('<X> = <book> foo "?"', "line 1: unexpected 'foo'"),
     ("<X> = <nope> foo", "line 1: unknown category <nope>"),  # first error in the line
+    # a literal is compared with normalized token groups: these never match
+    ('<X> = <what_author> <verb_write> "Sách" <book> "?"',
+     'line 1: literal "Sách" is not a normalized surface'),
+    ('<X> = <book> "" "?"', 'line 1: literal "" is not a normalized surface'),
+    ('<X> = <book> "a?"', 'line 1: literal "a?" is not a normalized surface'),
 ])
 def test_malformed_line_messages(document, message):
     with pytest.raises(GrammarError) as info:

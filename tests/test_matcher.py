@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import legacy_parse, legacy_scan_constituent, scan_template
+from oracles import legacy_parse, legacy_rule_keys, legacy_scan_constituent, scan_template
 from viquery import parser
 from viquery.cli import main
-from viquery.grammar import (ATOM, COMMIT, JUMP, LIT, MATCH, SPLIT, TOK, compile_program,
-                             parse_rule_dsl)
-from viquery.lexicon import BUILDERS, CATEGORIES, TEMPLATES, Category, normalize, tokenize
+from viquery.grammar import (ATOM, COMMIT, JUMP, LIT, MATCH, SPLIT, TOK, GrammarError,
+                             compile_program, parse_rule_dsl, sample)
+from viquery.lexicon import (BUILDERS, CATEGORIES, GRAMMAR_CATEGORIES, TEMPLATES, Category,
+                             normalize, tokenize)
 from viquery.parser import candidate_rules, match_rule, parse
 
 TOY_RULES = Path(__file__).parent / "data" / "toy_rules.bnf"
@@ -351,6 +352,54 @@ def test_prefilter_skips_no_match_on_generated_corpus(rules, lexicon, generated,
 def test_prefilter_skips_no_match_on_mutated_sentences(rules, lexicon, generated, index, op, at):
     query = " ".join(_mutate(generated[index].split(" "), op, at)) or "?"
     _skipped_rules_do_not_match(query, rules, lexicon)
+
+
+#: literals of generated rule bodies: the two root tokens, two lexicon
+#: surfaces and a category's name
+_BODY_LITERALS = ('"?"', '","', '"nào"', '"của"', '"book"')
+
+
+def _parts(depth: int):
+    """One rule-body part as DSL text, with brackets nested up to ``depth``
+    deep."""
+    leaf = st.one_of(st.sampled_from(sorted(GRAMMAR_CATEGORIES)).map("<{}>".format),
+                     st.sampled_from(_BODY_LITERALS))
+    if not depth:
+        return leaf
+    return st.one_of(leaf, st.builds(
+        lambda opener, body: opener + " ".join(body) + {"[": "]", "{": "}"}[opener],
+        st.sampled_from("[{"), st.lists(_parts(depth - 1), min_size=1, max_size=3)))
+
+
+_BODIES = st.lists(_parts(3), min_size=1, max_size=6).map(" ".join)
+
+
+def test_prefilter_keys_of_shipped_rules_match_the_program_walk(rules):
+    for rule in rules:
+        assert (rule.required, rule.first, rule.last) == legacy_rule_keys(rule.terms), rule.id
+
+
+@given(body=_BODIES)
+@settings(max_examples=300, deadline=None)
+def test_prefilter_keys_match_the_program_walk(body):
+    [rule] = parse_rule_dsl(f"<X> = {body}")
+    assert (rule.required, rule.first, rule.last) == legacy_rule_keys(rule.terms)
+
+
+@given(body=_BODIES)
+@settings(max_examples=200, deadline=None)
+def test_prefilter_keeps_every_rule_a_sample_matches(lexicon, body):
+    [rule] = parse_rule_dsl(f"<X> = {body}")
+    for seed in range(4):
+        try:
+            sentence = normalize(sample(rule, seed, lexicon))
+        except GrammarError:  # a category without surfaces
+            return
+        if not sentence:
+            continue
+        groups = tokenize(sentence, lexicon)
+        if match_rule(groups, rule) is not None:
+            assert candidate_rules(groups, (rule,)) == [rule], sentence
 
 
 @pytest.fixture
