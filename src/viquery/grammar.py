@@ -9,7 +9,8 @@ the parts a phrase template alternative uses (see
 :class:`Bracket`, so code telling parts apart reads each part's type once.
 File order is priority order for the parser.  Each rule compiles,
 when it is built, to one flat program that the parser's matcher runs, with
-each template slot inlined; its prefilter keys come from its parts.
+each template slot inlined; the walk over its parts that writes the program
+also folds its prefilter keys.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .lexicon import GRAMMAR_CATEGORIES, NAME_KINDS, TEMPLATES, Lexicon, Lit, normalize
+from .lexicon import GRAMMAR_CATEGORIES, NAME_KINDS, TEMPLATES, Lexicon, Lit, normalize, tokenize
 from .semantics import _family_problems
 
 
@@ -47,55 +48,78 @@ class Bracket(NamedTuple):
 LIT, TOK, ATOM, SPLIT, JUMP, COMMIT, MATCH = range(7)
 
 
-def _emit(terms: tuple, program: list) -> None:
+_NONE = frozenset([None])
+
+
+def _emit(terms: tuple, program: list) -> tuple:
+    """Append the code of a sequence of parts to ``program`` and return its
+    keys, folded left over the parts: those every match consumes, those of
+    which its first and its last group holds one (its FIRST and LAST sets;
+    None: there may be no such group) and, when its last part is one group,
+    the LAST set before that part (else None)."""
+    need, head, tail, before = frozenset(), _NONE, _NONE, None
     for term in terms:
-        if type(term) is str:
-            if term in TEMPLATES:
-                program.extend(_block(term))
-            else:
-                program.append((TOK, term, 0))
-        elif type(term) is Lit:
-            program.append((LIT, term.surface, 0))
-        elif type(term) is tuple:  # a template part, one category by now
-            program.append((TOK, term[0], 0))
-        else:
+        before = None
+        if type(term) is Bracket:  # may match nothing
             # [body]: SPLIT body, after (present before absent)
             # {body}: L: SPLIT body, after; body; JUMP L (one more iteration
             # before exit)
             split = len(program)
             program.append(None)
-            _emit(term.body, program)
+            _, first, last, _ = _emit(term.body, program)
             if term.opener == "{":
                 program.append((JUMP, split - len(program), 0))
             program[split] = (SPLIT, len(program) - split, 0)
+            consumed, first, last = frozenset(), first | _NONE, last | _NONE
+        elif type(term) is str and term in TEMPLATES:
+            block, (consumed, first, last, _) = _block(term)
+            program.extend(block)
+        else:  # one group: a literal or a slot, of one category by now
+            key = term.surface if type(term) is Lit else term[0] if type(term) is tuple else term
+            program.append((LIT if type(term) is Lit else TOK, key, 0))
+            consumed = first = last = frozenset([key])
+            before = tail
+        need |= consumed
+        if None in head:
+            head = head - _NONE | first
+        tail = last - _NONE | tail if None in last else last
+    return need, head, tail, before
 
 
-def compile_program(alternatives: list) -> tuple[tuple, ...]:
+def compile_program(alternatives: list) -> tuple[tuple[tuple, ...], tuple]:
     """Compile ordered ``(parts, builder)`` alternatives, each but the last
     tried first by a ``SPLIT`` and each ending in a ``COMMIT`` of its
     builder; a rule body is one alternative with builder None, which ends in
     ``MATCH``.  A part of several categories becomes one alternative per
-    category, in order."""
+    category, in order.  Returns the program and its keys (see
+    :func:`_emit`): those all the alternatives need, and the union of their
+    other sets."""
     *tried, last = [(choice, builder) for parts, builder in alternatives
                     for choice in itertools.product(*[
                         [(c,) for c in part] if type(part) is tuple else [part]
                         for part in parts])]
     program: list = []
+    keys = []
     for parts, builder in tried:
         split = len(program)
         program.append(None)
-        _emit(parts, program)
+        keys.append(_emit(parts, program))
         program.append((COMMIT, builder, 0))
         program[split] = (SPLIT, len(program) - split, 0)
-    _emit(last[0], program)
-    return (*program, (MATCH, None, 0) if last[1] is None else (COMMIT, last[1], 0))
+    keys.append(_emit(last[0], program))
+    program.append((MATCH, None, 0) if last[1] is None else (COMMIT, last[1], 0))
+    needs, heads, tails, befores = zip(*keys)
+    return tuple(program), (frozenset.intersection(*needs), frozenset().union(*heads),
+                            frozenset().union(*tails),
+                            None if None in befores else frozenset().union(*befores))
 
 
 @functools.cache
-def _block(category: str) -> tuple[tuple, ...]:
-    """A template slot's code, compiled once and copied into every slot."""
-    body = compile_program(TEMPLATES[category])
-    return ((ATOM, category, 1 + len(body)), *body)
+def _block(category: str) -> tuple[tuple[tuple, ...], tuple]:
+    """A template slot's code, compiled once and copied into every slot,
+    and its keys."""
+    body, keys = compile_program(TEMPLATES[category])
+    return ((ATOM, category, 1 + len(body)), *body), keys
 
 
 class SyntacticRule(NamedTuple):
@@ -107,7 +131,7 @@ class SyntacticRule(NamedTuple):
     #: the compiled body, see :func:`compile_program`
     program: tuple[tuple, ...]
     #: literals and categories the body consumes wherever it matches (see
-    #: :func:`_keys`): a stream lacking any of them cannot match
+    #: :func:`_emit`): a stream lacking any of them cannot match
     required: frozenset
     #: keys of which the first group of every match holds one and, for a
     #: body ending in a literal or a one-token slot (else None), the group
@@ -129,50 +153,9 @@ def family_of(rule_id: str) -> str:
     return m.group(1) if m else rule_id
 
 
-_NONE = frozenset([None])
-
-
-@functools.cache
-def _template_keys(category: str) -> tuple[frozenset, frozenset, frozenset]:
-    """What a template slot consumes: the keys all its alternatives need,
-    and those any of them begins or ends with."""
-    needs, heads, tails, _ = zip(*[_keys(parts) for parts, _ in TEMPLATES[category]])
-    return frozenset.intersection(*needs), frozenset().union(*heads), frozenset().union(*tails)
-
-
-def _keys(parts: tuple) -> tuple[frozenset, frozenset, frozenset, frozenset]:
-    """The keys a sequence of parts consumes wherever it matches, those of
-    which its first and its last group holds one (its FIRST and LAST sets;
-    None: there may be no such group) and the LAST set before its last part,
-    folded left over the parts."""
-    need, head, tail, before = frozenset(), _NONE, _NONE, _NONE
-    for part in parts:
-        if type(part) is Bracket:  # may match nothing
-            _, first, last, _ = _keys(part.body)
-            consumed, first, last = frozenset(), first | _NONE, last | _NONE
-        elif type(part) is str and part in TEMPLATES:
-            consumed, first, last = _template_keys(part)
-        else:  # one group, holding one of these keys
-            first = last = frozenset(part if type(part) is tuple else [
-                part.surface if type(part) is Lit else part])
-            # several categories compile to one alternative each: none is needed
-            consumed = first if len(first) == 1 else frozenset()
-        before = tail
-        need |= consumed
-        if None in head:
-            head = head - _NONE | first
-        tail = last - _NONE | tail if None in last else last
-    return need, head, tail, before
-
-
 def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
-    need, head, _, before = _keys(terms)
-    end = terms[-1]
-    # a literal or a one-token slot at the end consumes the last group alone,
-    # and what comes before it holds the group before
-    anchored = type(end) in (str, Lit) and end not in TEMPLATES
-    return SyntacticRule(rule_id, family_of(rule_id), terms, compile_program([(terms, None)]),
-                         need, head, before if anchored else None)
+    program, (need, head, _, before) = compile_program([(terms, None)])
+    return SyntacticRule(rule_id, family_of(rule_id), terms, program, need, head, before)
 
 
 def _parse_body(text: str, lineno: int) -> tuple:
@@ -259,13 +242,17 @@ def _categories_of(terms: tuple):
 
 def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
     """Diagnostics: unrealizable categories (a year and a name need no
-    entry: tokenize gives them to unknown runs), rules not ending in '?',
-    then each problem :func:`viquery.semantics.check_families` reports."""
+    entry: tokenize gives them to unknown runs), literals that tokenize does
+    not make one group (``LIT`` reads one), rules not ending in '?', then
+    each problem :func:`viquery.semantics.check_families` reports."""
     diagnostics: list[str] = []
     for rule in grammar:
         for category in dict.fromkeys(arg for op, arg, _ in rule.program if op == TOK):
             if category not in ("year", *NAME_KINDS) and not lexicon.surfaces(category):
                 diagnostics.append(f"{rule.id}: category <{category}> has no lexicon entries")
+        for surface in dict.fromkeys(arg for op, arg, _ in rule.program if op == LIT):
+            if [g.surface for g in tokenize(surface, lexicon)] != [surface]:
+                diagnostics.append(f'{rule.id}: literal "{surface}" is not one token group')
         if rule.terms[-1] != Lit("?"):
             diagnostics.append(f'{rule.id}: rule does not end with "?"')
     diagnostics.extend(_family_problems(grammar))

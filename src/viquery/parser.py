@@ -38,11 +38,12 @@ constituents share one ``bindings`` tuple.
 a rule unless the query holds all its ``required`` keys, its first group
 one of its ``first`` keys (the body's FIRST set) and, where ``last`` is not
 None, the group before the last one of the ``last`` keys (None stands for
-no group, in a one-group query), all worked out from the rule's parts (see
-:class:`viquery.grammar.SyntacticRule`).  Keys are literal surfaces and
-category names, both plain ``str``s, so a literal equal to a name only lets
-a rule through.  Every match consumes groups holding such keys at those
-places, so a skipped rule is one that cannot match.
+no group, in a one-group query), all folded by the walk over the rule's
+parts that compiles it (see :class:`viquery.grammar.SyntacticRule`).  Keys
+are literal surfaces and category names, both plain ``str``s, so a literal
+equal to a name only lets a rule through.  Every match consumes groups
+holding such keys at those places, so a skipped rule is one that cannot
+match.
 """
 
 from __future__ import annotations
@@ -211,7 +212,3 @@ def candidate_rules(groups: tuple[TokenGroup, ...],
             if rule.required <= present and not rule.first.isdisjoint(head)
             and (rule.last is None or not rule.last.isdisjoint(before))]
 
-
-def constituents(parse_result: ParseResult) -> list[tuple[str, str, object]]:
-    """Bindings projected for display, in surface order."""
-    return [(b.category, b.surface, b.value) for b in parse_result.bindings]

@@ -12,9 +12,9 @@ A slot is ``(kind, role, relation, source)``, and its kind is one of:
 ``ask``     a focused entity of ``role``;
 ``need``    an entity bound from the ``source`` category, which the parse
             must bind;
-``bind``    like ``need``, but unbound when the category is absent;
+``bind``    like ``need``, but unbound when the category is absent (as
+            it always is for the ``source`` None);
 ``opt``     like ``need``, but left out when the category is absent;
-``free``    an unbound entity;
 ``books``   one argument per bound book; a subject-qualified book ("sách
             nào thuộc chủ đề T") becomes a nested ``is_of`` node;
 ``times``   one argument per bound time phrase;
@@ -173,7 +173,7 @@ _BOOKS_OF_SUBJECT = ("node", None, REL_OBJ, ("is_of", False, (
 FAMILIES = {
     "Q1.1": ("verb_write", False, (("ask", "author", REL_SUB, None), _BOOKS, _TIMES)),
     "Q1.2": ("verb_be", True, (_AUTHOR, ("node", None, REL_OBJ, (
-        "verb_possessive", False, (("free", "author", REL_SUB, None), _BOOKS))))),
+        "verb_possessive", False, (("bind", "author", REL_SUB, None), _BOOKS))))),
     "Q1.3": ("verb_write", True, (_AUTHOR, _BOOKS, _TIMES)),
     "Q1.4": ("verb_write", False, (_AUTHOR, _BOOKS, _YEAR)),
     "Q2.1": ("verb_publish", False, (("ask", "publisher", REL_SUB, None), _BOOKS, _TIMES)),
@@ -183,12 +183,12 @@ FAMILIES = {
     "Q3.2": ("is_of", True, (_DESCRIBED_BOOK, ("need", "subject", REL_OBJ, "subject"))),
     # Q3.3 / Q3.4: the (unbound) books some actor wrote or published
     "Q3.3": ("is_of", False, (("node", None, REL_SUB, ("is_of", False, (
-        ("free", "book", REL_SUB, None),
+        ("bind", "book", REL_SUB, None),
         ("need", "author", REL_OBJ, "author"),
         _TIMES,
     ))), _ASK_SUBJECT)),
     "Q3.4": ("is_of", False, (("node", None, REL_SUB, ("is_of", False, (
-        ("free", "book", REL_SUB, None),
+        ("bind", "book", REL_SUB, None),
         ("need", "publisher", REL_OBJ, "publisher"),
         _TIMES,
     ))), _ASK_SUBJECT)),
@@ -272,8 +272,8 @@ def _build(parse: ParseResult, node) -> SemanticNode:
                              _TIME_RELATION_NAMES[constraint.relation]))
         elif kind == "amount":
             args.append((Argument("amount", focus=True), relation))
-        elif kind in ("ask", "free"):
-            args.append((Argument("entity", role=role, focus=kind == "ask"), relation))
+        elif kind == "ask":
+            args.append((Argument("entity", role=role, focus=True), relation))
         elif value is not None or kind != "opt":  # need, bind, opt
             args.append((Argument("entity", role=role, value=value), relation))
     return SemanticNode(predicate, focused, tuple(args))

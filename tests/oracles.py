@@ -15,10 +15,11 @@ several books holds when each of its one-book readings holds.  The legacy
 front end is the regex normalizer and the per-first-syllable bucket scan
 that the syllable trie replaced.  ``legacy_rule_keys`` reads a rule's
 prefilter keys off its compiled program by the dataflow pass that folding
-them over the rule's parts replaced.  The legacy transformer is the set of
-per-family builder functions that the family data table replaced, and
-``FAMILY_SKELETONS`` is the hand-written skeleton of every family, kept as an
-independent conformance reference for the table.
+them in the walk that compiles the rule's parts replaced.  The legacy
+transformer is the set of per-family builder functions that the family
+data table replaced, and ``FAMILY_SKELETONS`` is the hand-written skeleton
+of every family, kept as an independent conformance reference for the
+table.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
     """The keys a ``LIT``, a ``TOK`` or an inlined block consumes wherever
     it matches, and those of which its first and its last group holds one."""
     if op == ATOM:  # what the template's alternatives consume to a COMMIT
-        body = _block(arg)[1:]
+        body = _block(arg)[0][1:]
         return tuple(keys[len(body)] for keys in _walk(body))
     keys = frozenset([arg])
     return keys, keys, keys
@@ -395,7 +396,7 @@ def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
 
 def legacy_rule_keys(terms: tuple) -> tuple[frozenset, frozenset, frozenset | None]:
     """A rule body's ``(required, first, last)``, read off its program."""
-    program = compile_program([(terms, None)])
+    program = compile_program([(terms, None)])[0]
     needs, heads, tails = _walk(program)
     end = terms[-1]
     anchored = type(end) in (str, Lit) and end not in TEMPLATES

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +172,16 @@ def test_validate_reports_family_problems(lexicon):
         check_families(grammar)
     problems = validate(grammar, lexicon)
     assert len(problems) == 2 and problems == str(caught.value).split("; ")
+
+
+def test_validate_reports_literal_of_several_token_groups(lexicon):
+    # "sách" is a book head and "b" an unknown run: LIT reads one group, so
+    # the rule loads but can never match
+    grammar = parse_rule_dsl('<Q1.1z> = <what_author> <verb_write> "sách b" <book> "?"')
+    assert validate(grammar, lexicon) == ['Q1.1z: literal "sách b" is not one token group']
+    # the literals of the toy rules, like the built-in ones, are one group each
+    toy = Path(__file__).parent / "data" / "toy_rules.bnf"
+    assert validate(parse_rule_dsl(toy.read_text(encoding="utf-8")), lexicon) == []
 
 
 def test_validate_reports_missing_terminator(lexicon):

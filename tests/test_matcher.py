@@ -13,7 +13,7 @@ from oracles import legacy_parse, legacy_rule_keys, legacy_scan_constituent, sca
 from viquery import parser
 from viquery.cli import main
 from viquery.grammar import (ATOM, COMMIT, JUMP, LIT, MATCH, SPLIT, TOK, GrammarError,
-                             compile_program, parse_rule_dsl, sample)
+                             _block, compile_program, parse_rule_dsl, sample)
 from viquery.lexicon import (BUILDERS, CATEGORIES, GRAMMAR_CATEGORIES, TEMPLATES, Category,
                              normalize, tokenize)
 from viquery.parser import candidate_rules, match_rule, parse
@@ -96,7 +96,7 @@ def test_compile_priority_order():
     # what a <book> alternative ends in: the group may be taken or not
     assert rule.last == {Category.NAME_BOOK, Category.NAME_SUBJECT, "nào", Category.BOOK_TYPE}
     # a rule body is one alternative, with no builder
-    assert compile_program([(rule.terms, None)]) == rule.program
+    assert compile_program([(rule.terms, None)])[0] == rule.program
 
 
 def test_compile_template_programs():
@@ -119,6 +119,13 @@ def test_compile_template_programs():
         (LIT, "?", 0),
         (MATCH, None, 0),
     )
+    # its keys fold over both alternatives: each needs what <author> needs,
+    # and only one of them the possessive or the agent word
+    block, (need, first, last, _) = _block(C.BY_AUTHOR)
+    assert block == parse_rule_dsl('<R> = <by_author> "?"\n')[0].program[:-2]
+    assert need == _block(C.AUTHOR)[1][0] == {C.CREATOR, C.NAME_AUTHOR}
+    assert first == {C.POSSESSIVE, C.AGENT}
+    assert last == {C.NAME_AUTHOR}
     every = parse_rule_dsl("<R> = " + " ".join(f"<{c}>" for c in TEMPLATES) + "\n")[0]
     assert {arg for op, arg, _ in every.program if op == ATOM} == TEMPLATES.keys()
     assert {arg for op, arg, _ in every.program if op == COMMIT} == BUILDERS.keys()

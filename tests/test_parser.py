@@ -1,7 +1,7 @@
 import pytest
 
 from viquery.lexicon import BookValue, Category, TimeValue, normalize, tokenize
-from viquery.parser import BlankQueryError, constituents, match_rule, parse
+from viquery.parser import BlankQueryError, match_rule, parse
 
 S1 = "Tác giả A có viết sách B vào năm 2008 không?"
 
@@ -95,7 +95,7 @@ def test_full_span_soundness(grammar, lexicon, corpus):
 
 def test_constituents_projection(grammar, lexicon):
     results = parse(S1, grammar, lexicon)
-    listed = constituents(results[0])
+    listed = [(b.category, b.surface, b.value) for b in results[0].bindings]
     assert len(listed) == len(results[0].bindings) == 6
     assert listed[0] == (Category.AUTHOR, "tác giả a", "A")
 
