@@ -7,12 +7,12 @@ instructions (see :func:`viquery.grammar.compile_program`).  An optional
 ``L: SPLIT body, after; body; JUMP L``, so an optional is tried present
 before absent and a group tries one more iteration before it exits.
 
-:func:`match_rule` runs a program in one loop, as an iterative depth-first
-search that takes the first branch of every ``SPLIT`` first, so the first
-complete match it finds is the first in that priority order and results
-are deterministic.  A visited set over (``SPLIT``, position) explores no
-branch point twice.  Every loop passes through its ``SPLIT``, which rejects
-a group iteration that consumes nothing, and the states between two
+:func:`match_rule` runs a program as an iterative depth-first search that
+takes the first branch of every ``SPLIT`` first, so the first complete
+match it finds is the first in that priority order and results are
+deterministic.  A visited set over (``SPLIT``, position) explores no branch
+point twice.  Every loop passes through its ``SPLIT``, which rejects a
+group iteration that consumes nothing, and the states between two
 ``SPLIT``s form a straight line that cannot match on a second walk if it
 did not on the first: the search is bounded by ``SPLIT`` states times
 straight-line length.  Bindings are kept in a chain of ``(binding,
@@ -25,13 +25,15 @@ alternatives, each ending in ``COMMIT``.  :func:`parse` shares one table
 among all rules of a query that holds, by (position, category), a
 template's finished ``(category, value, surface)`` span and the position
 after it, or None where it does not match.  An ``ATOM`` with an entry binds
-the span and goes on after its block, or fails.  Without one it notes the
-stack depth, its key and the chain, pushes a failure marker (which stores
-the failure when popped) and tries the alternatives.  The first ``COMMIT``
-reached builds the value from the bindings made since the ``ATOM``, stores
-the span and drops the marker and the untried alternatives.  The table
-also holds each matched sequence of spans with its
-:class:`ConstituentBinding` tuple, so parses that bind the same
+the span and goes on after its block, or fails.  Without one it searches
+its block the same way, from the next instruction at its position with no
+bindings.  The first ``COMMIT`` that nested search reaches returns the
+value it builds from the block's bindings and the position after them,
+which drops the alternatives not yet tried.  The ``ATOM`` stores the span,
+or None if no alternative matched, and binds it or fails.  Searches nest
+only as deep as templates do (a rule, a ``book``, its ``subject``),
+whatever the input.  The table also holds each matched sequence of spans
+with its :class:`ConstituentBinding` tuple, so parses that bind the same
 constituents share one ``bindings`` tuple.
 
 :func:`parse` tries only the rules :func:`candidate_rules` keeps.  It skips
@@ -102,19 +104,18 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
     return ParseResult(rule.id, rule.family, bindings)
 
 
-def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict):
-    """Run a rule's program over all the groups: the tuple of spans its
-    first match binds (empty when it binds none), or None."""
+def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict,
+         pc: int = 0, start: int = 0):
+    """Search ``program`` from ``pc`` at group ``start``, or return None: a
+    rule's program from 0 for the tuple of spans (maybe empty) its first
+    match of all the groups binds, or an ``ATOM``'s block from the next
+    ``pc`` for the ``(value, end)`` of its first alternative to match."""
     n = len(groups)
     width = n + 1
     visited: set[int] = set()
-    stack = [(0, 0, None)]
-    atoms = []  # (stack depth, table key, chain, end) of each open ATOM
+    stack = [(pc, start, None)]
     while stack:
         pc, pos, chain = stack.pop()
-        if pc is None:  # no alternative of the ATOM matched
-            table[atoms.pop()[1]] = None
-            continue
         while True:
             op, arg, alt = program[pc]
             if op == SPLIT:
@@ -134,32 +135,29 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict):
             elif op == ATOM:
                 key = (pos, arg)
                 span = table.get(key, ())  # (): no entry yet
-                if span:
-                    binding, pos = span
-                    chain = (binding, chain)
-                    pc += alt
-                elif span is None:
+                if span == ():
+                    span = _run(program, groups, table, pc + 1, pos)
+                    if span is not None:
+                        value, end = span
+                        surface = " ".join([g.surface for g in groups[pos:end]])
+                        span = ((arg, value, surface), end)
+                    table[key] = span
+                if span is None:
                     break
-                else:
-                    atoms.append((len(stack), key, chain, pc + alt))
-                    stack.append((None, 0, None))  # the failure marker
-                    pc += 1
+                binding, pos = span
+                chain = (binding, chain)
+                pc += alt
             elif op == LIT:
                 if pos >= n or groups[pos].surface != arg:
                     break
                 pc += 1
                 pos += 1
-            elif op == COMMIT:
-                depth, key, outer, pc = atoms.pop()
+            elif op == COMMIT:  # the first alternative of the block to match
                 values = []
-                while chain is not outer:
+                while chain is not None:
                     (_, value, _), chain = chain
                     values.append(value)
-                surface = " ".join([g.surface for g in groups[key[0]:pos]])
-                binding = (key[1], BUILDERS[arg](values[::-1]), surface)
-                table[key] = (binding, pos)
-                del stack[depth:]
-                chain = (binding, outer)
+                return BUILDERS[arg](values[::-1]), pos
             elif op == JUMP:
                 pc += arg
             elif pos == n:  # MATCH
