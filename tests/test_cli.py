@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viquery import parse_rule_dsl
-from viquery.cli import _parse_report, data_path, main
+from viquery.cli import _parse_report, build_arg_parser, cmd_ask, data_path, main
 from viquery.lexicon import CATEGORIES
 from viquery.parser import MAX_QUERY_CHARS, parse
 from viquery.semantics import render_full, transform
@@ -186,6 +186,17 @@ def test_batch_mixed(tmp_path, capsys):
     assert out[0].startswith("Q1.3a\t")
     assert out[1] == "NO-PARSE"
     assert out[-1] == "1/2"
+
+
+def test_json_leaves_batch_and_generate_unchanged(tmp_path, capsys):
+    # --json changes only parse, semantics and ask
+    f = tmp_path / "queries.txt"
+    f.write_text(S1 + "\nxin chào\n", encoding="utf-8")
+    for argv in (["batch", str(f)], ["generate", "all", "2"]):
+        code = main(argv)
+        plain = capsys.readouterr()
+        assert main(["--json", *argv]) == code
+        assert capsys.readouterr() == plain
 
 
 def test_batch_breaks_lines_at_line_feeds_only(tmp_path, capsys):
@@ -373,6 +384,18 @@ def test_parse_reports_are_pinned(capsys, grammar, lexicon):
     assert len(lines) == 2796
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "77efc647200cfb8197fa4999c494bf24ab7be918a3cb2f8e6ed746973188a7b3"
+
+
+def test_answers_are_pinned(capsys, grammar, lexicon, catalog, generated):
+    """What ``viquery --json ask`` prints for each generated sentence, with
+    the data loaded once."""
+    args = build_arg_parser().parse_args(["--json", "ask", "?"])
+    for sentence in generated:
+        cmd_ask(args, parse(sentence, grammar, lexicon), catalog)
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1140
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "1ad3e85b0a95cc40565289c7c278470567f71958476fb1faf49ae28aa756d289"
 
 
 def _pinned_rules(grammar):

@@ -464,6 +464,36 @@ def test_scans_grow_linearly_with_books(grammar, lexicon, form):
         assert more <= 2.2 * fewer, counts
 
 
+def _nesting(category: str) -> int:
+    """How many template blocks deep a slot of ``category`` nests."""
+    return 1 + max((_nesting(part) for parts, _ in TEMPLATES[category] for part in parts
+                    if type(part) is str), default=0)
+
+
+def test_searches_nest_no_deeper_than_templates(grammar, lexicon, generated, monkeypatch):
+    # a rule's search, then one nested search per template block entered
+    limit = 1 + max(map(_nesting, TEMPLATES))
+    depth = deepest = 0
+    original = parser._run
+
+    def nested(*args):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return original(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(parser, "_run", nested)
+    for query in generated:
+        parse(query, grammar, lexicon)
+    assert deepest == limit == 3
+    deepest = 0
+    assert parse(_active(1000), grammar, lexicon)
+    assert 1 < deepest <= limit
+
+
 def test_match_counts_on_generated_corpus(grammar, lexicon, generated, attempts):
     parses = sum(len(parse(query, grammar, lexicon)) for query in generated)
     spans = sum(len(_spans(query, grammar, lexicon)) for query in generated)
