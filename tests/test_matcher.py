@@ -1,7 +1,8 @@
 """The compiled matcher: agreement with the recursive backtracker and the
 template part interpreter it replaced, inlined template blocks and their
 atomicity, questions with hundreds of coordinated books, the rule
-prefilter, and rule-attempt and span counts."""
+prefilter, rule-attempt and span counts, and how deep template searches
+nest."""
 
 import random
 from pathlib import Path
