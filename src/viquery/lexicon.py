@@ -39,8 +39,8 @@ NAME_KINDS = tuple(map(sys.intern, """
 CATEGORIES = GRAMMAR_CATEGORIES.union(
     NAME_KINDS, map(sys.intern, ("noun_time", "agent", "year", "punct")))
 
-#: The categories as attributes, for code that spells them so: ``Category.BOOK
-#: is "book"``
+#: The categories as attributes.  Only ``perfbench/run.py`` still spells them
+#: so; ROADMAP item 1 makes it compare strings and deletes this line.
 Category = SimpleNamespace(**{c.upper(): c for c in CATEGORIES})
 
 _YEAR_RE = re.compile(r"^[1-9]\d{3}$")
@@ -140,6 +140,9 @@ def load_lexicon(document: str) -> Lexicon:
         cat_name, surface, canonical = (f.strip() for f in fields)
         if cat_name not in CATEGORIES:
             raise LexiconError(f"line {lineno}: unknown category {cat_name!r}")
+        if cat_name in _PHRASES:
+            raise LexiconError(f"line {lineno}: category {cat_name!r} is a phrase, not a "
+                               "word class; list a name under a name_* category")
         category = sys.intern(cat_name)
         surface = normalize(surface)
         if not surface:
@@ -254,3 +257,9 @@ TEMPLATES = {
     "by_author": [((("possessive", "agent"), "author"), "last")],
     "by_publisher": [((("possessive", "agent"), "publisher"), "last")],
 }
+
+#: The template names that no template part reads as a word class: no step of
+#: the matcher reads a token of these, so a lexicon may not list them
+_PHRASES = frozenset(TEMPLATES).difference(
+    c for alternatives in TEMPLATES.values() for parts, _ in alternatives
+    for part in parts if type(part) is tuple for c in part)

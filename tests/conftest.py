@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from viquery import load_catalog, load_lexicon, parse_rule_dsl
@@ -18,6 +20,24 @@ def grammar():
 @pytest.fixture(scope="session")
 def catalog():
     return load_catalog(data_path("catalog_sample.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def toy_rules():
+    """The toy grammar's path: three families over the built-in lexicon."""
+    return Path(__file__).parent / "data" / "toy_rules.bnf"
+
+
+@pytest.fixture(scope="session")
+def rules(grammar, toy_rules):
+    """Every rule of the built-in grammar and of the toy grammar."""
+    return grammar + parse_rule_dsl(toy_rules.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def rule_by_id(grammar):
+    """The built-in rules by id."""
+    return {rule.id: rule for rule in grammar}
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,6 @@ from viquery.grammar import (ATOM, COMMIT, LIT, MATCH, SPLIT, TOK, Bracket, Synt
 from viquery.lexicon import (
     NAME_KINDS,
     BookValue,
-    Category,
     Lexicon,
     Lit,
     TokenGroup,
@@ -262,7 +261,7 @@ def legacy_tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
     while i < n:
         syl = syllables[i]
         if syl in ("?", ","):
-            groups.append(TokenGroup(syl, {Category.PUNCT: syl}))
+            groups.append(TokenGroup(syl, {"punct": syl}))
             i += 1
             continue
         length, matches = _match_at(lexicon, syllables, i)
@@ -279,7 +278,7 @@ def legacy_tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
         run = " ".join(syllables[i:j])
         categories = dict.fromkeys(NAME_KINDS, run)
         if j - i == 1 and _YEAR_RE.match(run):
-            categories[Category.YEAR] = run
+            categories["year"] = run
         groups.append(TokenGroup(run, categories))
         i = j
     return tuple(groups)
@@ -555,7 +554,7 @@ def _book_args(parse: ParseResult, required: bool = True):
     A subject-qualified book ("sách nào thuộc chủ đề T") becomes a nested
     is_of node; plain books are entity arguments, unbound when headless.
     """
-    books = _bindings(parse, Category.BOOK)
+    books = _bindings(parse, "book")
     if not books and required:
         raise TransformError(f"{parse.rule_id}: no book constituent bound")
     pairs = []
@@ -574,7 +573,7 @@ def _book_args(parse: ParseResult, required: bool = True):
 
 def _bound_time_args(parse: ParseResult):
     pairs = []
-    for binding in _bindings(parse, Category.TIME_PHRASE):
+    for binding in _bindings(parse, "time_phrase"):
         value: TimeValue = binding.value
         constraint = resolve_time(value.prep, value.year)
         pairs.append((
@@ -585,7 +584,7 @@ def _bound_time_args(parse: ParseResult):
 
 
 def _asked_time_arg(parse: ParseResult):
-    prep = _first_value(parse, Category.PREP_TIME) or "vào"
+    prep = _first_value(parse, "prep_time") or "vào"
     constraint = resolve_time(prep, None)
     return (
         Argument("time", time=constraint, focus=True),
@@ -602,14 +601,11 @@ def _require(parse: ParseResult, category: str):
     return value
 
 
-_ACTOR_CATEGORY = {"author": Category.AUTHOR, "publisher": Category.PUBLISHER}
-
-
 def _build_action(parse: ParseResult, predicate: str, actor: str, focus: str):
     if focus == "actor":
         subject = _entity(actor, focus=True)
     else:
-        subject = _entity(actor, _require(parse, _ACTOR_CATEGORY[actor]))
+        subject = _entity(actor, _require(parse, actor))
     args = [(subject, REL_SUB)]
     args.extend(_book_args(parse))
     if focus == "year":
@@ -622,7 +618,7 @@ def _build_action(parse: ParseResult, predicate: str, actor: str, focus: str):
 
 
 def _build_possessive_eq(parse: ParseResult):
-    author = _require(parse, Category.AUTHOR)
+    author = _require(parse, "author")
     inner = SemanticNode("verb_possessive", False, tuple(
         [(_entity("author"), REL_SUB)] + _book_args(parse)
     ))
@@ -640,23 +636,23 @@ def _build_subject_of(parse: ParseResult, described: bool, actor: str | None = N
         # publisher and time
         inner_args.extend(_book_args(parse))
         inner_args[0] = (inner_args[0][0], REL_SUB)
-        of_author = _first_value(parse, Category.OF_AUTHOR)
+        of_author = _first_value(parse, "of_author")
         if of_author is not None:
             inner_args.append((_entity("author", of_author), REL_OBJ))
-        by_publisher = _first_value(parse, Category.BY_PUBLISHER)
+        by_publisher = _first_value(parse, "by_publisher")
         if by_publisher is not None:
             inner_args.append((_entity("publisher", by_publisher), REL_OBJ))
     else:
         # Q3.3 / Q3.4: the (unbound) books some actor wrote or published;
         # the book_type slot is optional in the Q3.4 rules
         inner_args.append((_entity("book"), REL_SUB))
-        inner_args.append((_entity(actor, _require(parse, _ACTOR_CATEGORY[actor])), REL_OBJ))
+        inner_args.append((_entity(actor, _require(parse, actor)), REL_OBJ))
     inner_args.extend(_bound_time_args(parse))
     inner = SemanticNode("is_of", False, tuple(inner_args))
     if subject_focus:
         subject = _entity("subject", focus=True)
     else:
-        subject = _entity("subject", _require(parse, Category.SUBJECT))
+        subject = _entity("subject", _require(parse, "subject"))
     return SemanticNode("is_of", not subject_focus, (
         (Argument("nested", nested=inner), REL_SUB),
         (subject, REL_OBJ),
@@ -668,7 +664,7 @@ def _build_qualified_list(parse: ParseResult, predicate: str, actor: str,
     actor_value = _first_value(parse, source)
     nested = SemanticNode("is_of", False, (
         (_entity("book", focus=True), REL_SUB),
-        (_entity("subject", _require(parse, Category.SUBJECT)), REL_OBJ),
+        (_entity("subject", _require(parse, "subject")), REL_OBJ),
     ))
     args = [
         (_entity(actor, actor_value), REL_SUB),
@@ -679,7 +675,7 @@ def _build_qualified_list(parse: ParseResult, predicate: str, actor: str,
 
 
 def _build_published_where(parse: ParseResult):
-    publisher = _first_value(parse, Category.PUBLISHER)
+    publisher = _first_value(parse, "publisher")
     args = [(_entity("publisher", publisher), REL_SUB)]
     args.extend(_book_args(parse))
     args.extend(_bound_time_args(parse))
@@ -689,7 +685,7 @@ def _build_published_where(parse: ParseResult):
 
 def _build_locate(parse: ParseResult):
     return SemanticNode("verb_locate", False, (
-        (_entity("publisher", _require(parse, Category.PUBLISHER)), REL_SUB),
+        (_entity("publisher", _require(parse, "publisher")), REL_SUB),
         (_entity("location", focus=True), REL_OBJ),
     ))
 
@@ -703,7 +699,7 @@ def _build_cost(parse: ParseResult):
 
 
 def _build_library_count(parse: ParseResult):
-    source = _first_value(parse, Category.IN_ELIB) or "elib"
+    source = _first_value(parse, "in_elib") or "elib"
     args = [(_entity("source", source), REL_SUB)]
     args.extend(_book_args(parse))
     args.append((Argument("amount", focus=True), REL_AMOUNT))
@@ -724,9 +720,9 @@ FAMILY_TABLE = {
     "Q3.3": (_build_subject_of, dict(described=False, actor="author")),
     "Q3.4": (_build_subject_of, dict(described=False, actor="publisher")),
     "Q4.1": (_build_qualified_list, dict(predicate="verb_write", actor="author",
-                                           source=Category.BY_AUTHOR)),
+                                           source="by_author")),
     "Q4.2": (_build_qualified_list, dict(predicate="verb_publish", actor="publisher",
-                                           source=Category.BY_PUBLISHER)),
+                                           source="by_publisher")),
     "Q5.1": (_build_published_where, {}),
     "Q5.2": (_build_locate, {}),
     "Q6.1": (_build_cost, {}),

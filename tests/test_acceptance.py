@@ -17,7 +17,7 @@ import viquery
 from viquery.catalog import evaluate, load_catalog
 from viquery.cli import main
 from viquery.grammar import validate
-from viquery.lexicon import Category, load_lexicon
+from viquery.lexicon import load_lexicon
 from viquery.parser import parse
 from viquery.semantics import (
     classify,
@@ -43,10 +43,10 @@ def test_criterion_01_golden_s1_syntax(grammar, lexicon):
     values = []
     for binding in first.bindings:
         value = binding.value
-        if binding.category is Category.TIME_PHRASE:
+        if binding.category == "time_phrase":
             constraint = resolve_time(value.prep, value.year)
             values.append((constraint.year, constraint.relation))
-        elif binding.category is Category.BOOK:
+        elif binding.category == "book":
             values.append(value.title)
         else:
             values.append(value)
@@ -108,11 +108,11 @@ def _expected_skeleton(family, source):
     """Instantiate the stored family skeleton for one parse: drop absent
     optional arguments, repeat multi-book slots, resolve generic rel_time."""
     skeleton = FAMILY_SKELETONS[family]
-    books = [b for b in source.bindings if b.category is Category.BOOK]
+    books = [b for b in source.bindings if b.category == "book"]
     if len(books) > 1:
         skeleton = skeleton.replace(
             "(book, rel_obj)", ", ".join(["(book, rel_obj)"] * len(books)))
-    times = [b for b in source.bindings if b.category is Category.TIME_PHRASE]
+    times = [b for b in source.bindings if b.category == "time_phrase"]
     if "[(APT, rel_time)]" in skeleton:
         if times:
             relation = _PREP_REL[times[0].value.prep]
@@ -120,16 +120,16 @@ def _expected_skeleton(family, source):
         else:
             skeleton = skeleton.replace(", [(APT, rel_time)]", "")
     if "(year?, rel_time)" in skeleton:
-        preps = [b.value for b in source.bindings if b.category is Category.PREP_TIME]
+        preps = [b.value for b in source.bindings if b.category == "prep_time"]
         relation = _PREP_REL[preps[0] if preps else "vào"]
         skeleton = skeleton.replace("(year?, rel_time)", f"(year?, {relation})")
     if "[(author, rel_obj)]" in skeleton:
-        if any(b.category is Category.OF_AUTHOR for b in source.bindings):
+        if any(b.category == "of_author" for b in source.bindings):
             skeleton = skeleton.replace("[(author, rel_obj)]", "(author, rel_obj)")
         else:
             skeleton = skeleton.replace(", [(author, rel_obj)]", "")
     if "[(publisher, rel_obj)]" in skeleton:
-        if any(b.category is Category.BY_PUBLISHER for b in source.bindings):
+        if any(b.category == "by_publisher" for b in source.bindings):
             skeleton = skeleton.replace("[(publisher, rel_obj)]", "(publisher, rel_obj)")
         else:
             skeleton = skeleton.replace(", [(publisher, rel_obj)]", "")

@@ -6,12 +6,13 @@ from oracles import oracle_evaluate
 from viquery.catalog import (
     Answer,
     CatalogError,
+    EvaluationError,
     evaluate,
     format_answer,
     load_catalog,
 )
 from viquery.parser import parse
-from viquery.semantics import QuestionType, classify, transform
+from viquery.semantics import Argument, QuestionType, SemanticNode, classify, transform
 
 
 def _record(title="B", authors=("A",), publisher="P", year=2008,
@@ -179,6 +180,22 @@ def test_format_answer_lines():
 
 
 def test_format_answer_kind_mismatch():
-    from viquery.catalog import EvaluationError
     with pytest.raises(EvaluationError):
         format_answer(Answer("boolean", True), QuestionType("wh", (0,)))
+    with pytest.raises(EvaluationError, match="^entities answer for a yes/no question$"):
+        format_answer(Answer("entities", ()), QuestionType("yesno", ()))
+
+
+@pytest.mark.parametrize("args, message", [
+    # a bound role that no record field holds
+    (((Argument("entity", "isbn", "X"), "rel_obj"),
+      (Argument("entity", "author", focus=True), "rel_sub")), "role 'isbn' has no record field"),
+    # a wh tree with no focused element
+    (((Argument("entity", "author", "A"), "rel_sub"),), "no focused element to answer"),
+    (((Argument("entity", "isbn", focus=True), "rel_obj"),),
+     "focused role 'isbn' has no record field"),
+])
+def test_evaluate_rejects_hand_built_tree(args, message):
+    with pytest.raises(EvaluationError) as caught:
+        evaluate(SemanticNode("write", False, args), _catalog(_record()))
+    assert str(caught.value) == message

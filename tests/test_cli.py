@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,6 @@ from viquery.parser import MAX_QUERY_CHARS, parse
 from viquery.semantics import render_full, transform
 
 S1 = "Tác giả A có viết sách B vào năm 2008 không?"
-TOY_RULES = Path(__file__).parent / "data" / "toy_rules.bnf"
 
 
 def test_parse_reports_rule_and_constituents(capsys):
@@ -366,8 +364,8 @@ def test_optional_needed_category_fails_at_load(tmp_path, capsys, command):
     ("Tác giả A có viết sách B không?", "Có."),
     ("Nhà xuất bản nào xuất bản sách B?", "P"),
 ])
-def test_toy_grammar_answers_on_sample_catalog(capsys, query, answer):
-    assert main(["--grammar", str(TOY_RULES), "ask", query]) == 0
+def test_toy_grammar_answers_on_sample_catalog(capsys, toy_rules, query, answer):
+    assert main(["--grammar", str(toy_rules), "ask", query]) == 0
     assert capsys.readouterr().out.strip() == answer
 
 
@@ -398,21 +396,17 @@ def test_answers_are_pinned(capsys, grammar, lexicon, catalog, generated):
     assert digest == "1ad3e85b0a95cc40565289c7c278470567f71958476fb1faf49ae28aa756d289"
 
 
-def _pinned_rules(grammar):
-    return grammar + parse_rule_dsl(TOY_RULES.read_text(encoding="utf-8"))
-
-
-def test_compiled_grammars_are_pinned(grammar):
+def test_compiled_grammars_are_pinned(rules):
     """Every rule's matcher program, for the built-in and the toy grammar: a
     change in how rule bodies are held must not change what they compile
     to."""
-    lines = [repr((r.id, r.program)) for r in _pinned_rules(grammar)]
+    lines = [repr((r.id, r.program)) for r in rules]
     assert len(lines) == 60
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "7f0c8b885dc349423b397e720d13b8e2db3e62e692994c5f94847ed47fe592c2"
 
 
-def test_prefilter_keys_are_pinned(grammar):
+def test_prefilter_keys_are_pinned(rules):
     """Every rule's prefilter keys, for the built-in and the toy grammar:
     they have stayed the same since the keys became plain, through every
     change in how programs are laid out.  A category shows as the repr of
@@ -420,7 +414,7 @@ def test_prefilter_keys_are_pinned(grammar):
     lines = [repr((r.id, r.family,
                    *(keys if keys is None else sorted(map(repr, keys))
                      for keys in (r.required, r.first, r.last))))
-             for r in _pinned_rules(grammar)]
+             for r in rules]
     assert len(lines) == 60
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "8a0e34e49fe962563253010f7c39b89018c9d2fdfdd6a9461cf062b8625000a6"

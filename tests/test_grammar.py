@@ -1,4 +1,4 @@
-from pathlib import Path
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +15,8 @@ from viquery.grammar import (
     sample,
     validate,
 )
-from viquery.lexicon import (CATEGORIES, GRAMMAR_CATEGORIES, TEMPLATES, Category, Lit,
-                             load_lexicon, normalize, tokenize)
+from viquery.lexicon import (CATEGORIES, GRAMMAR_CATEGORIES, TEMPLATES, Lit, load_lexicon,
+                             normalize, tokenize)
 from viquery.parser import parse
 from viquery.semantics import FAMILIES, TransformError, check_families
 
@@ -27,15 +27,14 @@ Q11A = ('<Q1.1a> = <what_author> [<vperfect>] [<interrogative1>] <verb_write> '
 def test_parse_single_rule_shape():
     [rule] = parse_rule_dsl(Q11A)
     assert rule.id == "Q1.1a" and rule.family == "Q1.1"
-    C = Category
     expected = (
-        C.WHAT_AUTHOR,
-        Bracket("[", (C.VPERFECT,)),
-        Bracket("[", (C.INTERROGATIVE1,)),
-        C.VERB_WRITE,
-        C.BOOK,
-        Bracket("{", (Bracket("[", (C.CONJUNCTION,)), C.BOOK)),
-        Bracket("[", (C.TIME_PHRASE,)),
+        "what_author",
+        Bracket("[", ("vperfect",)),
+        Bracket("[", ("interrogative1",)),
+        "verb_write",
+        "book",
+        Bracket("{", (Bracket("[", ("conjunction",)), "book")),
+        Bracket("[", ("time_phrase",)),
         Lit("?"),
     )
     assert rule.terms == expected and repr(rule.terms) == repr(expected)
@@ -46,8 +45,8 @@ def test_literal_equal_to_a_category_value_stays_a_literal():
     # the family check may confuse the two
     document = '<Q6.1z> = "book" <what_price> "?"\n<X> = "book" <book> "?"\n'
     q61z, x = parse_rule_dsl(document)
-    assert repr(x.program[:2]) == repr(((LIT, "book", 0), (ATOM, Category.BOOK, 23)))
-    assert type(x.terms[0]) is Lit and x.terms[1] is Category.BOOK
+    assert repr(x.program[:2]) == repr(((LIT, "book", 0), (ATOM, "book", 23)))
+    assert type(x.terms[0]) is Lit and x.terms[1] is sys.intern("book")
     with pytest.raises(TransformError) as caught:
         check_families((q61z,))
     assert str(caught.value) == "Q6.1z: family Q6.1 needs <book> outside [...] and {...}"
@@ -174,14 +173,13 @@ def test_validate_reports_family_problems(lexicon):
     assert len(problems) == 2 and problems == str(caught.value).split("; ")
 
 
-def test_validate_reports_literal_of_several_token_groups(lexicon):
+def test_validate_reports_literal_of_several_token_groups(lexicon, toy_rules):
     # "sách" is a book head and "b" an unknown run: LIT reads one group, so
     # the rule loads but can never match
     grammar = parse_rule_dsl('<Q1.1z> = <what_author> <verb_write> "sách b" <book> "?"')
     assert validate(grammar, lexicon) == ['Q1.1z: literal "sách b" is not one token group']
     # the literals of the toy rules, like the built-in ones, are one group each
-    toy = Path(__file__).parent / "data" / "toy_rules.bnf"
-    assert validate(parse_rule_dsl(toy.read_text(encoding="utf-8")), lexicon) == []
+    assert validate(parse_rule_dsl(toy_rules.read_text(encoding="utf-8")), lexicon) == []
 
 
 def test_validate_reports_missing_terminator(lexicon):
@@ -198,24 +196,20 @@ def test_dsl_round_trip(grammar):
     assert parse_rule_dsl(rendered) == grammar
 
 
-def _rule(grammar, rule_id):
-    return next(rule for rule in grammar if rule.id == rule_id)
-
-
-def test_sample_deterministic(grammar, lexicon):
-    a = sample(_rule(grammar, "Q1.1a"), 123, lexicon)
-    b = sample(_rule(grammar, "Q1.1a"), 123, lexicon)
+def test_sample_deterministic(rule_by_id, lexicon):
+    a = sample(rule_by_id["Q1.1a"], 123, lexicon)
+    b = sample(rule_by_id["Q1.1a"], 123, lexicon)
     assert a == b
 
 
-def test_sample_varies_with_seed(grammar, lexicon):
-    sentences = {sample(_rule(grammar, "Q1.3a"), seed, lexicon) for seed in range(20)}
+def test_sample_varies_with_seed(rule_by_id, lexicon):
+    sentences = {sample(rule_by_id["Q1.3a"], seed, lexicon) for seed in range(20)}
     assert len(sentences) > 5
 
 
-def test_sample_mandatory_skeleton(grammar, lexicon):
+def test_sample_mandatory_skeleton(rule_by_id, lexicon):
     for seed in range(10):
-        sentence = sample(_rule(grammar, "Q1.3a"), seed, lexicon)
+        sentence = sample(rule_by_id["Q1.3a"], seed, lexicon)
         words = sentence.split()
         assert words[-1] == "?"
         assert any(w in sentence.split() for w in ("viết", "tác", "sáng"))
@@ -228,10 +222,10 @@ def test_sample_unrealizable_category():
         sample(rule, 1, tiny)
 
 
-def test_sample_at_most_one_time_phrase(grammar, lexicon):
+def test_sample_at_most_one_time_phrase(rule_by_id, lexicon):
     # Q1.3a offers a fronted and a trailing optional time slot
     for seed in range(40):
-        sentence = sample(_rule(grammar, "Q1.3a"), seed, lexicon)
+        sentence = sample(rule_by_id["Q1.3a"], seed, lexicon)
         preps = sum(sentence.split().count(p) for p in ("vào", "trước", "sau"))
         in_count = sentence.split().count("trong")
         assert preps + in_count <= 1
@@ -295,7 +289,7 @@ def _assert_inventory_objects(grammar, lexicon, queries):
     for query in queries:
         for result in parse(query, grammar, lexicon):
             held += [b.category for b in result.bindings]
-            books += [b for b in result.bindings if b.category is Category.BOOK]
+            books += [b for b in result.bindings if b.category == "book"]
     assert books and all(own[c] is c for c in held)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from viquery.lexicon import BookValue, Category, TimeValue, normalize, tokenize
+from viquery.lexicon import BookValue, TimeValue, normalize, tokenize
 from viquery.parser import BlankQueryError, match_rule, parse
 
 S1 = "Tác giả A có viết sách B vào năm 2008 không?"
@@ -10,40 +10,36 @@ def _stream(query, lexicon):
     return tokenize(normalize(query), lexicon)
 
 
-def _rule(grammar, rule_id):
-    return next(rule for rule in grammar if rule.id == rule_id)
-
-
-def test_match_rule_s1_q13a(grammar, lexicon):
-    result = match_rule(_stream(S1, lexicon), _rule(grammar, "Q1.3a"))
+def test_match_rule_s1_q13a(rule_by_id, lexicon):
+    result = match_rule(_stream(S1, lexicon), rule_by_id["Q1.3a"])
     assert result is not None
     got = [(b.category, b.value) for b in result.bindings]
     assert got == [
-        (Category.AUTHOR, "A"),
-        (Category.INTERROGATIVE1, "có"),
-        (Category.VERB_WRITE, "viết"),
-        (Category.BOOK, BookValue(title="B")),
-        (Category.TIME_PHRASE, TimeValue("vào", 2008)),
-        (Category.INTERROGATIVE2, "không"),
+        ("author", "A"),
+        ("interrogative1", "có"),
+        ("verb_write", "viết"),
+        ("book", BookValue(title="B")),
+        ("time_phrase", TimeValue("vào", 2008)),
+        ("interrogative2", "không"),
     ]
 
 
-def test_match_rule_wrong_rule_absent(grammar, lexicon):
-    assert match_rule(_stream(S1, lexicon), _rule(grammar, "Q2.1a")) is None
+def test_match_rule_wrong_rule_absent(rule_by_id, lexicon):
+    assert match_rule(_stream(S1, lexicon), rule_by_id["Q2.1a"]) is None
 
 
-def test_match_rule_passive_what_time(grammar, lexicon):
+def test_match_rule_passive_what_time(rule_by_id, lexicon):
     stream = _stream("sách B được tác giả A viết vào năm nào ?", lexicon)
-    result = match_rule(stream, _rule(grammar, "Q1.4b"))
+    result = match_rule(stream, rule_by_id["Q1.4b"])
     assert result is not None
     got = [(b.category, b.value) for b in result.bindings]
     assert got == [
-        (Category.BOOK, BookValue(title="B")),
-        (Category.VPASSIVE, "được"),
-        (Category.AUTHOR, "A"),
-        (Category.VERB_WRITE, "viết"),
-        (Category.PREP_TIME, "vào"),
-        (Category.WHAT_TIME, "năm nào"),
+        ("book", BookValue(title="B")),
+        ("vpassive", "được"),
+        ("author", "A"),
+        ("verb_write", "viết"),
+        ("prep_time", "vào"),
+        ("what_time", "năm nào"),
     ]
 
 
@@ -62,11 +58,11 @@ def test_parse_s2(grammar, lexicon):
     assert results[0].rule_id == "Q2.1a"
     got = [(b.category, b.value) for b in results[0].bindings]
     assert got == [
-        (Category.WHAT_PUBLISHER, "nhà xuất bản nào"),
-        (Category.VPERFECT, "đã"),
-        (Category.VERB_PUBLISH, "xuất bản"),
-        (Category.BOOK, BookValue(title="B")),
-        (Category.TIME_PHRASE, TimeValue("trong", 2009)),
+        ("what_publisher", "nhà xuất bản nào"),
+        ("vperfect", "đã"),
+        ("verb_publish", "xuất bản"),
+        ("book", BookValue(title="B")),
+        ("time_phrase", TimeValue("trong", 2009)),
     ]
 
 
@@ -97,13 +93,13 @@ def test_constituents_projection(grammar, lexicon):
     results = parse(S1, grammar, lexicon)
     listed = [(b.category, b.surface, b.value) for b in results[0].bindings]
     assert len(listed) == len(results[0].bindings) == 6
-    assert listed[0] == (Category.AUTHOR, "tác giả a", "A")
+    assert listed[0] == ("author", "tác giả a", "A")
 
 
 def test_repeated_books_get_ordinals(grammar, lexicon):
     results = parse("Ai đã viết sách B và sách C?", grammar, lexicon)
     assert results
-    books = [b for b in results[0].bindings if b.category is Category.BOOK]
+    books = [b for b in results[0].bindings if b.category == "book"]
     assert [b.ordinal for b in books] == [0, 1]
     assert [b.value.title for b in books] == ["B", "C"]
 
@@ -113,4 +109,4 @@ def test_trailing_interrogative_binds(grammar, lexicon):
     results = parse("Tác giả A viết sách B không?", grammar, lexicon)
     assert results and results[0].rule_id == "Q1.3a"
     cats = [b.category for b in results[0].bindings]
-    assert Category.INTERROGATIVE2 in cats
+    assert "interrogative2" in cats

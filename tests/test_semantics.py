@@ -5,7 +5,6 @@ import pytest
 
 from oracles import FAMILY_SKELETONS, legacy_transform
 from viquery.grammar import parse_rule_dsl
-from viquery.lexicon import Category
 from viquery.parser import ConstituentBinding, ParseResult, parse
 from viquery.semantics import (
     FAMILIES,
@@ -142,7 +141,7 @@ def test_unregistered_family_rejected(grammar, lexicon):
 
 def test_missing_mandatory_constituent_rejected():
     # the library path: a parse built by hand, with no check_families run
-    author = ConstituentBinding(Category.AUTHOR, "A", "tác giả a", 0)
+    author = ConstituentBinding("author", "A", "tác giả a", 0)
     with pytest.raises(TransformError) as caught:
         transform(ParseResult("Q1.3a", "Q1.3", (author,)))
     assert str(caught.value) == "Q1.3a: missing mandatory constituent <book>"
@@ -221,10 +220,8 @@ def test_transform_matches_legacy_builders(grammar, lexicon, generated):
 
 
 def test_wh_label_correspondence(grammar, lexicon, corpus):
-    from viquery.lexicon import Category
-    wh_markers = {Category.WHAT_AUTHOR, Category.WHAT_PUBLISHER,
-                  Category.WHAT_TIME, Category.WHAT_SUBJECT,
-                  Category.WHAT_PLACE, Category.HOW_MANY}
+    wh_markers = {"what_author", "what_publisher", "what_time", "what_subject",
+                  "what_place", "how_many"}
     for rule_id, sentence in corpus:
         results = parse(sentence, grammar, lexicon)
         source = next(r for r in results if r.rule_id == rule_id)
