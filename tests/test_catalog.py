@@ -192,6 +192,7 @@ def test_format_answer_kind_mismatch():
       (Argument("entity", "author", focus=True), "rel_sub")), "role 'isbn' has no record field"),
     # a wh tree with no focused element
     (((Argument("entity", "author", "A"), "rel_sub"),), "no focused element to answer"),
+    # a focused role that no record field holds
     (((Argument("entity", "isbn", focus=True), "rel_obj"),),
      "focused role 'isbn' has no record field"),
 ])

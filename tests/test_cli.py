@@ -7,7 +7,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viquery import parse_rule_dsl
 from viquery.cli import _parse_report, build_arg_parser, cmd_ask, data_path, main
 from viquery.lexicon import CATEGORIES
 from viquery.parser import MAX_QUERY_CHARS, parse
