@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import sys
 from typing import NamedTuple
 
@@ -105,6 +106,8 @@ _FIELDS = {
     "year": lambda r: {str(r.year)},
     "price": lambda r: {format_price(r)},
 }
+_YEAR = operator.attrgetter("year")
+_YEAR_TESTS = {"before": operator.lt, "in": operator.eq, "after": operator.gt}
 
 
 def _names_book(arg) -> bool:
@@ -117,7 +120,8 @@ def _names_book(arg) -> bool:
 def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
     """Filter lists, one per reading of ``node``.  With ``split``, a node
     that names several books keeps one of them in each reading, nested nodes
-    alike; without it there is one reading, of every filter."""
+    alike; without it there is one reading, of every filter.  A filter
+    holds when ``test(field(record), value)`` does."""
     parts = []       # per argument, the filter lists it may contribute
     books = []
     for arg, _relation in node.args:
@@ -127,9 +131,11 @@ def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
             focus.append((arg.kind, arg.role))
             options = [[]]
         elif arg.kind == "time" and arg.time.year is not None:
-            options = [[("year", arg.time.relation, arg.time.year)]]
+            options = [[(_YEAR, _YEAR_TESTS[arg.time.relation], arg.time.year)]]
         elif arg.kind == "entity" and arg.value is not None and arg.role != "source":
-            options = [[("role", arg.role, arg.value)]]
+            if arg.role not in _FIELDS:
+                raise EvaluationError(f"role {arg.role!r} has no record field")
+            options = [[(_FIELDS[arg.role], operator.contains, arg.value)]]
         else:
             options = [[]]
         (books if split and _names_book(arg) else parts).append(options)
@@ -140,20 +146,7 @@ def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
 
 
 def _satisfies(record: BookRecord, filters: list) -> bool:
-    for kind, key, value in filters:
-        if kind == "year":
-            ok = {"before": record.year < value,
-                  "in": record.year == value,
-                  "after": record.year > value}[key]
-            if not ok:
-                return False
-        else:
-            projector = _FIELDS.get(key)
-            if projector is None:
-                raise EvaluationError(f"role {key!r} has no record field")
-            if value not in projector(record):
-                return False
-    return True
+    return all(test(field(record), value) for field, test, value in filters)
 
 
 def evaluate(sem: SemanticNode, records: tuple[BookRecord, ...]) -> Answer:

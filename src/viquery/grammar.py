@@ -8,9 +8,9 @@ the parts a phrase template alternative uses (see
 ``str``, a terminal is a :class:`~viquery.lexicon.Lit` and a bracket is a
 :class:`Bracket`, so code telling parts apart reads each part's type once.
 File order is priority order for the parser.  Each rule compiles,
-when it is built, to one flat program that the parser's matcher runs, with
-each template slot inlined; the walk over its parts that writes the program
-also folds its prefilter keys.
+when it is built, to one flat program that the parser's matcher runs, in
+which each template slot calls its template's block, compiled once; the
+walk over its parts that writes the program also folds its prefilter keys.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ class Bracket(NamedTuple):
     body: tuple
 
 
-#: Matcher instructions, as ``(op, arg, alt)`` triples; jumps are relative.
+#: Matcher instructions, as ``(op, arg)`` pairs; jumps are relative.
 #: ``LIT s`` consumes one token group whose surface is ``s``, ``TOK c`` one
-#: of the category ``c``; ``ATOM c`` (``alt``: the block's length) opens an
-#: inlined template of the category ``c``, whose alternatives each end in a
-#: ``COMMIT b`` that makes the value with the builder ``b`` and goes on after
-#: the block; ``SPLIT d`` tries the next instruction, then on failure the
-#: one ``d`` further on; ``JUMP d`` goes ``d`` on; ``MATCH`` accepts at the end.
+#: of the category ``c``; ``ATOM c`` calls the block of the template ``c``
+#: (see :func:`_block`), whose alternatives each end in a ``COMMIT b`` that
+#: makes the value with the builder ``b`` and returns; ``SPLIT d`` tries the
+#: next instruction, then on failure the one ``d`` further on; ``JUMP d``
+#: goes ``d`` on; ``MATCH`` accepts at the end.
 LIT, TOK, ATOM, SPLIT, JUMP, COMMIT, MATCH = range(7)
 
 
@@ -68,15 +68,15 @@ def _emit(terms: tuple, program: list) -> tuple:
             program.append(None)
             _, first, last, _ = _emit(term.body, program)
             if term.opener == "{":
-                program.append((JUMP, split - len(program), 0))
-            program[split] = (SPLIT, len(program) - split, 0)
+                program.append((JUMP, split - len(program)))
+            program[split] = (SPLIT, len(program) - split)
             consumed, first, last = frozenset(), first | _NONE, last | _NONE
         elif type(term) is str and term in TEMPLATES:
-            block, (consumed, first, last, _) = _block(term)
-            program.extend(block)
+            program.append((ATOM, term))
+            consumed, first, last, _ = _block(term)[1]
         else:  # one group: a literal or a slot, of one category by now
             key = term.surface if type(term) is Lit else term[0] if type(term) is tuple else term
-            program.append((LIT if type(term) is Lit else TOK, key, 0))
+            program.append((LIT if type(term) is Lit else TOK, key))
             consumed = first = last = frozenset([key])
             before = tail
         need |= consumed
@@ -104,10 +104,10 @@ def compile_program(alternatives: list) -> tuple[tuple[tuple, ...], tuple]:
         split = len(program)
         program.append(None)
         keys.append(_emit(parts, program))
-        program.append((COMMIT, builder, 0))
-        program[split] = (SPLIT, len(program) - split, 0)
+        program.append((COMMIT, builder))
+        program[split] = (SPLIT, len(program) - split)
     keys.append(_emit(last[0], program))
-    program.append((MATCH, None, 0) if last[1] is None else (COMMIT, last[1], 0))
+    program.append((MATCH, None) if last[1] is None else (COMMIT, last[1]))
     needs, heads, tails, befores = zip(*keys)
     return tuple(program), (frozenset.intersection(*needs), frozenset().union(*heads),
                             frozenset().union(*tails),
@@ -116,10 +116,16 @@ def compile_program(alternatives: list) -> tuple[tuple[tuple, ...], tuple]:
 
 @functools.cache
 def _block(category: str) -> tuple[tuple[tuple, ...], tuple]:
-    """A template slot's code, compiled once and copied into every slot,
-    and its keys."""
-    body, keys = compile_program(TEMPLATES[category])
-    return ((ATOM, category, 1 + len(body)), *body), keys
+    """A template's one compiled block, which its ``ATOM``s call, and its keys."""
+    return compile_program(TEMPLATES[category])
+
+
+def _instructions(program: tuple):
+    """``program``'s instructions, each ``ATOM`` followed by its block's."""
+    for op, arg in program:
+        yield op, arg
+        if op == ATOM:
+            yield from _instructions(_block(arg)[0])
 
 
 class SyntacticRule(NamedTuple):
@@ -247,10 +253,10 @@ def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
     each problem :func:`viquery.semantics.check_families` reports."""
     diagnostics: list[str] = []
     for rule in grammar:
-        for category in dict.fromkeys(arg for op, arg, _ in rule.program if op == TOK):
+        for category in dict.fromkeys(arg for op, arg in _instructions(rule.program) if op == TOK):
             if category not in ("year", *NAME_KINDS) and not lexicon.surfaces(category):
                 diagnostics.append(f"{rule.id}: category <{category}> has no lexicon entries")
-        for surface in dict.fromkeys(arg for op, arg, _ in rule.program if op == LIT):
+        for surface in dict.fromkeys(arg for op, arg in _instructions(rule.program) if op == LIT):
             if [g.surface for g in tokenize(surface, lexicon)] != [surface]:
                 diagnostics.append(f'{rule.id}: literal "{surface}" is not one token group')
         if rule.terms[-1] != Lit("?"):

@@ -110,7 +110,7 @@ class Lexicon:
             ordered = sorted(categories.items())
             group = TokenGroup(surface, MappingProxyType(dict(ordered)))
             node[last] = (node.get(last, ({}, None))[0], group)
-        # "?" and "," are one span of their shared group, whatever is listed
+        # "?" and "," are one span of their shared group
         self._trie.update((p, ({}, group)) for p, group in _PUNCT_GROUPS.items())
 
     def surfaces(self, category: str) -> tuple[str, ...]:
@@ -147,6 +147,9 @@ def load_lexicon(document: str) -> Lexicon:
         surface = normalize(surface)
         if not surface:
             raise LexiconError(f"line {lineno}: empty surface")
+        if "?" in surface or "," in surface:
+            raise LexiconError(f'line {lineno}: surface {surface!r} holds "?" or ",", '
+                               "which are always groups of their own")
         canonical = unicodedata.normalize("NFC", canonical)
         key = (category, surface)
         if key in seen:
@@ -219,8 +222,8 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
 # a category name (a nested constituent), a :class:`Lit` or a tuple of token
 # categories (one token of the first of them it has, as one alternative per
 # category); a rule body in ``viquery.grammar`` uses the first two, plus
-# brackets.  Each slot inlines its template into the rule's program as an
-# atomic group: the first alternative that matches wins.  The sampler
+# brackets.  Each slot calls its template's one compiled block as an atomic
+# group: the first alternative that matches wins.  The sampler
 # realizes the first.
 
 

@@ -19,22 +19,21 @@ straight-line length.  Bindings are kept in a chain of ``(binding,
 parent)`` links.
 
 A ``TOK`` reads the token group at the position inline.  A phrase template
-slot is an atomic group (the Choice/Commit pair of Medeiros and
-Ierusalimschy's parsing machine for PEGs): ``ATOM c``, then the template's
-alternatives, each ending in ``COMMIT``.  :func:`parse` shares one table
-among all rules of a query that holds, by (position, category), a
-template's finished ``(category, value, surface)`` span and the position
-after it, or None where it does not match.  An ``ATOM`` with an entry binds
-the span and goes on after its block, or fails.  Without one it searches
-its block the same way, from the next instruction at its position with no
-bindings.  The first ``COMMIT`` that nested search reaches returns the
-value it builds from the block's bindings and the position after them,
-which drops the alternatives not yet tried.  The ``ATOM`` stores the span,
-or None if no alternative matched, and binds it or fails.  Searches nest
-only as deep as templates do (a rule, a ``book``, its ``subject``),
-whatever the input.  The table also holds each matched sequence of spans
-with its :class:`ConstituentBinding` tuple, so parses that bind the same
-constituents share one ``bindings`` tuple.
+slot, ``ATOM c``, calls the template's one compiled block as an atomic
+group (the Call/Return and Choice/Commit of Medeiros and Ierusalimschy's
+parsing machine for PEGs); each of its alternatives ends in ``COMMIT``.
+:func:`parse` shares one table among all rules of a query that holds, by
+(position, category), a template's finished ``(category, value,
+surface)`` span and the position after it, or None where it does not
+match.  An ``ATOM`` with an entry binds the span, or fails.  Without one
+it searches the block the same way, at its position with no bindings: the
+first ``COMMIT`` reached returns the value it builds from the block's
+bindings and the position after them, dropping the alternatives not yet
+tried.  The ``ATOM`` stores the span, or None, and binds it or fails.
+Searches nest only as deep as templates do (a rule, a ``book``, its
+``subject``), whatever the input.  The table also holds each matched
+sequence of spans with its :class:`ConstituentBinding` tuple, so parses
+that bind the same constituents share one ``bindings`` tuple.
 
 :func:`parse` tries only the rules :func:`candidate_rules` keeps.  It skips
 a rule unless the query holds all its ``required`` keys, its first group
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grammar import ATOM, COMMIT, JUMP, LIT, SPLIT, TOK, SyntacticRule
+from .grammar import ATOM, COMMIT, JUMP, LIT, SPLIT, TOK, SyntacticRule, _block
 from .lexicon import BUILDERS, Lexicon, TokenGroup, normalize, tokenize
 
 #: Longest query :func:`parse` accepts, in characters before normalization.
@@ -104,20 +103,19 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
     return ParseResult(rule.id, rule.family, bindings)
 
 
-def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict,
-         pc: int = 0, start: int = 0):
-    """Search ``program`` from ``pc`` at group ``start``, or return None: a
-    rule's program from 0 for the tuple of spans (maybe empty) its first
-    match of all the groups binds, or an ``ATOM``'s block from the next
-    ``pc`` for the ``(value, end)`` of its first alternative to match."""
+def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict, start: int = 0):
+    """Search ``program`` at group ``start``, or return None: a rule's
+    program for the tuple of spans (maybe empty) its first match of all the
+    groups binds, or a template's block for the ``(value, end)`` of its
+    first alternative to match."""
     n = len(groups)
     width = n + 1
     visited: set[int] = set()
-    stack = [(pc, start, None)]
+    stack = [(0, start, None)]
     while stack:
         pc, pos, chain = stack.pop()
         while True:
-            op, arg, alt = program[pc]
+            op, arg = program[pc]
             if op == SPLIT:
                 state = pc * width + pos
                 if state in visited:
@@ -136,7 +134,7 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict,
                 key = (pos, arg)
                 span = table.get(key, ())  # (): no entry yet
                 if span == ():
-                    span = _run(program, groups, table, pc + 1, pos)
+                    span = _run(_block(arg)[0], groups, table, pos)
                     if span is not None:
                         value, end = span
                         surface = " ".join([g.surface for g in groups[pos:end]])
@@ -146,7 +144,7 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict,
                     break
                 binding, pos = span
                 chain = (binding, chain)
-                pc += alt
+                pc += 1
             elif op == LIT:
                 if pos >= n or groups[pos].surface != arg:
                     break

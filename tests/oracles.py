@@ -62,7 +62,7 @@ from viquery.semantics import (
 #
 # The recursive part interpreter the parser used before phrase templates ran
 # on its rule matcher, with value builders of its own: a reference for the
-# templates inlined in rule programs that shares only ``TEMPLATES`` with them.
+# template blocks rule programs call that shares only ``TEMPLATES`` with them.
 
 _LEGACY_BUILDERS = {
     "last": lambda *values: values[-1],
@@ -358,12 +358,12 @@ def _walk(program: tuple) -> tuple[dict, dict, dict]:
     holds one (None: a path may consume none).  One pass in order sees
     every path, as every step goes forward once a ``JUMP`` back to its
     group's ``SPLIT`` is taken as a step to the group's exit, the next
-    instruction (another iteration adds no key), and an inlined block is
-    stepped over with what its template consumes."""
+    instruction (another iteration adds no key), and an ``ATOM`` as a step
+    that consumes what its template's block consumes."""
     needs, heads, tails = {0: frozenset()}, {0: frozenset([None])}, {0: frozenset([None])}
     pc = 0
     while pc < len(program):
-        op, arg, alt = program[pc]
+        op, arg = program[pc]
         need, head, tail = needs[pc], heads[pc], tails[pc]
         if op in (LIT, TOK, ATOM):
             consumed, first, tail = _consumed(op, arg)
@@ -371,23 +371,23 @@ def _walk(program: tuple) -> tuple[dict, dict, dict]:
             if None in head:
                 head = head - {None} | first
         steps = ((len(program),) if op in (COMMIT, MATCH) else (pc + 1, pc + arg)
-                 if op == SPLIT else (pc + alt,) if op == ATOM else (pc + 1,))
+                 if op == SPLIT else (pc + 1,))
         for step in steps:
             if step in needs:  # a join: merge with what reached it before
                 needs[step], heads[step], tails[step] = (
                     needs[step] & need, heads[step] | head, tails[step] | tail)
             else:
                 needs[step], heads[step], tails[step] = need, head, tail
-        pc = pc + alt if op == ATOM else pc + 1
+        pc += 1
     return needs, heads, tails
 
 
 @functools.lru_cache(maxsize=1024)
 def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
-    """The keys a ``LIT``, a ``TOK`` or an inlined block consumes wherever
-    it matches, and those of which its first and its last group holds one."""
+    """The keys a ``LIT``, a ``TOK`` or a called block consumes wherever it
+    matches, and those of which its first and its last group holds one."""
     if op == ATOM:  # what the template's alternatives consume to a COMMIT
-        body = _block(arg)[0][1:]
+        body = _block(arg)[0]
         return tuple(keys[len(body)] for keys in _walk(body))
     keys = frozenset([arg])
     return keys, keys, keys

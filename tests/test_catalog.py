@@ -195,8 +195,14 @@ def test_format_answer_kind_mismatch():
     # a focused role that no record field holds
     (((Argument("entity", "isbn", focus=True), "rel_obj"),),
      "focused role 'isbn' has no record field"),
+    # a yes/no tree with a bound role that no record field holds
+    (SemanticNode("write", True, ((Argument("entity", "isbn", "X"), "rel_obj"),)),
+     "role 'isbn' has no record field"),
 ])
 def test_evaluate_rejects_hand_built_tree(args, message):
-    with pytest.raises(EvaluationError) as caught:
-        evaluate(SemanticNode("write", False, args), _catalog(_record()))
-    assert str(caught.value) == message
+    tree = args if type(args) is SemanticNode else SemanticNode("write", False, args)
+    # the tree is checked before any record is read, so no catalog answers it
+    for records in (_catalog(_record()), ()):
+        with pytest.raises(EvaluationError) as caught:
+            evaluate(tree, records)
+        assert str(caught.value) == message

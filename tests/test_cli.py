@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viquery.cli import _parse_report, build_arg_parser, cmd_ask, data_path, main
-from viquery.lexicon import CATEGORIES
+from viquery.grammar import _block
+from viquery.lexicon import CATEGORIES, TEMPLATES
 from viquery.parser import MAX_QUERY_CHARS, parse
 from viquery.semantics import render_full, transform
 
@@ -396,13 +397,14 @@ def test_answers_are_pinned(capsys, grammar, lexicon, catalog, generated):
 
 
 def test_compiled_grammars_are_pinned(rules):
-    """Every rule's matcher program, for the built-in and the toy grammar: a
-    change in how rule bodies are held must not change what they compile
-    to."""
+    """Every rule's matcher program, for the built-in and the toy grammar,
+    and the block every template's slots call: a change in how rule bodies
+    are held must not change what they compile to."""
     lines = [repr((r.id, r.program)) for r in rules]
-    assert len(lines) == 60
+    lines += [repr((c, _block(c)[0])) for c in TEMPLATES]
+    assert len(lines) == 68
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert digest == "7f0c8b885dc349423b397e720d13b8e2db3e62e692994c5f94847ed47fe592c2"
+    assert digest == "7dc4f83660ec41b87fb7c658ac7767bdca2ea453c777d89fda8d0c1c931dd18f"
 
 
 def test_prefilter_keys_are_pinned(rules):

@@ -10,6 +10,7 @@ from viquery.grammar import (
     TOK,
     Bracket,
     GrammarError,
+    _instructions,
     parse_rule_dsl,
     render_dsl,
     sample,
@@ -45,7 +46,7 @@ def test_literal_equal_to_a_category_value_stays_a_literal():
     # the family check may confuse the two
     document = '<Q6.1z> = "book" <what_price> "?"\n<X> = "book" <book> "?"\n'
     q61z, x = parse_rule_dsl(document)
-    assert repr(x.program[:2]) == repr(((LIT, "book", 0), (ATOM, "book", 23)))
+    assert repr(x.program[:2]) == repr(((LIT, "book"), (ATOM, "book")))
     assert type(x.terms[0]) is Lit and x.terms[1] is sys.intern("book")
     with pytest.raises(TransformError) as caught:
         check_families((q61z,))
@@ -103,8 +104,8 @@ def test_bracket_nesting_capped():
     with pytest.raises(GrammarError, match="nested deeper than 32"):
         parse_rule_dsl('<X> = ' + '{' * 33 + '<book>' + '}' * 33)
     at_cap = parse_rule_dsl('<X> = ' + '[' * 32 + '<book>' + ']' * 32 + ' "?"')
-    # a SPLIT per level, the 23 instructions of the <book> block, "?", MATCH
-    assert len(at_cap[0].program) == 32 + 23 + 2
+    # a SPLIT per level, the call of the <book> block, "?", MATCH
+    assert len(at_cap[0].program) == 32 + 1 + 2
 
 
 _DSL_PIECES = st.sampled_from(
@@ -280,7 +281,8 @@ def _assert_inventory_objects(grammar, lexicon, queries):
     """Every category that loaded data or a parse holds is the inventory's
     own object, so lookups by it hit by identity."""
     own = {c: c for c in CATEGORIES}
-    held = [arg for rule in grammar for op, arg, _ in rule.program if op in (TOK, ATOM)]
+    held = [arg for rule in grammar for op, arg in _instructions(rule.program)
+            if op in (TOK, ATOM)]
     held += [entry.category for entry in lexicon.entries]
     books = []
     for text in [entry.surface for entry in lexicon.entries] + queries:

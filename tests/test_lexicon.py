@@ -281,16 +281,15 @@ def test_lexicon_surface_and_punctuation_groups_are_shared(lexicon):
     assert again[0] is again[2] is stream[5]
 
 
-def test_punctuation_entries_do_not_replace_the_shared_groups(lexicon):
-    # a lexicon listing "?" and a surface that begins with "," still gets
-    # the punctuation groups every lexicon shares
-    odd = load_lexicon("verb_write\t?\tviết\nconjunction\t, và\tvà\nconjunction\tvà\tvà\n")
-    query = "sách , và b ?"
-    stream = tokenize(query, odd)
-    assert [g.surface for g in stream] == ["sách", ",", "và", "b", "?"]
-    assert stream == legacy_tokenize(query, odd)
-    shared = tokenize("sách b , c ?", lexicon)
-    assert stream[1] is shared[2] and stream[4] is shared[4]
+def test_punctuation_entries_do_not_replace_the_shared_groups():
+    # "?" and "," are always groups of their own, shared by every lexicon,
+    # so a surface holding one is a load error
+    for line, surface in [("verb_write\tviết ?\tviết", "viết ?"), ("name_book\t?\tX", "?"),
+                          ("conjunction\t, và\tvà", ", và"), ("conjunction\tvà,\tvà", "và ,")]:
+        with pytest.raises(LexiconError) as caught:
+            load_lexicon(f"conjunction\tvà\tvà\n{line}\n")
+        assert str(caught.value) == (f'line 2: surface {surface!r} holds "?" or ",", '
+                                     "which are always groups of their own")
 
 
 def test_unknown_run_group_is_new_per_call(lexicon):

@@ -1,5 +1,5 @@
 """The compiled matcher: agreement with the recursive backtracker and the
-template part interpreter it replaced, inlined template blocks and their
+template part interpreter it replaced, called template blocks and their
 atomicity, questions with hundreds of coordinated books, the rule
 prefilter, rule-attempt and span counts, and how deep template searches
 nest."""
@@ -13,7 +13,8 @@ from oracles import legacy_parse, legacy_rule_keys, legacy_scan_constituent, sca
 from viquery import parser
 from viquery.cli import main
 from viquery.grammar import (ATOM, COMMIT, JUMP, LIT, MATCH, SPLIT, TOK, GrammarError,
-                             _block, compile_program, parse_rule_dsl, sample)
+                             _block, _instructions, compile_program, parse_rule_dsl,
+                             sample)
 from viquery.lexicon import (BUILDERS, CATEGORIES, GRAMMAR_CATEGORIES, TEMPLATES, normalize,
                              tokenize)
 from viquery.parser import candidate_rules, match_rule, parse
@@ -42,50 +43,49 @@ def _passive(count: int, unknown_only: bool = False) -> str:
     return f"{_books(count, unknown_only)} đã được ai viết ?"
 
 
-#: what a <subject> slot compiles to, wherever it is
+#: the <subject> template's block, which every <subject> slot calls
 SUBJECT = (
-    (ATOM, "subject", 7),          # the block's length: go on after it
-    (SPLIT, 4, 0),                 # alternatives in order: first first
-    (TOK, "subject", 0),
-    (TOK, "name_subject", 0),
-    (COMMIT, "last", 0),           # each alternative names its builder
-    (TOK, "name_subject", 0),      # the last alternative: no SPLIT
-    (COMMIT, "last", 0),
+    (SPLIT, 4),                    # alternatives in order: first first
+    (TOK, "subject"),
+    (TOK, "name_subject"),
+    (COMMIT, "last"),              # each alternative names its builder
+    (TOK, "name_subject"),         # the last alternative: no SPLIT
+    (COMMIT, "last"),
 )
-#: what a <book> slot compiles to, wherever it is
+#: the <book> template's block, which every <book> slot calls
 BOOK = (
-    (ATOM, "book", 23),
-    (SPLIT, 4, 0),
-    (TOK, "book_type", 0),
-    (TOK, "name_book", 0),
-    (COMMIT, "title", 0),
-    (SPLIT, 12, 0),
-    (TOK, "book_type", 0),
-    (LIT, "nào", 0),
-    (TOK, "is_of", 0),
-    *SUBJECT,                      # a nested template: inlined the same way
-    (COMMIT, "book_of_subject", 0),
-    (SPLIT, 4, 0),
-    (TOK, "book_type", 0),
-    (LIT, "nào", 0),
-    (COMMIT, "any_book", 0),
-    (TOK, "book_type", 0),
-    (COMMIT, "any_book", 0),
+    (SPLIT, 4),
+    (TOK, "book_type"),
+    (TOK, "name_book"),
+    (COMMIT, "title"),
+    (SPLIT, 6),
+    (TOK, "book_type"),
+    (LIT, "nào"),
+    (TOK, "is_of"),
+    (ATOM, "subject"),             # a nested template: called the same way
+    (COMMIT, "book_of_subject"),
+    (SPLIT, 4),
+    (TOK, "book_type"),
+    (LIT, "nào"),
+    (COMMIT, "any_book"),
+    (TOK, "book_type"),
+    (COMMIT, "any_book"),
 )
 
 
 def test_compile_priority_order():
     rule = parse_rule_dsl('<R> = <book> {[<conjunction>] <book>} "?"\n')[0]
     assert rule.program == (
-        *BOOK,                         # 0-22
-        (SPLIT, 27, 0),                # 23, group: one more iteration first
-        (SPLIT, 2, 0),                 # optional: present first
-        (TOK, "conjunction", 0),  # one token: matched inline
-        *BOOK,                         # 26-48
-        (JUMP, -26, 0),                # back to the group's SPLIT
-        (LIT, "?", 0),
-        (MATCH, None, 0),
+        (ATOM, "book"),                # 0: calls BOOK
+        (SPLIT, 5),                    # 1, group: one more iteration first
+        (SPLIT, 2),                    # optional: present first
+        (TOK, "conjunction"),          # one token: matched inline
+        (ATOM, "book"),                # 4
+        (JUMP, -4),                    # back to the group's SPLIT
+        (LIT, "?"),
+        (MATCH, None),
     )
+    assert _block("book")[0] == BOOK and _block("subject")[0] == SUBJECT
     # <book> needs a book_type token in every alternative; the optional
     # <conjunction> and the group's books add nothing
     assert rule.required == {"?", "book_type"}
@@ -97,41 +97,47 @@ def test_compile_priority_order():
 
 
 def test_compile_template_programs():
-    # each slot holds its template's block, compiled once and shared
+    # each slot calls its template's block, compiled once
     rule = parse_rule_dsl('<R> = <book> <book> "?"\n')[0]
-    assert rule.program == (*BOOK, *BOOK, (LIT, "?", 0), (MATCH, None, 0))
-    assert all(a is b for a, b in zip(rule.program[:len(BOOK)], rule.program[len(BOOK):-2]))
+    assert rule.program == ((ATOM, "book"), (ATOM, "book"), (LIT, "?"), (MATCH, None))
+    assert all(_block(c)[0] is _block(c)[0] for c in TEMPLATES)
     # a part of several categories: one alternative per category, in order
-    author = ((ATOM, "author", 4), (TOK, "creator", 0), (TOK, "name_author", 0),
-              (COMMIT, "last", 0))
     assert parse_rule_dsl('<R> = <by_author> "?"\n')[0].program == (
-        (ATOM, "by_author", 14),
-        (SPLIT, 7, 0),
-        (TOK, "possessive", 0),
-        *author,
-        (COMMIT, "last", 0),
-        (TOK, "agent", 0),
-        *author,
-        (COMMIT, "last", 0),
-        (LIT, "?", 0),
-        (MATCH, None, 0),
-    )
+        (ATOM, "by_author"), (LIT, "?"), (MATCH, None))
+    assert _block("author")[0] == ((TOK, "creator"), (TOK, "name_author"), (COMMIT, "last"))
     # its keys fold over both alternatives: each needs what <author> needs,
     # and only one of them the possessive or the agent word
     block, (need, first, last, _) = _block("by_author")
-    assert block == parse_rule_dsl('<R> = <by_author> "?"\n')[0].program[:-2]
+    assert block == (
+        (SPLIT, 4),
+        (TOK, "possessive"),
+        (ATOM, "author"),
+        (COMMIT, "last"),
+        (TOK, "agent"),
+        (ATOM, "author"),
+        (COMMIT, "last"),
+    )
     assert need == _block("author")[1][0] == {"creator", "name_author"}
     assert first == {"possessive", "agent"}
     assert last == {"name_author"}
     every = parse_rule_dsl("<R> = " + " ".join(f"<{c}>" for c in TEMPLATES) + "\n")[0]
-    assert {arg for op, arg, _ in every.program if op == ATOM} == TEMPLATES.keys()
-    assert {arg for op, arg, _ in every.program if op == COMMIT} == BUILDERS.keys()
+    assert {arg for op, arg in every.program if op == ATOM} == TEMPLATES.keys()
+    assert {arg for op, arg in _instructions(every.program) if op == COMMIT} == BUILDERS.keys()
+
+
+def test_instruction_counts(grammar):
+    # every instruction is an (op, arg) pair, and a template slot is one call
+    blocks = [_block(c)[0] for c in TEMPLATES]
+    programs = [rule.program for rule in grammar] + blocks
+    assert all(len(instruction) == 2 for program in programs for instruction in program)
+    assert sum(len(rule.program) for rule in grammar) == 865
+    assert sum(map(len, blocks)) == 49
 
 
 def test_every_token_instruction_reads_one_category(rules):
-    programs = [rule.program for rule in rules]
-    args = [arg for program in programs for op, arg, _ in program if op == TOK]
+    args = [arg for rule in rules for op, arg in _instructions(rule.program) if op == TOK]
     assert args and all(arg in CATEGORIES for arg in args)
+    assert {"subject", "name_book", "creator"} <= set(args)  # read inside templates
 
 
 def test_template_scans_match_legacy(lexicon, generated):
