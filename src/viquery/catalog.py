@@ -120,8 +120,7 @@ def _names_book(arg) -> bool:
 def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
     """Filter lists, one per reading of ``node``.  With ``split``, a node
     that names several books keeps one of them in each reading, nested nodes
-    alike; without it there is one reading, of every filter.  A filter
-    holds when ``test(field(record), value)`` does."""
+    alike; without it there is one reading, of every filter."""
     parts = []       # per argument, the filter lists it may contribute
     books = []
     for arg, _relation in node.args:
@@ -146,7 +145,10 @@ def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
 
 
 def _satisfies(record: BookRecord, filters: list) -> bool:
-    return all(test(field(record), value) for field, test, value in filters)
+    for field, test, value in filters:
+        if not test(field(record), value):
+            return False
+    return True
 
 
 def evaluate(sem: SemanticNode, records: tuple[BookRecord, ...]) -> Answer:

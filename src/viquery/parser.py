@@ -21,19 +21,18 @@ parent)`` links.
 A ``TOK`` reads the token group at the position inline.  A phrase template
 slot, ``ATOM c``, calls the template's one compiled block as an atomic
 group (the Call/Return and Choice/Commit of Medeiros and Ierusalimschy's
-parsing machine for PEGs); each of its alternatives ends in ``COMMIT``.
-:func:`parse` shares one table among all rules of a query that holds, by
-(position, category), a template's finished ``(category, value,
-surface)`` span and the position after it, or None where it does not
-match.  An ``ATOM`` with an entry binds the span, or fails.  Without one
-it searches the block the same way, at its position with no bindings: the
-first ``COMMIT`` reached returns the value it builds from the block's
-bindings and the position after them, dropping the alternatives not yet
-tried.  The ``ATOM`` stores the span, or None, and binds it or fails.
-Searches nest only as deep as templates do (a rule, a ``book``, its
-``subject``), whatever the input.  The table also holds each matched
-sequence of spans with its :class:`ConstituentBinding` tuple, so parses
-that bind the same constituents share one ``bindings`` tuple.
+parsing machine for PEGs).  :func:`parse` shares one table among all rules
+of a query that holds, by (position, category), a template's finished
+``(category, value, surface)`` span and the position after it, or None
+where it does not match.  An ``ATOM`` with no entry searches the block the
+same way, at its position with no bindings, and stores the span that the
+first ``COMMIT`` reached (each alternative ends in one) makes of the
+block's bindings, dropping the alternatives not yet tried, or None.  It
+then binds the span or fails.  Searches nest only as deep as templates do
+(a rule, a ``book``, its ``subject``), whatever the input.  The table also
+holds each matched sequence of spans with its :class:`ConstituentBinding`
+tuple, so parses that bind the same constituents share one ``bindings``
+tuple.
 
 :func:`parse` tries only the rules :func:`candidate_rules` keeps.  It skips
 a rule unless the query holds all its ``required`` keys, its first group
@@ -104,10 +103,9 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
 
 
 def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict, start: int = 0):
-    """Search ``program`` at group ``start``, or return None: a rule's
-    program for the tuple of spans (maybe empty) its first match of all the
-    groups binds, or a template's block for the ``(value, end)`` of its
-    first alternative to match."""
+    """Search a rule's ``program`` from group ``start`` for the spans (maybe
+    none) its first full match binds, or a template's block for the ``(value,
+    end)`` its first alternative to match builds; None if nothing matches."""
     n = len(groups)
     width = n + 1
     visited: set[int] = set()
