@@ -130,6 +130,8 @@ def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
             focus.append((arg.kind, arg.role))
             options = [[]]
         elif arg.kind == "time" and arg.time.year is not None:
+            if arg.time.relation not in _YEAR_TESTS:
+                raise EvaluationError(f"time relation {arg.time.relation!r} has no year test")
             options = [[(_YEAR, _YEAR_TESTS[arg.time.relation], arg.time.year)]]
         elif arg.kind == "entity" and arg.value is not None and arg.role != "source":
             if arg.role not in _FIELDS:

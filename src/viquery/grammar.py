@@ -54,10 +54,10 @@ _NONE = frozenset([None])
 def _emit(terms: tuple, program: list) -> tuple:
     """Append the code of a sequence of parts to ``program`` and return its
     keys, folded left over the parts: those every match consumes, those of
-    which its first and its last group holds one (its FIRST and LAST sets;
-    None: there may be no such group) and, when its last part is one group,
-    the LAST set before that part (else None)."""
-    need, head, tail, before = frozenset(), _NONE, _NONE, None
+    which its last group holds one (None: there may be no such group) and,
+    when its last part is one group, those of the group before that part
+    (else None)."""
+    need, tail, before = frozenset(), _NONE, None
     for term in terms:
         before = None
         if type(term) is Bracket:  # may match nothing
@@ -66,24 +66,22 @@ def _emit(terms: tuple, program: list) -> tuple:
             # before exit)
             split = len(program)
             program.append(None)
-            _, first, last, _ = _emit(term.body, program)
+            _, last, _ = _emit(term.body, program)
             if term.opener == "{":
                 program.append((JUMP, split - len(program)))
             program[split] = (SPLIT, len(program) - split)
-            consumed, first, last = frozenset(), first | _NONE, last | _NONE
+            consumed, last = frozenset(), last | _NONE
         elif type(term) is str and term in TEMPLATES:
             program.append((ATOM, term))
-            consumed, first, last, _ = _block(term)[1]
+            consumed, last, _ = _block(term)[1]
         else:  # one group: a literal or a slot, of one category by now
             key = term.surface if type(term) is Lit else term[0] if type(term) is tuple else term
             program.append((LIT if type(term) is Lit else TOK, key))
-            consumed = first = last = frozenset([key])
+            consumed = last = frozenset([key])
             before = tail
         need |= consumed
-        if None in head:
-            head = head - _NONE | first
         tail = last - _NONE | tail if None in last else last
-    return need, head, tail, before
+    return need, tail, before
 
 
 def compile_program(alternatives: list) -> tuple[tuple[tuple, ...], tuple]:
@@ -108,9 +106,8 @@ def compile_program(alternatives: list) -> tuple[tuple[tuple, ...], tuple]:
         program[split] = (SPLIT, len(program) - split)
     keys.append(_emit(last[0], program))
     program.append((MATCH, None) if last[1] is None else (COMMIT, last[1]))
-    needs, heads, tails, befores = zip(*keys)
-    return tuple(program), (frozenset.intersection(*needs), frozenset().union(*heads),
-                            frozenset().union(*tails),
+    needs, tails, befores = zip(*keys)
+    return tuple(program), (frozenset.intersection(*needs), frozenset().union(*tails),
                             None if None in befores else frozenset().union(*befores))
 
 
@@ -139,10 +136,9 @@ class SyntacticRule(NamedTuple):
     #: literals and categories the body consumes wherever it matches (see
     #: :func:`_emit`): a stream lacking any of them cannot match
     required: frozenset
-    #: keys of which the first group of every match holds one and, for a
-    #: body ending in a literal or a one-token slot (else None), the group
-    #: before the last; None in a set: there may be no such group
-    first: frozenset
+    #: for a body ending in a literal or a one-token slot (else None), keys
+    #: of which the group before the last of every match holds one; None in
+    #: it: there may be no such group
     last: frozenset | None
 
 
@@ -160,8 +156,8 @@ def family_of(rule_id: str) -> str:
 
 
 def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
-    program, (need, head, _, before) = compile_program([(terms, None)])
-    return SyntacticRule(rule_id, family_of(rule_id), terms, program, need, head, before)
+    program, (need, _, before) = compile_program([(terms, None)])
+    return SyntacticRule(rule_id, family_of(rule_id), terms, program, need, before)
 
 
 def _parse_body(text: str, lineno: int) -> tuple:

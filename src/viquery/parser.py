@@ -35,15 +35,14 @@ tuple, so parses that bind the same constituents share one ``bindings``
 tuple.
 
 :func:`parse` tries only the rules :func:`candidate_rules` keeps.  It skips
-a rule unless the query holds all its ``required`` keys, its first group
-one of its ``first`` keys (the body's FIRST set) and, where ``last`` is not
-None, the group before the last one of the ``last`` keys (None stands for
-no group, in a one-group query), all folded by the walk over the rule's
-parts that compiles it (see :class:`viquery.grammar.SyntacticRule`).  Keys
-are literal surfaces and category names, both plain ``str``s, so a literal
-equal to a name only lets a rule through.  Every match consumes groups
-holding such keys at those places, so a skipped rule is one that cannot
-match.
+a rule unless the query holds all its ``required`` keys and, where ``last``
+is not None, the group before the last one of the ``last`` keys (None
+stands for no group, in a one-group query), both folded by the walk over
+the rule's parts that compiles it (see :class:`viquery.grammar.SyntacticRule`).
+Keys are literal surfaces and category names, both plain ``str``s, so a
+literal equal to a name only lets a rule through.  Every match consumes such
+keys there, so a skipped rule cannot match; a rule that cannot begin the
+query is tried, and the first instructions of its program reject it.
 """
 
 from __future__ import annotations
@@ -199,10 +198,9 @@ def candidate_rules(groups: tuple[TokenGroup, ...],
     # unpack a list, not a generator: CPython resizes the argument tuple it
     # builds from a generator, and such tuples pile up on its free lists
     present = {g.surface for g in groups}.union(*[g.categories for g in groups])
-    head = {groups[0].surface, *groups[0].categories}
     # None stands for the missing group before the last of a one-group query
     before = {groups[-2].surface, *groups[-2].categories} if len(groups) > 1 else {None}
     return [rule for rule in grammar
-            if rule.required <= present and not rule.first.isdisjoint(head)
+            if rule.required <= present
             and (rule.last is None or not rule.last.isdisjoint(before))]
 

@@ -14,8 +14,9 @@ directly instead of compiling a filter list; a yes/no question that names
 several books holds when each of its one-book readings holds.  The legacy
 front end is the regex normalizer and the per-first-syllable bucket scan
 that the syllable trie replaced.  ``legacy_rule_keys`` reads a rule's
-prefilter keys off its compiled program by the dataflow pass that folding
-them in the walk that compiles the rule's parts replaced.  The legacy
+prefilter keys, its required keys and the keys of the group before its
+last, off its compiled program by the dataflow pass that folding them in
+the walk that compiles the rule's parts replaced.  The legacy
 transformer is the set of per-family builder functions that the family
 data table replaced, and ``FAMILY_SKELETONS`` is the hand-written skeleton
 of every family, kept as an independent conformance reference for the
@@ -351,56 +352,52 @@ def legacy_parse(query: str, grammar: tuple[SyntacticRule, ...],
 # The dataflow pass over a compiled program that worked out a rule's
 # prefilter keys before they were folded over the rule's parts.
 
-def _walk(program: tuple) -> tuple[dict, dict, dict]:
+def _walk(program: tuple) -> tuple[dict, dict]:
     """What a program consumes on its way to each instruction, and to any
     ``MATCH`` or ``COMMIT`` at ``len(program)``: the keys every path
-    consumes, and those of which the first and the last group it consumes
-    holds one (None: a path may consume none).  One pass in order sees
-    every path, as every step goes forward once a ``JUMP`` back to its
-    group's ``SPLIT`` is taken as a step to the group's exit, the next
-    instruction (another iteration adds no key), and an ``ATOM`` as a step
-    that consumes what its template's block consumes."""
-    needs, heads, tails = {0: frozenset()}, {0: frozenset([None])}, {0: frozenset([None])}
+    consumes, and those of which the last group it consumes holds one
+    (None: a path may consume none).  One pass in order sees every path, as
+    every step goes forward once a ``JUMP`` back to its group's ``SPLIT`` is
+    taken as a step to the group's exit, the next instruction (another
+    iteration adds no key), and an ``ATOM`` as a step that consumes what its
+    template's block consumes."""
+    needs, tails = {0: frozenset()}, {0: frozenset([None])}
     pc = 0
     while pc < len(program):
         op, arg = program[pc]
-        need, head, tail = needs[pc], heads[pc], tails[pc]
+        need, tail = needs[pc], tails[pc]
         if op in (LIT, TOK, ATOM):
-            consumed, first, tail = _consumed(op, arg)
+            consumed, tail = _consumed(op, arg)
             need |= consumed
-            if None in head:
-                head = head - {None} | first
         steps = ((len(program),) if op in (COMMIT, MATCH) else (pc + 1, pc + arg)
                  if op == SPLIT else (pc + 1,))
         for step in steps:
             if step in needs:  # a join: merge with what reached it before
-                needs[step], heads[step], tails[step] = (
-                    needs[step] & need, heads[step] | head, tails[step] | tail)
+                needs[step], tails[step] = needs[step] & need, tails[step] | tail
             else:
-                needs[step], heads[step], tails[step] = need, head, tail
+                needs[step], tails[step] = need, tail
         pc += 1
-    return needs, heads, tails
+    return needs, tails
 
 
 @functools.lru_cache(maxsize=1024)
-def _consumed(op: int, arg) -> tuple[frozenset, frozenset, frozenset]:
+def _consumed(op: int, arg) -> tuple[frozenset, frozenset]:
     """The keys a ``LIT``, a ``TOK`` or a called block consumes wherever it
-    matches, and those of which its first and its last group holds one."""
+    matches, and those of which its last group holds one."""
     if op == ATOM:  # what the template's alternatives consume to a COMMIT
         body = _block(arg)[0]
         return tuple(keys[len(body)] for keys in _walk(body))
     keys = frozenset([arg])
-    return keys, keys, keys
+    return keys, keys
 
 
-def legacy_rule_keys(terms: tuple) -> tuple[frozenset, frozenset, frozenset | None]:
-    """A rule body's ``(required, first, last)``, read off its program."""
+def legacy_rule_keys(terms: tuple) -> tuple[frozenset, frozenset | None]:
+    """A rule body's ``(required, last)``, read off its program."""
     program = compile_program([(terms, None)])[0]
-    needs, heads, tails = _walk(program)
+    needs, tails = _walk(program)
     end = terms[-1]
     anchored = type(end) in (str, Lit) and end not in TEMPLATES
-    return (needs[len(program)], heads[len(program)],
-            tails[len(program) - 2] if anchored else None)
+    return needs[len(program)], tails[len(program) - 2] if anchored else None
 
 
 # --- evaluation oracle --------------------------------------------------------

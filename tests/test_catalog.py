@@ -12,7 +12,8 @@ from viquery.catalog import (
     load_catalog,
 )
 from viquery.parser import parse
-from viquery.semantics import Argument, QuestionType, SemanticNode, classify, transform
+from viquery.semantics import (Argument, QuestionType, SemanticNode, TimeConstraint, classify,
+                               transform)
 
 
 def _record(title="B", authors=("A",), publisher="P", year=2008,
@@ -198,6 +199,13 @@ def test_format_answer_kind_mismatch():
     # a yes/no tree with a bound role that no record field holds
     (SemanticNode("write", True, ((Argument("entity", "isbn", "X"), "rel_obj"),)),
      "role 'isbn' has no record field"),
+    # a year relation that no year test reads, in a wh and a yes/no tree
+    (((Argument("time", time=TimeConstraint(2008, "during")), "rel_time2"),
+      (Argument("entity", "author", focus=True), "rel_sub")),
+     "time relation 'during' has no year test"),
+    (SemanticNode("write", True, ((Argument("time", time=TimeConstraint(2008, "during")),
+                                   "rel_time2"),)),
+     "time relation 'during' has no year test"),
 ])
 def test_evaluate_rejects_hand_built_tree(args, message):
     tree = args if type(args) is SemanticNode else SemanticNode("write", False, args)
