@@ -209,6 +209,8 @@ def main(argv: list[str] | None = None) -> int:
             raise argparse.ArgumentError(None, message)
         if getattr(args, "query", "") is None:
             raise argparse.ArgumentError(None, "the following arguments are required: query")
+        if getattr(args, "count", 0) < 0:
+            raise argparse.ArgumentError(None, f"argument count: {args.count} is negative")
         command = args.command
         grammar = parse_rule_dsl(_read(args.grammar or data_path("rules_v1.bnf")))
         if command in ("semantics", "ask", "batch"):

@@ -8,9 +8,10 @@ the parts a phrase template alternative uses (see
 ``str``, a terminal is a :class:`~viquery.lexicon.Lit` and a bracket is a
 :class:`Bracket`, so code telling parts apart reads each part's type once.
 File order is priority order for the parser.  Each rule compiles,
-when it is built, to one flat program that the parser's matcher runs, in
-which each template slot calls its template's block, compiled once; the
-walk over its parts that writes the program also folds its prefilter keys.
+when it is built, to one flat program that the parser's matcher runs, and
+each template, once, to its ordered alternatives, each a straight line of
+steps that a template slot's ``ATOM`` searches; the walk over parts that
+writes both also folds their prefilter keys.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ class Bracket(NamedTuple):
 
 #: Matcher instructions, as ``(op, arg)`` pairs; jumps are relative.
 #: ``LIT s`` consumes one token group whose surface is ``s``, ``TOK c`` one
-#: of the category ``c``; ``ATOM c`` calls the block of the template ``c``
-#: (see :func:`_block`), whose alternatives each end in a ``COMMIT b`` that
-#: makes the value with the builder ``b`` and returns; ``SPLIT d`` tries the
-#: next instruction, then on failure the one ``d`` further on; ``JUMP d``
-#: goes ``d`` on; ``MATCH`` accepts at the end.
-LIT, TOK, ATOM, SPLIT, JUMP, COMMIT, MATCH = range(7)
+#: of the category ``c``, ``ATOM c`` one span of the template ``c`` (see
+#: :func:`_template`); ``SPLIT d`` tries the next instruction, then on
+#: failure the one ``d`` further on; ``JUMP d`` goes ``d`` on; ``MATCH``
+#: (6 in printed programs) accepts at the end.
+LIT, TOK, ATOM, SPLIT, JUMP, MATCH = 0, 1, 2, 3, 4, 6
 
 
 _NONE = frozenset([None])
@@ -73,7 +73,7 @@ def _emit(terms: tuple, program: list) -> tuple:
             consumed, last = frozenset(), last | _NONE
         elif type(term) is str and term in TEMPLATES:
             program.append((ATOM, term))
-            consumed, last, _ = _block(term)[1]
+            _, consumed, last = _template(term)
         else:  # one group: a literal or a slot, of one category by now
             key = term.surface if type(term) is Lit else term[0] if type(term) is tuple else term
             program.append((LIT if type(term) is Lit else TOK, key))
@@ -84,45 +84,30 @@ def _emit(terms: tuple, program: list) -> tuple:
     return need, tail, before
 
 
-def compile_program(alternatives: list) -> tuple[tuple[tuple, ...], tuple]:
-    """Compile ordered ``(parts, builder)`` alternatives, each but the last
-    tried first by a ``SPLIT`` and each ending in a ``COMMIT`` of its
-    builder; a rule body is one alternative with builder None, which ends in
-    ``MATCH``.  A part of several categories becomes one alternative per
-    category, in order.  Returns the program and its keys (see
-    :func:`_emit`): those all the alternatives need, and the union of their
-    other sets."""
-    *tried, last = [(choice, builder) for parts, builder in alternatives
-                    for choice in itertools.product(*[
-                        [(c,) for c in part] if type(part) is tuple else [part]
-                        for part in parts])]
-    program: list = []
-    keys = []
-    for parts, builder in tried:
-        split = len(program)
-        program.append(None)
-        keys.append(_emit(parts, program))
-        program.append((COMMIT, builder))
-        program[split] = (SPLIT, len(program) - split)
-    keys.append(_emit(last[0], program))
-    program.append((MATCH, None) if last[1] is None else (COMMIT, last[1]))
-    needs, tails, befores = zip(*keys)
-    return tuple(program), (frozenset.intersection(*needs), frozenset().union(*tails),
-                            None if None in befores else frozenset().union(*befores))
-
-
 @functools.cache
-def _block(category: str) -> tuple[tuple[tuple, ...], tuple]:
-    """A template's one compiled block, which its ``ATOM``s call, and its keys."""
-    return compile_program(TEMPLATES[category])
+def _template(category: str) -> tuple[tuple, frozenset, frozenset]:
+    """A template's ordered alternatives, compiled once, each a straight line
+    of steps and its builder's name, and the keys (see :func:`_emit`) all of
+    them consume and those any one's last group holds.  A part of several
+    categories becomes one alternative per category, in order."""
+    alternatives, keys = [], []
+    for parts, builder in TEMPLATES[category]:
+        for choice in itertools.product(*[[(c,) for c in part] if type(part) is tuple
+                                          else [part] for part in parts]):
+            steps: list = []
+            keys.append(_emit(choice, steps)[:2])
+            alternatives.append((tuple(steps), builder))
+    needs, tails = zip(*keys)
+    return tuple(alternatives), frozenset.intersection(*needs), frozenset().union(*tails)
 
 
 def _instructions(program: tuple):
-    """``program``'s instructions, each ``ATOM`` followed by its block's."""
+    """``program``'s instructions, each ``ATOM`` followed by its alternatives' steps."""
     for op, arg in program:
         yield op, arg
         if op == ATOM:
-            yield from _instructions(_block(arg)[0])
+            for steps, _ in _template(arg)[0]:
+                yield from _instructions(steps)
 
 
 class SyntacticRule(NamedTuple):
@@ -131,7 +116,7 @@ class SyntacticRule(NamedTuple):
     #: category slots (``str``), :class:`~viquery.lexicon.Lit` and
     #: :class:`Bracket` parts
     terms: tuple
-    #: the compiled body, see :func:`compile_program`
+    #: the compiled body, ending in ``MATCH`` (see :func:`_emit`)
     program: tuple[tuple, ...]
     #: literals and categories the body consumes wherever it matches (see
     #: :func:`_emit`): a stream lacking any of them cannot match
@@ -156,8 +141,10 @@ def family_of(rule_id: str) -> str:
 
 
 def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
-    program, (need, _, before) = compile_program([(terms, None)])
-    return SyntacticRule(rule_id, family_of(rule_id), terms, program, need, before)
+    program: list = []
+    need, _, before = _emit(terms, program)
+    program.append((MATCH, None))
+    return SyntacticRule(rule_id, family_of(rule_id), terms, tuple(program), need, before)
 
 
 def _parse_body(text: str, lineno: int) -> tuple:

@@ -222,9 +222,8 @@ def tokenize(query: str, lexicon: Lexicon) -> tuple[TokenGroup, ...]:
 # a category name (a nested constituent), a :class:`Lit` or a tuple of token
 # categories (one token of the first of them it has, as one alternative per
 # category); a rule body in ``viquery.grammar`` uses the first two, plus
-# brackets.  Each slot calls its template's one compiled block as an atomic
-# group: the first alternative that matches wins.  The sampler
-# realizes the first.
+# brackets.  A slot takes the first alternative that matches, and no later
+# one even where the rule then fails; the sampler realizes the first.
 
 
 class Lit(NamedTuple):

@@ -1,11 +1,11 @@
 """Compiled matcher: tokens against flat rule patterns, full span only.
 
 Each rule compiles once, when it is built, to one flat program of ``LIT``,
-``TOK``, ``ATOM``, ``COMMIT``, ``SPLIT``, ``JUMP`` and ``MATCH``
-instructions (see :func:`viquery.grammar.compile_program`).  An optional
-``[body]`` becomes ``SPLIT body, after`` and a group ``{body}`` becomes
-``L: SPLIT body, after; body; JUMP L``, so an optional is tried present
-before absent and a group tries one more iteration before it exits.
+``TOK``, ``ATOM``, ``SPLIT``, ``JUMP`` and ``MATCH`` instructions (see
+:func:`viquery.grammar._emit`).  An optional ``[body]`` becomes ``SPLIT
+body, after`` and a group ``{body}`` becomes ``L: SPLIT body, after; body;
+JUMP L``, so an optional is tried present before absent and a group tries
+one more iteration before it exits.
 
 :func:`match_rule` runs a program as an iterative depth-first search that
 takes the first branch of every ``SPLIT`` first, so the first complete
@@ -19,20 +19,16 @@ straight-line length.  Bindings are kept in a chain of ``(binding,
 parent)`` links.
 
 A ``TOK`` reads the token group at the position inline.  A phrase template
-slot, ``ATOM c``, calls the template's one compiled block as an atomic
-group (the Call/Return and Choice/Commit of Medeiros and Ierusalimschy's
-parsing machine for PEGs).  :func:`parse` shares one table among all rules
-of a query that holds, by (position, category), a template's finished
-``(category, value, surface)`` span and the position after it, or None
-where it does not match.  An ``ATOM`` with no entry searches the block the
-same way, at its position with no bindings, and stores the span that the
-first ``COMMIT`` reached (each alternative ends in one) makes of the
-block's bindings, dropping the alternatives not yet tried, or None.  It
-then binds the span or fails.  Searches nest only as deep as templates do
-(a rule, a ``book``, its ``subject``), whatever the input.  The table also
-holds each matched sequence of spans with its :class:`ConstituentBinding`
-tuple, so parses that bind the same constituents share one ``bindings``
-tuple.
+slot, ``ATOM c``, is an atomic ordered choice (the Choice/Commit of Medeiros
+and Ierusalimschy's parsing machine for PEGs).  :func:`parse` shares one
+table among all rules of a query that holds, by (position, category), a
+template's ``((category, value, surface), end)`` span, or None where it
+does not match.  Where it has no entry, :func:`scan_constituent` tries the
+template's straight-line alternatives in order and stores what the first
+to match builds; nested templates are read the same way, so searches nest
+only as deep as templates do, whatever the input.  The table also holds
+each matched sequence of spans with its :class:`ConstituentBinding` tuple,
+so parses that bind the same constituents share one ``bindings`` tuple.
 
 :func:`parse` tries only the rules :func:`candidate_rules` keeps.  It skips
 a rule unless the query holds all its ``required`` keys and, where ``last``
@@ -49,7 +45,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grammar import ATOM, COMMIT, JUMP, LIT, SPLIT, TOK, SyntacticRule, _block
+from .grammar import ATOM, JUMP, LIT, SPLIT, TOK, SyntacticRule, _template
 from .lexicon import BUILDERS, Lexicon, TokenGroup, normalize, tokenize
 
 #: Longest query :func:`parse` accepts, in characters before normalization.
@@ -84,8 +80,7 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
     ``table`` is the per-query table of spans and bindings tuples that
     :func:`parse` shares among all rules of a query (see the module doc).
     """
-    if table is None:
-        table = {}
+    table = {} if table is None else table
     key = _run(rule.program, groups, table)
     if key is None:
         return None
@@ -101,14 +96,13 @@ def match_rule(groups: tuple[TokenGroup, ...], rule: SyntacticRule,
     return ParseResult(rule.id, rule.family, bindings)
 
 
-def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict, start: int = 0):
-    """Search a rule's ``program`` from group ``start`` for the spans (maybe
-    none) its first full match binds, or a template's block for the ``(value,
-    end)`` its first alternative to match builds; None if nothing matches."""
+def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict):
+    """Search a rule's ``program`` for the spans (maybe none) its first full
+    match binds, or None if nothing matches."""
     n = len(groups)
     width = n + 1
     visited: set[int] = set()
-    stack = [(0, start, None)]
+    stack = [(0, 0, None)]
     while stack:
         pc, pos, chain = stack.pop()
         while True:
@@ -128,15 +122,9 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict, start: int
                 pc += 1
                 pos += 1
             elif op == ATOM:
-                key = (pos, arg)
-                span = table.get(key, ())  # (): no entry yet
+                span = table.get((pos, arg), ())  # (): no entry yet
                 if span == ():
-                    span = _run(_block(arg)[0], groups, table, pos)
-                    if span is not None:
-                        value, end = span
-                        surface = " ".join([g.surface for g in groups[pos:end]])
-                        span = ((arg, value, surface), end)
-                    table[key] = span
+                    span = scan_constituent(arg, groups, table, pos)
                 if span is None:
                     break
                 binding, pos = span
@@ -147,12 +135,6 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict, start: int
                     break
                 pc += 1
                 pos += 1
-            elif op == COMMIT:  # the first alternative of the block to match
-                values = []
-                while chain is not None:
-                    (_, value, _), chain = chain
-                    values.append(value)
-                return BUILDERS[arg](values[::-1]), pos
             elif op == JUMP:
                 pc += arg
             elif pos == n:  # MATCH
@@ -163,6 +145,40 @@ def _run(program: tuple, groups: tuple[TokenGroup, ...], table: dict, start: int
                 return tuple(reversed(matched))
             else:
                 break
+    return None
+
+
+def scan_constituent(category: str, groups: tuple[TokenGroup, ...], table: dict, pos: int):
+    """Store under ``(pos, category)`` in ``table``, which has no such entry,
+    and return the span ``((category, value, surface), end)`` that the
+    template's first alternative to match at group ``pos`` builds, or None."""
+    n = len(groups)
+    for steps, builder in _template(category)[0]:
+        values, end = [], pos
+        for op, arg in steps:
+            if op == TOK:
+                value = groups[end].categories.get(arg) if end < n else None
+                if value is None:
+                    break
+                values.append(value)
+                end += 1
+            elif op == LIT:
+                if end >= n or groups[end].surface != arg:
+                    break
+                end += 1
+            else:  # ATOM
+                span = table.get((end, arg), ())
+                if span == ():
+                    span = scan_constituent(arg, groups, table, end)
+                if span is None:
+                    break
+                (_, value, _), end = span
+                values.append(value)
+        else:
+            surface = " ".join([g.surface for g in groups[pos:end]])
+            span = table[pos, category] = ((category, BUILDERS[builder](values), surface), end)
+            return span
+    table[pos, category] = None
     return None
 
 
@@ -183,12 +199,8 @@ def parse(query: str, grammar: tuple[SyntacticRule, ...],
         raise BlankQueryError("query is empty or blank")
     groups = tokenize(normalized, lexicon)
     table: dict = {}
-    results = []
-    for rule in candidate_rules(groups, grammar):
-        result = match_rule(groups, rule, table)
-        if result is not None:
-            results.append(result)
-    return results
+    return [result for rule in candidate_rules(groups, grammar)
+            if (result := match_rule(groups, rule, table)) is not None]
 
 
 def candidate_rules(groups: tuple[TokenGroup, ...],

@@ -6,8 +6,8 @@ a flat term list (in the parser's preference order) and linearly matches
 each expansion.  The legacy parser is the recursive backtracker that the
 compiled matcher replaced, kept as a fast differential reference; both
 scan phrase templates with the legacy template scanner, the recursive part
-interpreter that running templates on the compiled matcher replaced.
-``scan_template`` runs one template the way the parser does, through
+interpreter that the compiled template alternatives replaced.
+``scan_template`` runs one template the way a rule slot does, through
 ``match_rule`` on a one-slot rule, for comparison with that scanner.  The
 evaluation oracle re-derives answers per record by walking the semantic tree
 directly instead of compiling a filter list; a yes/no question that names
@@ -32,8 +32,8 @@ import unicodedata
 from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, format_price
-from viquery.grammar import (ATOM, COMMIT, LIT, MATCH, SPLIT, TOK, Bracket, SyntacticRule,
-                             _block, compile_program, parse_rule_dsl)
+from viquery.grammar import (ATOM, LIT, MATCH, SPLIT, TOK, Bracket, SyntacticRule, _rule,
+                             _template, parse_rule_dsl)
 from viquery.lexicon import (
     NAME_KINDS,
     BookValue,
@@ -61,9 +61,9 @@ from viquery.semantics import (
 
 # --- legacy template scanner -------------------------------------------------
 #
-# The recursive part interpreter the parser used before phrase templates ran
-# on its rule matcher, with value builders of its own: a reference for the
-# template blocks rule programs call that shares only ``TEMPLATES`` with them.
+# The recursive part interpreter the parser used before phrase templates were
+# compiled, with value builders of its own: a reference for
+# ``viquery.parser.scan_constituent`` that shares only ``TEMPLATES`` with it.
 
 _LEGACY_BUILDERS = {
     "last": lambda *values: values[-1],
@@ -353,14 +353,13 @@ def legacy_parse(query: str, grammar: tuple[SyntacticRule, ...],
 # prefilter keys before they were folded over the rule's parts.
 
 def _walk(program: tuple) -> tuple[dict, dict]:
-    """What a program consumes on its way to each instruction, and to any
-    ``MATCH`` or ``COMMIT`` at ``len(program)``: the keys every path
-    consumes, and those of which the last group it consumes holds one
-    (None: a path may consume none).  One pass in order sees every path, as
-    every step goes forward once a ``JUMP`` back to its group's ``SPLIT`` is
-    taken as a step to the group's exit, the next instruction (another
-    iteration adds no key), and an ``ATOM`` as a step that consumes what its
-    template's block consumes."""
+    """What a program consumes on its way to each instruction, and past its
+    end: the keys every path consumes, and those of which the last group it
+    consumes holds one (None: a path may consume none).  One pass in order
+    sees every path, as every step goes forward once a ``JUMP`` back to its
+    group's ``SPLIT`` is taken as a step to the group's exit, the next
+    instruction (another iteration adds no key), and an ``ATOM`` as a step
+    that consumes what its template's alternatives consume."""
     needs, tails = {0: frozenset()}, {0: frozenset([None])}
     pc = 0
     while pc < len(program):
@@ -369,7 +368,7 @@ def _walk(program: tuple) -> tuple[dict, dict]:
         if op in (LIT, TOK, ATOM):
             consumed, tail = _consumed(op, arg)
             need |= consumed
-        steps = ((len(program),) if op in (COMMIT, MATCH) else (pc + 1, pc + arg)
+        steps = ((len(program),) if op == MATCH else (pc + 1, pc + arg)
                  if op == SPLIT else (pc + 1,))
         for step in steps:
             if step in needs:  # a join: merge with what reached it before
@@ -382,18 +381,19 @@ def _walk(program: tuple) -> tuple[dict, dict]:
 
 @functools.lru_cache(maxsize=1024)
 def _consumed(op: int, arg) -> tuple[frozenset, frozenset]:
-    """The keys a ``LIT``, a ``TOK`` or a called block consumes wherever it
-    matches, and those of which its last group holds one."""
-    if op == ATOM:  # what the template's alternatives consume to a COMMIT
-        body = _block(arg)[0]
-        return tuple(keys[len(body)] for keys in _walk(body))
+    """The keys a ``LIT``, a ``TOK`` or a template's span consumes wherever
+    it matches, and those of which its last group holds one."""
+    if op == ATOM:  # what every alternative consumes; what any ends in
+        ends = [[keys[len(steps)] for keys in _walk(steps)] for steps, _ in _template(arg)[0]]
+        return (frozenset.intersection(*[need for need, _ in ends]),
+                frozenset().union(*[tail for _, tail in ends]))
     keys = frozenset([arg])
     return keys, keys
 
 
 def legacy_rule_keys(terms: tuple) -> tuple[frozenset, frozenset | None]:
     """A rule body's ``(required, last)``, read off its program."""
-    program = compile_program([(terms, None)])[0]
+    program = _rule("R", terms).program
     needs, tails = _walk(program)
     end = terms[-1]
     anchored = type(end) in (str, Lit) and end not in TEMPLATES

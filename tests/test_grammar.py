@@ -104,7 +104,7 @@ def test_bracket_nesting_capped():
     with pytest.raises(GrammarError, match="nested deeper than 32"):
         parse_rule_dsl('<X> = ' + '{' * 33 + '<book>' + '}' * 33)
     at_cap = parse_rule_dsl('<X> = ' + '[' * 32 + '<book>' + ']' * 32 + ' "?"')
-    # a SPLIT per level, the call of the <book> block, "?", MATCH
+    # a SPLIT per level, the <book> slot, "?", MATCH
     assert len(at_cap[0].program) == 32 + 1 + 2
 
 

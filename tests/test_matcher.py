@@ -1,8 +1,8 @@
 """The compiled matcher: agreement with the recursive backtracker and the
-template part interpreter it replaced, called template blocks and their
-atomicity, questions with hundreds of coordinated books, the rule
-prefilter, rule-attempt and span counts, and how deep template searches
-nest."""
+template part interpreter it replaced, compiled template alternatives and
+their atomicity, questions with hundreds of coordinated books, the rule
+prefilter, rule-attempt, span and search counts, and how deep template
+searches nest."""
 
 import random
 
@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import legacy_parse, legacy_rule_keys, legacy_scan_constituent, scan_template
 from viquery import parser
 from viquery.cli import main
-from viquery.grammar import (ATOM, COMMIT, JUMP, LIT, MATCH, SPLIT, TOK, GrammarError,
-                             _block, _instructions, compile_program, parse_rule_dsl,
-                             sample)
+from viquery.grammar import (ATOM, JUMP, LIT, MATCH, SPLIT, TOK, GrammarError, _instructions,
+                             _template, parse_rule_dsl, sample)
 from viquery.lexicon import (BUILDERS, CATEGORIES, GRAMMAR_CATEGORIES, TEMPLATES, normalize,
                              tokenize)
 from viquery.parser import candidate_rules, match_rule, parse
@@ -43,40 +42,25 @@ def _passive(count: int, unknown_only: bool = False) -> str:
     return f"{_books(count, unknown_only)} đã được ai viết ?"
 
 
-#: the <subject> template's block, which every <subject> slot calls
+#: the <subject> template's alternatives, which every <subject> slot tries
 SUBJECT = (
-    (SPLIT, 4),                    # alternatives in order: first first
-    (TOK, "subject"),
-    (TOK, "name_subject"),
-    (COMMIT, "last"),              # each alternative names its builder
-    (TOK, "name_subject"),         # the last alternative: no SPLIT
-    (COMMIT, "last"),
+    (((TOK, "subject"), (TOK, "name_subject")), "last"),  # in order: first first
+    (((TOK, "name_subject"),), "last"),   # each alternative names its builder
 )
-#: the <book> template's block, which every <book> slot calls
+#: the <book> template's alternatives, which every <book> slot tries
 BOOK = (
-    (SPLIT, 4),
-    (TOK, "book_type"),
-    (TOK, "name_book"),
-    (COMMIT, "title"),
-    (SPLIT, 6),
-    (TOK, "book_type"),
-    (LIT, "nào"),
-    (TOK, "is_of"),
-    (ATOM, "subject"),             # a nested template: called the same way
-    (COMMIT, "book_of_subject"),
-    (SPLIT, 4),
-    (TOK, "book_type"),
-    (LIT, "nào"),
-    (COMMIT, "any_book"),
-    (TOK, "book_type"),
-    (COMMIT, "any_book"),
+    (((TOK, "book_type"), (TOK, "name_book")), "title"),
+    # a nested template: one step, searched the same way
+    (((TOK, "book_type"), (LIT, "nào"), (TOK, "is_of"), (ATOM, "subject")), "book_of_subject"),
+    (((TOK, "book_type"), (LIT, "nào")), "any_book"),
+    (((TOK, "book_type"),), "any_book"),
 )
 
 
 def test_compile_priority_order():
     rule = parse_rule_dsl('<R> = <book> {[<conjunction>] <book>} "?"\n')[0]
     assert rule.program == (
-        (ATOM, "book"),                # 0: calls BOOK
+        (ATOM, "book"),                # 0: tries BOOK
         (SPLIT, 5),                    # 1, group: one more iteration first
         (SPLIT, 2),                    # optional: present first
         (TOK, "conjunction"),          # one token: matched inline
@@ -85,57 +69,55 @@ def test_compile_priority_order():
         (LIT, "?"),
         (MATCH, None),
     )
-    assert _block("book")[0] == BOOK and _block("subject")[0] == SUBJECT
+    assert _template("book")[0] == BOOK and _template("subject")[0] == SUBJECT
     # <book> needs a book_type token in every alternative; the optional
     # <conjunction> and the group's books add nothing
     assert rule.required == {"?", "book_type"}
     # what a <book> alternative ends in: the group may be taken or not
     assert rule.last == {"name_book", "name_subject", "nào", "book_type"}
-    # a rule body is one alternative, with no builder
-    assert compile_program([(rule.terms, None)])[0] == rule.program
 
 
 def test_compile_template_programs():
-    # each slot calls its template's block, compiled once
+    # each slot is one step that names its template, compiled once
     rule = parse_rule_dsl('<R> = <book> <book> "?"\n')[0]
     assert rule.program == ((ATOM, "book"), (ATOM, "book"), (LIT, "?"), (MATCH, None))
-    assert all(_block(c)[0] is _block(c)[0] for c in TEMPLATES)
+    assert all(_template(c) is _template(c) for c in TEMPLATES)
     # a part of several categories: one alternative per category, in order
     assert parse_rule_dsl('<R> = <by_author> "?"\n')[0].program == (
         (ATOM, "by_author"), (LIT, "?"), (MATCH, None))
-    assert _block("author")[0] == ((TOK, "creator"), (TOK, "name_author"), (COMMIT, "last"))
+    assert _template("author")[0] == ((((TOK, "creator"), (TOK, "name_author")), "last"),)
     # its keys fold over both alternatives: each needs what <author> needs,
     # and only one of them the possessive or the agent word
-    block, (need, last, _) = _block("by_author")
-    assert block == (
-        (SPLIT, 4),
-        (TOK, "possessive"),
-        (ATOM, "author"),
-        (COMMIT, "last"),
-        (TOK, "agent"),
-        (ATOM, "author"),
-        (COMMIT, "last"),
+    alternatives, need, last = _template("by_author")
+    assert alternatives == (
+        (((TOK, "possessive"), (ATOM, "author")), "last"),
+        (((TOK, "agent"), (ATOM, "author")), "last"),
     )
-    assert need == _block("author")[1][0] == {"creator", "name_author"}
+    assert need == _template("author")[1] == {"creator", "name_author"}
     assert last == {"name_author"}
+    # alternatives are straight lines: no step branches, jumps or accepts
+    steps = [op for c in TEMPLATES for line, _ in _template(c)[0] for op, _ in line]
+    assert set(steps) == {TOK, LIT, ATOM}
     every = parse_rule_dsl("<R> = " + " ".join(f"<{c}>" for c in TEMPLATES) + "\n")[0]
     assert {arg for op, arg in every.program if op == ATOM} == TEMPLATES.keys()
-    assert {arg for op, arg in _instructions(every.program) if op == COMMIT} == BUILDERS.keys()
+    assert {b for c in TEMPLATES for _, b in _template(c)[0]} == BUILDERS.keys()
 
 
 def test_instruction_counts(grammar):
-    # every instruction is an (op, arg) pair, and a template slot is one call
-    blocks = [_block(c)[0] for c in TEMPLATES]
-    programs = [rule.program for rule in grammar] + blocks
+    # every instruction is an (op, arg) pair, and a template slot is one step
+    lines = [steps for c in TEMPLATES for steps, _ in _template(c)[0]]
+    programs = [rule.program for rule in grammar] + lines
     assert all(len(instruction) == 2 for program in programs for instruction in program)
     assert sum(len(rule.program) for rule in grammar) == 865
-    assert sum(map(len, blocks)) == 49
+    assert (len(lines), sum(map(len, lines))) == (14, 29)
 
 
 def test_every_token_instruction_reads_one_category(rules):
     args = [arg for rule in rules for op, arg in _instructions(rule.program) if op == TOK]
+    args += [arg for c in TEMPLATES for steps, _ in _template(c)[0] for op, arg in steps
+             if op == TOK]
     assert args and all(arg in CATEGORIES for arg in args)
-    assert {"subject", "name_book", "creator"} <= set(args)  # read inside templates
+    assert {"subject", "name_book", "creator", "agent"} <= set(args)  # read inside templates
 
 
 def test_template_scans_match_legacy(lexicon, generated):
@@ -472,16 +454,16 @@ def test_scans_grow_linearly_with_books(grammar, lexicon, form):
 
 
 def _nesting(category: str) -> int:
-    """How many template blocks deep a slot of ``category`` nests."""
+    """How many template searches deep a slot of ``category`` nests."""
     return 1 + max((_nesting(part) for parts, _ in TEMPLATES[category] for part in parts
                     if type(part) is str), default=0)
 
 
 def test_searches_nest_no_deeper_than_templates(grammar, lexicon, generated, monkeypatch):
-    # a rule's search, then one nested search per template block entered
-    limit = 1 + max(map(_nesting, TEMPLATES))
+    # one search per template entered: a <book>, then its <subject>
+    limit = max(map(_nesting, TEMPLATES))
     depth = deepest = 0
-    original = parser._run
+    original = parser.scan_constituent
 
     def nested(*args):
         nonlocal depth, deepest
@@ -492,13 +474,53 @@ def test_searches_nest_no_deeper_than_templates(grammar, lexicon, generated, mon
         finally:
             depth -= 1
 
-    monkeypatch.setattr(parser, "_run", nested)
+    monkeypatch.setattr(parser, "scan_constituent", nested)
     for query in generated:
         parse(query, grammar, lexicon)
-    assert deepest == limit == 3
+    assert deepest == limit == _nesting("book") == 2
     deepest = 0
     assert parse(_active(1000), grammar, lexicon)
-    assert 1 < deepest <= limit
+    assert 0 < deepest <= limit
+
+
+def test_each_table_entry_is_one_search(grammar, lexicon, generated, monkeypatch):
+    # a template is searched only where the table has no entry, nested
+    # searches included, and each search stores one entry
+    searched = []
+    original = parser.scan_constituent
+
+    def counting(category, groups, table, pos):
+        assert (pos, category) not in table
+        searched.append((pos, category))
+        return original(category, groups, table, pos)
+
+    monkeypatch.setattr(parser, "scan_constituent", counting)
+    total = 0
+    for query in generated:
+        searched.clear()
+        spans = _spans(query, grammar, lexicon)
+        assert sorted(searched) == sorted(spans), query
+        total += len(searched)
+    assert total == 5979
+
+
+def test_scan_constituent_matches_legacy(lexicon, generated):
+    """Each template searched on its own gives what the legacy part
+    interpreter gives, for every template category at every position."""
+    for query in generated + [_active(40), _passive(40)]:
+        groups = tokenize(normalize(query), lexicon)
+        for at in range(len(groups) + 1):
+            for category in TEMPLATES:
+                table: dict = {}
+                span = parser.scan_constituent(category, groups, table, at)
+                assert table[at, category] == span, (query, at, category)
+                legacy = legacy_scan_constituent(groups, at, category)
+                if legacy is None:
+                    assert span is None, (query, at, category)
+                else:
+                    (bound, value, surface), end = span
+                    assert (bound, value, end) == (category, *legacy), (query, at, category)
+                    assert surface == " ".join(g.surface for g in groups[at:end])
 
 
 def test_match_counts_on_generated_corpus(grammar, lexicon, generated, attempts):
