@@ -77,6 +77,8 @@ def load_catalog(document: str) -> tuple[BookRecord, ...]:
         for key in _STRING_KEYS:
             if not isinstance(item[key], str):
                 raise CatalogError(f"record {index}: {key} must be a string")
+            if key != "currency" and not item[key].strip():  # format_price strips a currency
+                raise CatalogError(f"record {index}: {key} must not be empty")
         records.append(BookRecord(
             title=title,
             authors=tuple(authors),

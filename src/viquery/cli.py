@@ -142,14 +142,13 @@ def cmd_batch(text: str, grammar, lexicon) -> int:
         total += 1
         try:
             results = parse(query, grammar, lexicon)
-        except QueryTooLongError as exc:
-            raise QueryTooLongError(f"line {lineno}: {exc}") from None
-        if results:
-            parsed += 1
-            sem = transform(results[0])
-            print(f"{results[0].rule_id}\t{render_skeleton(sem)}")
-        else:
-            print("NO-PARSE")
+            if results:
+                parsed += 1
+                print(f"{results[0].rule_id}\t{render_skeleton(transform(results[0]))}")
+            else:
+                print("NO-PARSE")
+        except (QueryTooLongError, TransformError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     print(f"{parsed}/{total}")
     return EXIT_OK if parsed == total else EXIT_NO_PARSE
 

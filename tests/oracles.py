@@ -1,26 +1,23 @@
-"""Independent reference implementations used to cross-check the fast paths.
+"""Reference implementations the fast paths are checked against: one per
+layer, each written over rule terms, ``TEMPLATES``, lexicon entries or
+catalog records, never over a compiled program.
 
-The parse oracle replaces the parser's backtracking control with explicit
-enumeration: it expands every optional/repetition assignment of a rule into
-a flat term list (in the parser's preference order) and linearly matches
-each expansion.  The legacy parser is the recursive backtracker that the
-compiled matcher replaced, kept as a fast differential reference; both
-scan phrase templates with the legacy template scanner, the recursive part
-interpreter that the compiled template alternatives replaced.
-``scan_template`` runs one template the way a rule slot does, through
-``match_rule`` on a one-slot rule, for comparison with that scanner.  The
-evaluation oracle re-derives answers per record by walking the semantic tree
-directly instead of compiling a filter list; a yes/no question that names
-several books holds when each of its one-book readings holds.  The legacy
-front end is the regex normalizer and the per-first-syllable bucket scan
-that the syllable trie replaced.  ``legacy_rule_keys`` reads a rule's
-prefilter keys, its required keys and the keys of the group before its
-last, off its compiled program by the dataflow pass that folding them in
-the walk that compiles the rule's parts replaced.  The legacy
-transformer is the set of per-family builder functions that the family
-data table replaced, and ``FAMILY_SKELETONS`` is the hand-written skeleton
-of every family, kept as an independent conformance reference for the
-table.
+- Front end: ``legacy_normalize`` and ``legacy_tokenize``, the regex
+  normalizer and the per-first-syllable bucket scan that the syllable trie
+  replaced.
+- Templates: ``legacy_scan_constituent``, the recursive part interpreter
+  that the compiled template alternatives replaced.
+- Parse: ``legacy_parse``, the recursive backtracker that the compiled
+  matcher replaced; it scans templates with ``legacy_scan_constituent``.
+- Prefilter keys: ``rule_keys``, a rule body's ``required`` and ``last``
+  keys as the sets they are defined to be, read off its parts.
+- Transform: ``legacy_transform``, the per-family builder functions that
+  the family data table replaced, beside ``FAMILY_SKELETONS``, the
+  hand-written skeleton of every family.
+- Evaluate: ``oracle_evaluate``, which re-derives answers per record by
+  walking the semantic tree instead of compiling a filter list; a yes/no
+  question that names several books holds when each of its one-book
+  readings holds.
 """
 
 from __future__ import annotations
@@ -32,8 +29,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 
 from viquery.catalog import Answer, BookRecord, format_price
-from viquery.grammar import (ATOM, LIT, MATCH, SPLIT, TOK, Bracket, SyntacticRule, _rule,
-                             _template, parse_rule_dsl)
+from viquery.grammar import Bracket, SyntacticRule
 from viquery.lexicon import (
     NAME_KINDS,
     BookValue,
@@ -45,7 +41,7 @@ from viquery.lexicon import (
     normalize,
     tokenize,
 )
-from viquery.parser import ConstituentBinding, ParseResult, match_rule
+from viquery.parser import ConstituentBinding, ParseResult
 from viquery.semantics import (
     _TIME_RELATION_NAMES,
     REL_AMOUNT,
@@ -112,106 +108,6 @@ def legacy_scan_constituent(groups: tuple[TokenGroup, ...], at: int, category: s
         else:
             return _LEGACY_BUILDERS[builder](*values), pos
     return None
-
-
-@functools.cache
-def _one_slot_rule(category: str) -> SyntacticRule:
-    return parse_rule_dsl(f"<R> = <{category}>\n")[0]
-
-
-def scan_template(groups: tuple[TokenGroup, ...], at: int, category: str):
-    """The template ``category`` at group index ``at`` as the parser matches
-    it: (value, first unconsumed position) or None.  The one-slot rule
-    ``<R> = <category>`` is matched on ``groups[at:end]``, longest first.
-    The alternative committed on the whole stream is the one at the longest
-    ``end`` that matches: an alternative that fails on the whole stream also
-    fails on a prefix of it, and an atomic slot cannot stretch past its
-    commit, so every longer ``end`` fails."""
-    rule = _one_slot_rule(category)
-    for end in range(len(groups), at, -1):
-        result = match_rule(groups[at:end], rule)
-        if result is not None:
-            return result.bindings[0].value, end
-    return None
-
-
-def _min_flat_len(terms: tuple) -> int:
-    return sum(1 for t in terms if type(t) is not Bracket)
-
-
-def _expansions(terms: tuple, budget: int, capacity: int):
-    """All flat (literal|category) expansions, in the parser's preference
-    order: optional present before absent, one more repetition before group
-    exit.  ``budget`` bounds group iterations, ``capacity`` the flat length
-    (every flat term consumes at least one stream position)."""
-    if _min_flat_len(terms) > capacity:
-        return
-    if not terms:
-        yield ()
-        return
-    head, rest = terms[0], terms[1:]
-    if type(head) is not Bracket:  # a literal or a category
-        for tail in _expansions(rest, budget, capacity - 1):
-            yield (head,) + tail
-    elif head.opener == "[":
-        yield from _expansions(head.body + rest, budget, capacity)
-        yield from _expansions(rest, budget, capacity)
-    else:  # {...}
-        if budget > 0:
-            yield from _expansions(head.body + (head,) + rest, budget - 1, capacity)
-        yield from _expansions(rest, budget, capacity)
-
-
-def _bind(rule: SyntacticRule, stream: tuple[TokenGroup, ...], matched) -> ParseResult:
-    counters: dict = {}
-    bindings = []
-    for category, value, start, end in matched:
-        ordinal = counters.get(category, 0)
-        counters[category] = ordinal + 1
-        bindings.append(ConstituentBinding(
-            category, value, " ".join(g.surface for g in stream[start:end]), ordinal))
-    return ParseResult(rule.id, rule.family, tuple(bindings))
-
-
-def _match_flat(flat: tuple, stream: tuple[TokenGroup, ...], lexicon: Lexicon):
-    pos = 0
-    matched = []
-    for term in flat:
-        if type(term) is Lit:
-            if pos >= len(stream) or stream[pos].surface != term.surface:
-                return None
-            pos += 1
-        else:
-            found = legacy_scan_constituent(stream, pos, term)
-            if found is None:
-                return None
-            value, after = found
-            matched.append((term, value, pos, after))
-            pos = after
-    if pos != len(stream):
-        return None
-    return matched
-
-
-def oracle_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
-                      lexicon: Lexicon) -> ParseResult | None:
-    n = len(stream)
-    for flat in _expansions(rule.terms, n + 1, n):
-        matched = _match_flat(flat, stream, lexicon)
-        if matched is not None:
-            return _bind(rule, stream, matched)
-    return None
-
-
-def oracle_parse(query: str, grammar: tuple[SyntacticRule, ...],
-                 lexicon: Lexicon) -> list[ParseResult]:
-    stream = tokenize(normalize(query), lexicon)
-    results = []
-    for rule in grammar:
-        result = oracle_match_rule(stream, rule, lexicon)
-        if result is not None:
-            results.append(result)
-    return results
 
 
 # --- legacy front end --------------------------------------------------------
@@ -298,8 +194,7 @@ class _Progress:
     at: int
 
 
-def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
-                      lexicon: Lexicon) -> ParseResult | None:
+def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule) -> ParseResult | None:
     n = len(stream)
 
     def match_seq(terms: tuple, pos: int):
@@ -333,71 +228,83 @@ def legacy_match_rule(stream: tuple[TokenGroup, ...], rule: SyntacticRule,
         return match_seq(rest, pos)
 
     matched = match_seq(rule.terms, 0)
-    return None if matched is None else _bind(rule, stream, matched)
+    if matched is None:
+        return None
+    counters: dict = {}
+    bindings = []
+    for category, value, start, end in matched:
+        ordinal = counters.get(category, 0)
+        counters[category] = ordinal + 1
+        bindings.append(ConstituentBinding(
+            category, value, " ".join(g.surface for g in stream[start:end]), ordinal))
+    return ParseResult(rule.id, rule.family, tuple(bindings))
 
 
 def legacy_parse(query: str, grammar: tuple[SyntacticRule, ...],
                  lexicon: Lexicon) -> list[ParseResult]:
     stream = tokenize(normalize(query), lexicon)
-    results = []
-    for rule in grammar:
-        result = legacy_match_rule(stream, rule, lexicon)
-        if result is not None:
-            results.append(result)
-    return results
+    return [result for rule in grammar if (result := legacy_match_rule(stream, rule)) is not None]
 
 
-# --- legacy prefilter keys ---------------------------------------------------
+# --- prefilter keys -----------------------------------------------------------
 #
-# The dataflow pass over a compiled program that worked out a rule's
-# prefilter keys before they were folded over the rule's parts.
+# A key is a literal's surface or a token slot's category.  A template slot
+# has no key of its own: it consumes those of the alternative that matches.
 
-def _walk(program: tuple) -> tuple[dict, dict]:
-    """What a program consumes on its way to each instruction, and past its
-    end: the keys every path consumes, and those of which the last group it
-    consumes holds one (None: a path may consume none).  One pass in order
-    sees every path, as every step goes forward once a ``JUMP`` back to its
-    group's ``SPLIT`` is taken as a step to the group's exit, the next
-    instruction (another iteration adds no key), and an ``ATOM`` as a step
-    that consumes what its template's alternatives consume."""
-    needs, tails = {0: frozenset()}, {0: frozenset([None])}
-    pc = 0
-    while pc < len(program):
-        op, arg = program[pc]
-        need, tail = needs[pc], tails[pc]
-        if op in (LIT, TOK, ATOM):
-            consumed, tail = _consumed(op, arg)
-            need |= consumed
-        steps = ((len(program),) if op == MATCH else (pc + 1, pc + arg)
-                 if op == SPLIT else (pc + 1,))
-        for step in steps:
-            if step in needs:  # a join: merge with what reached it before
-                needs[step], tails[step] = needs[step] & need, tails[step] | tail
-            else:
-                needs[step], tails[step] = need, tail
-        pc += 1
-    return needs, tails
+def _part_avoids(part, key: str) -> bool:
+    """Whether some match of ``part`` consumes no group of ``key``."""
+    if type(part) is Bracket:  # may match nothing
+        return True
+    if type(part) is Lit:
+        return part.surface != key
+    if type(part) is tuple:  # one token of any of these categories
+        return part != (key,)
+    if part in TEMPLATES:
+        return any(all(_part_avoids(p, key) for p in parts) for parts, _ in TEMPLATES[part])
+    return part != key
 
 
-@functools.lru_cache(maxsize=1024)
-def _consumed(op: int, arg) -> tuple[frozenset, frozenset]:
-    """The keys a ``LIT``, a ``TOK`` or a template's span consumes wherever
-    it matches, and those of which its last group holds one."""
-    if op == ATOM:  # what every alternative consumes; what any ends in
-        ends = [[keys[len(steps)] for keys in _walk(steps)] for steps, _ in _template(arg)[0]]
-        return (frozenset.intersection(*[need for need, _ in ends]),
-                frozenset().union(*[tail for _, tail in ends]))
-    keys = frozenset([arg])
-    return keys, keys
+def _keys(parts: tuple):
+    """Every key that some match of ``parts`` may consume."""
+    for part in parts:
+        if type(part) is Bracket:
+            yield from _keys(part.body)
+        elif type(part) is Lit:
+            yield part.surface
+        elif type(part) is tuple:
+            yield from part
+        elif part in TEMPLATES:
+            for alternative, _ in TEMPLATES[part]:
+                yield from _keys(alternative)
+        else:
+            yield part
 
 
-def legacy_rule_keys(terms: tuple) -> tuple[frozenset, frozenset | None]:
-    """A rule body's ``(required, last)``, read off its program."""
-    program = _rule("R", terms).program
-    needs, tails = _walk(program)
-    end = terms[-1]
-    anchored = type(end) in (str, Lit) and end not in TEMPLATES
-    return needs[len(program)], tails[len(program) - 2] if anchored else None
+def _ends(parts: tuple) -> frozenset:
+    """The keys of which the last group of a match of ``parts`` may hold one,
+    read right to left; None in it: a match may consume no group."""
+    if not parts:
+        return frozenset([None])
+    *rest, part = parts
+    if type(part) is Bracket:  # present: where its body ends; absent: the rest
+        return _ends(part.body) - {None} | _ends(tuple(rest))
+    if type(part) is Lit:
+        return frozenset([part.surface])
+    if type(part) is tuple:
+        return frozenset(part)
+    if part in TEMPLATES:
+        return frozenset().union(*[_ends(alternative) for alternative, _ in TEMPLATES[part]])
+    return frozenset([part])
+
+
+def rule_keys(terms: tuple) -> tuple[frozenset, frozenset | None]:
+    """A rule body's ``(required, last)``: the keys no match can avoid and,
+    for a body that ends in a literal or a one-token slot, the keys the rest
+    of the body can end in (else None)."""
+    required = frozenset(k for k in _keys(terms) if not all(_part_avoids(p, k) for p in terms))
+    *rest, end = terms
+    anchored = type(end) is Lit or type(end) is str and end not in TEMPLATES
+    return required, _ends(tuple(rest)) if anchored else None
 
 
 # --- evaluation oracle --------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import FAMILY_SKELETONS, oracle_evaluate, oracle_parse
+from oracles import FAMILY_SKELETONS, legacy_parse, oracle_evaluate
 import viquery
 from viquery.catalog import evaluate, load_catalog
 from viquery.cli import main
@@ -216,7 +216,7 @@ def test_criterion_08_parser_oracle_equivalence(grammar):
                     words[at] = rng.choice(pool)
             query = " ".join(words[:14])
         fast = parse(query, grammar, toy)
-        slow = oracle_parse(query, grammar, toy)
+        slow = legacy_parse(query, grammar, toy)
         assert fast == slow, f"disagreement on {query!r}"
         if fast:
             parsed_count += 1

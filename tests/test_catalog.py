@@ -55,6 +55,14 @@ def test_load_rejects_non_string_field(field):
         _catalog(_record(), _record(**{field: 5}))
 
 
+@pytest.mark.parametrize("field", ["publisher", "subject", "place"])
+def test_load_rejects_empty_field(field):
+    for value in ("", " \t"):
+        with pytest.raises(CatalogError, match=f"^record 1: {field} must not be empty$"):
+            _catalog(_record(), _record(**{field: value}))
+    assert _catalog(_record(currency=""))[0].currency == ""  # format_price strips it
+
+
 def test_load_rejects_bad_year():
     with pytest.raises(CatalogError, match="year"):
         _catalog(_record(year=99))

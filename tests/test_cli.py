@@ -2,11 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import viquery
 from viquery.cli import _parse_report, build_arg_parser, cmd_ask, data_path, main
 from viquery.grammar import _template
 from viquery.lexicon import CATEGORIES, TEMPLATES
@@ -210,6 +213,19 @@ def test_batch_breaks_lines_at_line_feeds_only(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
+def test_batch_names_the_line_of_a_transform_error(tmp_path, capsys):
+    # a time preposition the lexicon lists but no time relation maps
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(data_path("lexicon_v1.tsv").read_text(encoding="utf-8")
+                       + "prep_time\ttừ\ttừ\n", encoding="utf-8")
+    f = tmp_path / "queries.txt"
+    f.write_text("ai viết sách B ?\nai viết sách B từ năm 2000 ?\n", encoding="utf-8")
+    assert main(["--lexicon", str(lexicon), "batch", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["Q1.1a\t(verb_write ((author?, rel_sub), (book, rel_obj)))"]
+    assert err == "error: line 2: unknown time preposition 'từ'\n"
+
+
 def test_batch_empty_file(tmp_path, capsys):
     f = tmp_path / "queries.txt"
     f.write_text("", encoding="utf-8")
@@ -219,6 +235,16 @@ def test_batch_empty_file(tmp_path, capsys):
 
 def test_batch_unreadable_file(capsys):
     assert main(["batch", "/no/such/file.txt"]) == 1
+
+
+def test_cli_imports_only_the_standard_library():
+    # a bare interpreter: no site, so no site-packages and no .pth imports
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import viquery.cli; "
+            "print(*sorted({m.split('.')[0] for m in sys.modules} - sys.stdlib_module_names))")
+    src = str(Path(viquery.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["__main__", "viquery"]
 
 
 def test_missing_data_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import legacy_normalize, legacy_tokenize, scan_template
+from oracles import legacy_normalize, legacy_tokenize
 from viquery.cli import derive_seed
 from viquery.grammar import sample
 from viquery.lexicon import (
@@ -17,6 +17,7 @@ from viquery.lexicon import (
     normalize,
     tokenize,
 )
+from viquery.parser import scan_constituent
 
 S1 = "tác giả a có viết sách b vào năm 2008 không ?"
 
@@ -156,32 +157,29 @@ def test_tokenize_group_categories(lexicon, query, expected):
 
 def test_scan_author_at_start(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_template(stream, 0, "author")
-    assert value == "A" and after == 2
+    assert scan_constituent("author", stream, {}, 0) == (("author", "A", "tác giả a"), 2)
 
 
 def test_scan_time_phrase(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_template(stream, 6, "time_phrase")
-    assert value == TimeValue("vào", 2008) and after == 9
+    assert (scan_constituent("time_phrase", stream, {}, 6)
+            == (("time_phrase", TimeValue("vào", 2008), "vào năm 2008"), 9))
 
 
 def test_scan_publisher_absent(lexicon):
     stream = tokenize(S1, lexicon)
-    assert scan_template(stream, 0, "publisher") is None
+    assert scan_constituent("publisher", stream, {}, 0) is None
 
 
 def test_scan_book_bound(lexicon):
     stream = tokenize(S1, lexicon)
-    value, after = scan_template(stream, 4, "book")
-    assert value == BookValue(title="B") and after == 6
+    assert scan_constituent("book", stream, {}, 4) == (("book", BookValue(title="B"), "sách b"), 6)
 
 
 def test_scan_book_unbound_with_qualifier(lexicon):
     stream = tokenize("sách nào thuộc chủ đề t", lexicon)
-    value, after = scan_template(stream, 0, "book")
-    assert value == BookValue(subject="T")
-    assert after == len(stream)
+    assert (scan_constituent("book", stream, {}, 0)
+            == (("book", BookValue(subject="T"), "sách nào thuộc chủ đề t"), len(stream)))
 
 
 def test_scan_consumes_at_least_one_token(lexicon, corpus):
@@ -189,9 +187,9 @@ def test_scan_consumes_at_least_one_token(lexicon, corpus):
         stream = tokenize(sentence, lexicon)
         for at in range(len(stream)):
             for category in ("author", "book", "time_phrase", "subject", "publisher"):
-                found = scan_template(stream, at, category)
-                if found is not None:
-                    assert found[1] > at
+                span = scan_constituent(category, stream, {}, at)
+                if span is not None:
+                    assert span[1] > at
 
 
 @pytest.mark.parametrize("query, at, category, expected", [
@@ -209,7 +207,8 @@ def test_scan_consumes_at_least_one_token(lexicon, corpus):
     ("trước năm ?", 0, "time_phrase", None),
 ])
 def test_scan_template_alternatives(lexicon, query, at, category, expected):
-    assert scan_template(tokenize(query, lexicon), at, category) == expected
+    span = scan_constituent(category, tokenize(query, lexicon), {}, at)
+    assert (None if span is None else (span[0][1], span[1])) == expected
 
 
 # --- the trie front end against the legacy regex and bucket scan -------------

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import legacy_parse, legacy_rule_keys, legacy_scan_constituent, scan_template
+from oracles import legacy_parse, legacy_scan_constituent, rule_keys
 from viquery import parser
 from viquery.cli import main
 from viquery.grammar import (ATOM, JUMP, LIT, MATCH, SPLIT, TOK, GrammarError, _instructions,
@@ -118,23 +118,6 @@ def test_every_token_instruction_reads_one_category(rules):
              if op == TOK]
     assert args and all(arg in CATEGORIES for arg in args)
     assert {"subject", "name_book", "creator", "agent"} <= set(args)  # read inside templates
-
-
-def test_template_scans_match_legacy(lexicon, generated):
-    """Each template, run through a one-slot rule, gives what the legacy
-    part interpreter gives, for every template category at every position."""
-    rng = random.Random(0)
-    queries = generated + [_active(40), _passive(40)]
-    for query in generated:
-        words = query.split(" ")
-        rng.shuffle(words)
-        queries.append(" ".join(words))
-    for query in queries:
-        groups = tokenize(normalize(query), lexicon)
-        for at in range(len(groups) + 1):
-            for category in TEMPLATES:
-                assert (scan_template(groups, at, category)
-                        == legacy_scan_constituent(groups, at, category)), (query, at, category)
 
 
 @pytest.mark.parametrize("body, query, surface", [
@@ -370,16 +353,16 @@ def _parts(depth: int):
 _BODIES = st.lists(_parts(3), min_size=1, max_size=6).map(" ".join)
 
 
-def test_prefilter_keys_of_shipped_rules_match_the_program_walk(rules):
+def test_prefilter_keys_of_shipped_rules_match_the_spec(rules):
     for rule in rules:
-        assert (rule.required, rule.last) == legacy_rule_keys(rule.terms), rule.id
+        assert (rule.required, rule.last) == rule_keys(rule.terms), rule.id
 
 
 @given(body=_BODIES)
 @settings(max_examples=300, deadline=None)
-def test_prefilter_keys_match_the_program_walk(body):
+def test_prefilter_keys_match_the_spec(body):
     [rule] = parse_rule_dsl(f"<X> = {body}")
-    assert (rule.required, rule.last) == legacy_rule_keys(rule.terms)
+    assert (rule.required, rule.last) == rule_keys(rule.terms)
 
 
 @given(body=_BODIES)
@@ -506,8 +489,15 @@ def test_each_table_entry_is_one_search(grammar, lexicon, generated, monkeypatch
 
 def test_scan_constituent_matches_legacy(lexicon, generated):
     """Each template searched on its own gives what the legacy part
-    interpreter gives, for every template category at every position."""
-    for query in generated + [_active(40), _passive(40)]:
+    interpreter gives, for every template category at every position of the
+    corpus, of shuffled copies of its sentences and of two 40-book questions."""
+    rng = random.Random(0)
+    queries = generated + [_active(40), _passive(40)]
+    for query in generated:
+        words = query.split(" ")
+        rng.shuffle(words)
+        queries.append(" ".join(words))
+    for query in queries:
         groups = tokenize(normalize(query), lexicon)
         for at in range(len(groups) + 1):
             for category in TEMPLATES:
