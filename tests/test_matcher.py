@@ -513,6 +513,33 @@ def test_scan_constituent_matches_legacy(lexicon, generated):
                     assert surface == " ".join(g.surface for g in groups[at:end])
 
 
+def test_template_scans_match_legacy(lexicon, generated):
+    """Each template, run through a one-slot rule, gives what the legacy
+    part interpreter gives, for every template category at every position.
+    The one-slot rule ``<R> = <category>`` is matched on ``groups[at:end]``,
+    longest ``end`` first: an alternative that fails on the whole stream also
+    fails on a prefix of it, and an atomic slot cannot stretch past its
+    commit, so the first ``end`` that matches is the one the rule commits."""
+    rules = {category: parse_rule_dsl(f"<R> = <{category}>\n")[0] for category in TEMPLATES}
+    rng = random.Random(0)
+    queries = generated + [_active(40), _passive(40)]
+    for query in generated:
+        words = query.split(" ")
+        rng.shuffle(words)
+        queries.append(" ".join(words))
+    for query in queries:
+        groups = tokenize(normalize(query), lexicon)
+        for at in range(len(groups) + 1):
+            for category, rule in rules.items():
+                found = None
+                for end in range(len(groups), at, -1):
+                    result = match_rule(groups[at:end], rule)
+                    if result is not None:
+                        found = result.bindings[0].value, end
+                        break
+                assert found == legacy_scan_constituent(groups, at, category), (query, at, category)
+
+
 def test_match_counts_on_generated_corpus(grammar, lexicon, generated, attempts):
     parses = sum(len(parse(query, grammar, lexicon)) for query in generated)
     spans = sum(len(_spans(query, grammar, lexicon)) for query in generated)
