@@ -14,7 +14,7 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .semantics import QuestionType, SemanticNode
+from .semantics import QuestionType, SemanticNode, find_focus
 
 
 class CatalogError(ValueError):
@@ -64,10 +64,10 @@ def load_catalog(document: str) -> tuple[BookRecord, ...]:
         authors = item["authors"]
         year = item["year"]
         price = item["price"]
-        if not isinstance(title, str) or not title:
+        if not isinstance(title, str) or not title.strip():
             raise CatalogError(f"record {index}: title must be a non-empty string")
         if (not isinstance(authors, list) or not authors
-                or not all(isinstance(a, str) and a for a in authors)):
+                or not all(isinstance(a, str) and a.strip() for a in authors)):
             raise CatalogError(f"record {index}: authors must be a non-empty list")
         if not isinstance(year, int) or not 1000 <= year <= 9999:
             raise CatalogError(f"record {index}: year must be a 4-digit integer")
@@ -119,17 +119,16 @@ def _names_book(arg) -> bool:
     return arg.kind == "entity" and arg.role == "book"
 
 
-def _readings(node: SemanticNode, focus: list, split: bool) -> list[list]:
-    """Filter lists, one per reading of ``node``.  With ``split``, a node
-    that names several books keeps one of them in each reading, nested nodes
-    alike; without it there is one reading, of every filter."""
+def _readings(node: SemanticNode, split: bool) -> list[list]:
+    """Filter lists, one per reading of ``node``; a focused argument adds
+    none unless nested.  With ``split``, each node naming several books keeps
+    one of them in each reading; without it there is one reading."""
     parts = []       # per argument, the filter lists it may contribute
     books = []
     for arg, _relation in node.args:
         if arg.kind == "nested":
-            options = _readings(arg.nested, focus, split)
+            options = _readings(arg.nested, split)
         elif arg.focus:
-            focus.append((arg.kind, arg.role))
             options = [[]]
         elif arg.kind == "time" and arg.time.year is not None:
             if arg.time.relation not in _YEAR_TESTS:
@@ -159,24 +158,25 @@ def evaluate(sem: SemanticNode, records: tuple[BookRecord, ...]) -> Answer:
     """Answer a question against the catalog's records.
 
     A yes/no question holds when each of its one-book readings is satisfied
-    by some record.  Wh-questions collect the focused role's values over the
-    records that satisfy every filter; amount questions count those records.
+    by some record.  Wh-questions collect the values of the argument that
+    ``find_focus`` gives (a ``nested`` one has no role) over the records that
+    satisfy every filter; amount questions count those records.
     """
-    focus: list = []
-    readings = _readings(sem, focus, split=sem.focused)
+    readings = _readings(sem, split=sem.focused)
     if sem.focused:
         return Answer("boolean", all(
             any(_satisfies(r, filters) for r in records) for filters in readings))
     [filters] = readings
     matching = [r for r in records if _satisfies(r, filters)]
-    if not focus:
+    hit = find_focus(sem)
+    if hit is None:
         raise EvaluationError("no focused element to answer")
-    focus_kind, focus_role = focus[0]
-    if focus_kind == "amount":
+    focused = hit[1]
+    if focused.kind == "amount":
         return Answer("count", len(matching))
-    projector = _FIELDS.get("year" if focus_kind == "time" else focus_role)
+    projector = _FIELDS.get("year" if focused.kind == "time" else focused.role)
     if projector is None:
-        raise EvaluationError(f"focused role {focus_role!r} has no record field")
+        raise EvaluationError(f"focused role {focused.role!r} has no record field")
     values: set[str] = set()
     for record in matching:
         values |= projector(record)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 import re
 import sys
 from typing import NamedTuple
@@ -261,6 +260,7 @@ def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
     surfaces, one list after another, except that a year is drawn from
     1900-2025.
     """
+    import random  # only ``generate`` samples, so ``import viquery.cli`` skips it
     rng = random.Random(seed)
 
     time_slots = [t for t in rule.terms if type(t) is Bracket and t.opener == "["

@@ -89,26 +89,26 @@ def resolve_time(prep: str, year: int | None) -> TimeConstraint:
     return TimeConstraint(year, relation)
 
 
+def find_focus(node: SemanticNode, prefix: tuple[int, ...] = ()):
+    """``(path, argument)`` of the first argument whose own ``focus`` is set,
+    a nested node searched in place after its argument's flag; else None."""
+    for i, (arg, _) in enumerate(node.args):
+        if arg.focus:
+            return prefix + (i,), arg
+        if arg.nested is not None and (hit := find_focus(arg.nested, prefix + (i,))):
+            return hit
+    return None
+
+
 def classify(sem: SemanticNode) -> QuestionType:
-    """Yes/no when the predicate is focused, otherwise wh with the path to
-    the focused argument."""
+    """Yes/no when the predicate is focused, otherwise wh with the path that
+    :func:`find_focus` gives."""
     if sem.focused:
         return QuestionType("yesno", ())
-
-    def find(node: SemanticNode, prefix: tuple[int, ...]):
-        for i, (arg, _) in enumerate(node.args):
-            if arg.focus:
-                return prefix + (i,)
-            if arg.nested is not None:
-                hit = find(arg.nested, prefix + (i,))
-                if hit is not None:
-                    return hit
-        return None
-
-    path = find(sem, ())
-    if path is None:
+    hit = find_focus(sem)
+    if hit is None:
         raise TransformError("no focused element in semantic tree")
-    return QuestionType("wh", path)
+    return QuestionType("wh", hit[0])
 
 
 # --- rendering ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -84,6 +85,8 @@ def test_load_rejects_over_deep_json():
     ("{}", "top level must be an array of records"),
     ("[1]", "record 0: not an object"),
     (json.dumps([_record(title="")]), "record 0: title must be a non-empty string"),
+    (json.dumps([_record(title=" ")]), "record 0: title must be a non-empty string"),
+    (json.dumps([_record(authors=("A", "  "))]), "record 0: authors must be a non-empty list"),
 ])
 def test_load_rejects_malformed_document(text, message):
     with pytest.raises(CatalogError) as caught:
@@ -195,6 +198,11 @@ def test_format_answer_kind_mismatch():
         format_answer(Answer("entities", ()), QuestionType("yesno", ()))
 
 
+#: a focused nested argument whose node holds a focused argument too
+_FOCUSED_NESTED = Argument("nested", focus=True, nested=SemanticNode(
+    "is_of", False, ((Argument("entity", "book", focus=True), "rel_sub"),)))
+
+
 @pytest.mark.parametrize("args, message", [
     # a bound role that no record field holds
     (((Argument("entity", "isbn", "X"), "rel_obj"),
@@ -214,11 +222,28 @@ def test_format_answer_kind_mismatch():
     (SemanticNode("write", True, ((Argument("time", time=TimeConstraint(2008, "during")),
                                    "rel_time2"),)),
      "time relation 'during' has no year test"),
+    # a focused nested argument, which is the focus even over a focus inside it
+    (((_FOCUSED_NESTED, "rel_obj"),), "focused role None has no record field"),
 ])
 def test_evaluate_rejects_hand_built_tree(args, message):
     tree = args if type(args) is SemanticNode else SemanticNode("write", False, args)
+    if tree.args[0][0] is _FOCUSED_NESTED:  # classify finds the same focus
+        assert classify(tree) == QuestionType("wh", (0,))
     # the tree is checked before any record is read, so no catalog answers it
     for records in (_catalog(_record()), ()):
         with pytest.raises(EvaluationError) as caught:
             evaluate(tree, records)
         assert str(caught.value) == message
+
+
+def test_answering_leaves_no_cyclic_garbage(grammar, lexicon, catalog, generated):
+    # every object answering makes is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for sentence in generated:
+            sem = transform(parse(sentence, grammar, lexicon)[0])
+            format_answer(evaluate(sem, catalog), classify(sem))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

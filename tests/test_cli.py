@@ -238,13 +238,15 @@ def test_batch_unreadable_file(capsys):
 
 
 def test_cli_imports_only_the_standard_library():
-    # a bare interpreter: no site, so no site-packages and no .pth imports
+    # a bare interpreter: no site, so no site-packages and no .pth imports;
+    # ``random`` and ``hashlib`` load only when ``generate`` runs
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import viquery.cli; "
-            "print(*sorted({m.split('.')[0] for m in sys.modules} - sys.stdlib_module_names))")
+            "print(*sorted({m.split('.')[0] for m in sys.modules} - sys.stdlib_module_names)); "
+            "print('random' in sys.modules, 'hashlib' in sys.modules)")
     src = str(Path(viquery.__file__).parents[1])
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                          capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["__main__", "viquery"]
+    assert run.stdout.splitlines() == ["__main__ viquery", "False False"]
 
 
 def test_missing_data_file(tmp_path, capsys):
