@@ -14,7 +14,7 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .semantics import QuestionType, SemanticNode, find_focus
+from .semantics import _TIME_RELATIONS, QuestionType, SemanticNode, find_focus
 
 
 class CatalogError(ValueError):
@@ -109,7 +109,6 @@ _FIELDS = {
     "price": lambda r: {format_price(r)},
 }
 _YEAR = operator.attrgetter("year")
-_YEAR_TESTS = {"before": operator.lt, "in": operator.eq, "after": operator.gt}
 
 
 def _names_book(arg) -> bool:
@@ -131,9 +130,9 @@ def _readings(node: SemanticNode, split: bool) -> list[list]:
         elif arg.focus:
             options = [[]]
         elif arg.kind == "time" and arg.time.year is not None:
-            if arg.time.relation not in _YEAR_TESTS:
+            if arg.time.relation not in _TIME_RELATIONS:
                 raise EvaluationError(f"time relation {arg.time.relation!r} has no year test")
-            options = [[(_YEAR, _YEAR_TESTS[arg.time.relation], arg.time.year)]]
+            options = [[(_YEAR, _TIME_RELATIONS[arg.time.relation][1], arg.time.year)]]
         elif arg.kind == "entity" and arg.value is not None and arg.role != "source":
             if arg.role not in _FIELDS:
                 raise EvaluationError(f"role {arg.role!r} has no record field")
@@ -185,6 +184,8 @@ def evaluate(sem: SemanticNode, records: tuple[BookRecord, ...]) -> Answer:
 
 def format_answer(answer: Answer, qtype: QuestionType) -> str:
     """Render an answer as a short Vietnamese reply line."""
+    if answer.kind not in ("boolean", "entities", "count"):
+        raise EvaluationError(f"unknown answer kind {answer.kind!r}")
     if answer.kind == "boolean":
         if qtype.kind != "yesno":
             raise EvaluationError("boolean answer for a wh-question")

@@ -220,14 +220,6 @@ def render_dsl(grammar: tuple[SyntacticRule, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _categories_of(terms: tuple):
-    for term in terms:
-        if type(term) is str:
-            yield term
-        elif type(term) is Bracket:
-            yield from _categories_of(term.body)
-
-
 def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
     """Diagnostics: unrealizable categories (a year and a name need no
     entry: tokenize gives them to unknown runs), literals that tokenize does
@@ -249,6 +241,43 @@ def validate(grammar: tuple[SyntacticRule, ...], lexicon: Lexicon) -> list[str]:
 
 # --- sentence sampling -------------------------------------------------------
 
+def _holds_time(term) -> bool:
+    """Whether ``term`` is the ``<time_phrase>`` slot or a bracket holding it at any depth."""
+    return term == "time_phrase" or type(term) is Bracket and any(map(_holds_time, term.body))
+
+
+def _realize(parts: tuple, out: list[str], rng, lexicon: Lexicon, allowed_time) -> None:
+    """Append the words of a sampled ``parts`` to ``out``, drawing from ``rng``
+    in order (see :func:`sample`); ``allowed_time`` is the one optional time
+    phrase taken when a rule has several, else None."""
+    for part in parts:
+        if type(part) is Lit:
+            out.append(part.surface)
+        elif type(part) is Bracket and part.opener == "{":
+            for _ in range(rng.randint(0, 2)):
+                _realize(part.body, out, rng, lexicon, allowed_time)
+        elif type(part) is Bracket:
+            include = rng.random() < 0.5  # drawn even if excluded, so later draws keep their order
+            if allowed_time is not None and part is not allowed_time and _holds_time(part):
+                include = False
+            if include and not out and all(type(t) is Lit for t in part.body):
+                include = False  # no separator before any content
+            if include:
+                _realize(part.body, out, rng, lexicon, allowed_time)
+        elif part in TEMPLATES:  # the parts of its first alternative
+            _realize(TEMPLATES[part][0][0], out, rng, lexicon, allowed_time)
+        else:  # a token slot: one category (a str) or several (a tuple)
+            categories = part if type(part) is tuple else (part,)
+            if categories == ("year",):
+                out.append(str(rng.randint(1900, 2025)))
+                continue
+            surfaces = sum(map(lexicon.surfaces, categories), ())
+            if not surfaces:
+                names = "|".join(f"<{category}>" for category in categories)
+                raise GrammarError(f"category {names} has no realizable surface")
+            out.append(rng.choice(surfaces))
+
+
 def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
     """Generate one sentence from a rule; deterministic for a fixed seed.
 
@@ -263,43 +292,11 @@ def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
     import random  # only ``generate`` samples, so ``import viquery.cli`` skips it
     rng = random.Random(seed)
 
-    time_slots = [t for t in rule.terms if type(t) is Bracket and t.opener == "["
-                  and "time_phrase" in _categories_of(t.body)]
+    time_slots = []
+    for term in rule.terms:
+        if type(term) is Bracket and term.opener == "[" and _holds_time(term):
+            time_slots.append(term)
     allowed_time = rng.choice(time_slots) if len(time_slots) > 1 else None
-
-    def token(categories: tuple[str, ...]) -> str:
-        if categories == ("year",):
-            return str(rng.randint(1900, 2025))
-        surfaces = [s for category in categories for s in lexicon.surfaces(category)]
-        if not surfaces:
-            names = "|".join(f"<{category}>" for category in categories)
-            raise GrammarError(f"category {names} has no realizable surface")
-        return rng.choice(surfaces)
-
-    def expand(parts: tuple, out: list[str]) -> None:
-        for part in parts:
-            if type(part) is str:
-                if part in TEMPLATES:  # the parts of its first alternative
-                    expand(TEMPLATES[part][0][0], out)
-                else:
-                    out.append(token((part,)))
-            elif type(part) is Lit:
-                out.append(part.surface)
-            elif type(part) is tuple:
-                out.append(token(part))
-            elif part.opener == "{":
-                for _ in range(rng.randint(0, 2)):
-                    expand(part.body, out)
-            else:
-                include = rng.random() < 0.5
-                if (len(time_slots) > 1 and part is not allowed_time
-                        and "time_phrase" in _categories_of(part.body)):
-                    include = False
-                if include and not out and all(type(t) is Lit for t in part.body):
-                    include = False  # no separator before any content
-                if include:
-                    expand(part.body, out)
-
     words: list[str] = []
-    expand(rule.terms, words)
+    _realize(rule.terms, words, rng, lexicon, allowed_time)
     return " ".join(words)

@@ -30,6 +30,7 @@ lists the same problems.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -44,14 +45,14 @@ class TransformError(ValueError):
 
 REL_SUB = "rel_sub"
 REL_OBJ = "rel_obj"
-REL_TIME1 = "rel_time1"
-REL_TIME2 = "rel_time2"
-REL_TIME3 = "rel_time3"
 REL_LOC = "rel_loc"
 REL_AMOUNT = "rel_amount"
 
 _PREP_RELATIONS = {"trước": "before", "vào": "in", "trong": "in", "sau": "after"}
-_TIME_RELATION_NAMES = {"before": REL_TIME1, "in": REL_TIME2, "after": REL_TIME3}
+#: A time relation's relation name, and the test of a record's year against
+#: the constraint's that ``viquery.catalog.evaluate`` applies
+_TIME_RELATIONS = {"before": ("rel_time1", operator.lt), "in": ("rel_time2", operator.eq),
+                   "after": ("rel_time3", operator.gt)}
 
 
 class TimeConstraint(NamedTuple):
@@ -269,7 +270,7 @@ def _build(parse: ParseResult, node) -> SemanticNode:
             for prep, year in [(value or "vào", None)] if asked else values:
                 constraint = resolve_time(prep, year)
                 args.append((Argument("time", time=constraint, focus=asked),
-                             _TIME_RELATION_NAMES[constraint.relation]))
+                             _TIME_RELATIONS[constraint.relation][0]))
         elif kind == "amount":
             args.append((Argument("amount", focus=True), relation))
         elif kind == "ask":

@@ -43,7 +43,7 @@ from viquery.lexicon import (
 )
 from viquery.parser import ConstituentBinding, ParseResult
 from viquery.semantics import (
-    _TIME_RELATION_NAMES,
+    _TIME_RELATIONS,
     REL_AMOUNT,
     REL_LOC,
     REL_OBJ,
@@ -482,7 +482,7 @@ def _bound_time_args(parse: ParseResult):
         constraint = resolve_time(value.prep, value.year)
         pairs.append((
             Argument("time", time=constraint),
-            _TIME_RELATION_NAMES[constraint.relation],
+            _TIME_RELATIONS[constraint.relation][0],
         ))
     return pairs
 
@@ -492,7 +492,7 @@ def _asked_time_arg(parse: ParseResult):
     constraint = resolve_time(prep, None)
     return (
         Argument("time", time=constraint, focus=True),
-        _TIME_RELATION_NAMES[constraint.relation],
+        _TIME_RELATIONS[constraint.relation][0],
     )
 
 

@@ -196,6 +196,9 @@ def test_format_answer_kind_mismatch():
         format_answer(Answer("boolean", True), QuestionType("wh", (0,)))
     with pytest.raises(EvaluationError, match="^entities answer for a yes/no question$"):
         format_answer(Answer("entities", ()), QuestionType("yesno", ()))
+    for qtype in (QuestionType("wh", (0,)), QuestionType("yesno", ())):
+        with pytest.raises(EvaluationError, match="^unknown answer kind 'bogus'$"):
+            format_answer(Answer("bogus", 5), qtype)
 
 
 #: a focused nested argument whose node holds a focused argument too

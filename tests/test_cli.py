@@ -150,6 +150,19 @@ def test_generate_corpus_is_pinned(capsys):
     assert digest == "dd59a08fd10af48efad32c19818335a7ca33492129d3a3f0909611efbc53d85c"
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("toy_rules.bnf", "f5e81da0647a122d97e93822f57129287cdacffd021fd96762e0da556ce6dec1"),
+    # two optional time phrases, one nested; a leading [","]; a repeated
+    # group; a template part of two word classes
+    ("edge_rules.bnf", "dae94fe71a03b4a055a0713c0e5ac476c623b3878d92b8ec4443605d12c47f12"),
+])
+def test_generate_is_pinned_for_other_grammars(capsys, toy_rules, name, expected):
+    argv = ["--seed", "0", "--grammar", str(toy_rules.parent / name), "generate", "all", "20"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == expected
+
+
 def test_generate_without_marker_entries_is_error(tmp_path, capsys):
     lines = data_path("lexicon_v1.tsv").read_text(encoding="utf-8").splitlines()
     f = tmp_path / "lexicon.tsv"

@@ -1,9 +1,11 @@
+import gc
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viquery.cli import data_path
+from viquery.cli import data_path, derive_seed
 from viquery.grammar import (
     ATOM,
     LIT,
@@ -230,6 +232,21 @@ def test_sample_at_most_one_time_phrase(rule_by_id, lexicon):
         preps = sum(sentence.split().count(p) for p in ("vào", "trước", "sau"))
         in_count = sentence.split().count("trong")
         assert preps + in_count <= 1
+
+
+def test_sampling_leaves_no_cyclic_garbage(grammar, lexicon):
+    # every object sampling the ``generate all 20`` corpus makes is freed by
+    # reference counting alone, and no function is defined per call
+    gc.collect()
+    gc.disable()
+    try:
+        for rule in grammar:
+            for i in range(20):
+                sample(rule, derive_seed(0, rule.id, i), lexicon)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert not any(isinstance(c, types.CodeType) for c in sample.__code__.co_consts)
 
 
 def test_every_category_reachable(grammar):
