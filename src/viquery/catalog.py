@@ -183,15 +183,27 @@ def evaluate(sem: SemanticNode, records: tuple[BookRecord, ...]) -> Answer:
 
 
 def format_answer(answer: Answer, qtype: QuestionType) -> str:
-    """Render an answer as a short Vietnamese reply line."""
-    if answer.kind not in ("boolean", "entities", "count"):
-        raise EvaluationError(f"unknown answer kind {answer.kind!r}")
-    if answer.kind == "boolean":
+    """Render an answer as a short Vietnamese reply line.  A boolean's value
+    must be a ``bool``, a count's an ``int`` that is not a ``bool`` and an
+    entities answer's a tuple of ``str``."""
+    kind, value = answer
+    if kind not in ("boolean", "entities", "count"):
+        raise EvaluationError(f"unknown answer kind {kind!r}")
+    if kind == "boolean":
         if qtype.kind != "yesno":
             raise EvaluationError("boolean answer for a wh-question")
-        return "Có." if answer.value else "Không."
+        if type(value) is not bool:
+            raise EvaluationError(f"boolean answer value {value!r} is not a bool")
+        return "Có." if value else "Không."
     if qtype.kind != "wh":
-        raise EvaluationError(f"{answer.kind} answer for a yes/no question")
-    if answer.kind == "count":
-        return str(answer.value)
-    return ", ".join(answer.value) if answer.value else "Không tìm thấy."
+        raise EvaluationError(f"{kind} answer for a yes/no question")
+    if kind == "count":
+        if type(value) is not int:
+            raise EvaluationError(f"count answer value {value!r} is not an int")
+        return str(value)
+    try:
+        if type(value) is tuple:
+            return ", ".join(value) if value else "Không tìm thấy."
+    except TypeError:  # an item that is not a str
+        pass
+    raise EvaluationError(f"entities answer value {value!r} is not a tuple of str")

@@ -246,26 +246,23 @@ def _holds_time(term) -> bool:
     return term == "time_phrase" or type(term) is Bracket and any(map(_holds_time, term.body))
 
 
-def _realize(parts: tuple, out: list[str], rng, lexicon: Lexicon, allowed_time) -> None:
+def _realize(parts: tuple, out: list[str], rng, lexicon: Lexicon) -> None:
     """Append the words of a sampled ``parts`` to ``out``, drawing from ``rng``
-    in order (see :func:`sample`); ``allowed_time`` is the one optional time
-    phrase taken when a rule has several, else None."""
+    in order (see :func:`sample`)."""
     for part in parts:
         if type(part) is Lit:
             out.append(part.surface)
         elif type(part) is Bracket and part.opener == "{":
             for _ in range(rng.randint(0, 2)):
-                _realize(part.body, out, rng, lexicon, allowed_time)
+                _realize(part.body, out, rng, lexicon)
         elif type(part) is Bracket:
             include = rng.random() < 0.5  # drawn even if excluded, so later draws keep their order
-            if allowed_time is not None and part is not allowed_time and _holds_time(part):
-                include = False
             if include and not out and all(type(t) is Lit for t in part.body):
                 include = False  # no separator before any content
             if include:
-                _realize(part.body, out, rng, lexicon, allowed_time)
+                _realize(part.body, out, rng, lexicon)
         elif part in TEMPLATES:  # the parts of its first alternative
-            _realize(TEMPLATES[part][0][0], out, rng, lexicon, allowed_time)
+            _realize(TEMPLATES[part][0][0], out, rng, lexicon)
         else:  # a token slot: one category (a str) or several (a tuple)
             categories = part if type(part) is tuple else (part,)
             if categories == ("year",):
@@ -282,9 +279,9 @@ def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
     """Generate one sentence from a rule; deterministic for a fixed seed.
 
     Optionals are included with probability 1/2 and groups repeated 0-2
-    times, except that at most one optional time phrase is enabled per
-    sentence (rules offering both a fronted and a trailing slot would
-    otherwise produce doubly-constrained questions).  A template realizes
+    times, except that at most one of a rule's top-level optional time slots
+    is enabled per sentence (rules offering both a fronted and a trailing slot
+    would otherwise produce doubly-constrained questions).  A template realizes
     its first alternative.  A token slot picks one of its categories' sorted
     surfaces, one list after another, except that a year is drawn from
     1900-2025.
@@ -298,5 +295,9 @@ def sample(rule: SyntacticRule, seed: int, lexicon: Lexicon) -> str:
             time_slots.append(term)
     allowed_time = rng.choice(time_slots) if len(time_slots) > 1 else None
     words: list[str] = []
-    _realize(rule.terms, words, rng, lexicon, allowed_time)
+    for term in rule.terms:
+        if allowed_time is not None and term is not allowed_time and term in time_slots:
+            rng.random()  # the left-out slot's draw, so later draws keep their order
+        else:
+            _realize((term,), words, rng, lexicon)
     return " ".join(words)

@@ -151,6 +151,9 @@ def load_lexicon(document: str) -> Lexicon:
             raise LexiconError(f'line {lineno}: surface {surface!r} holds "?" or ",", '
                                "which are always groups of their own")
         canonical = unicodedata.normalize("NFC", canonical)
+        # BUILDERS["time"] reads a year's canonical with int()
+        if category == "year" and not _YEAR_RE.match(canonical):
+            raise LexiconError(f"line {lineno}: year {canonical!r} is not a four-digit year")
         key = (category, surface)
         if key in seen:
             raise LexiconError(

@@ -201,6 +201,23 @@ def test_format_answer_kind_mismatch():
             format_answer(Answer("bogus", 5), qtype)
 
 
+@pytest.mark.parametrize("answer, qtype, message", [
+    (Answer("entities", 5), QuestionType("wh", (0,)),
+     "entities answer value 5 is not a tuple of str"),
+    (Answer("entities", ("a", 1)), QuestionType("wh", (0,)),
+     "entities answer value ('a', 1) is not a tuple of str"),
+    (Answer("count", None), QuestionType("wh", (0,)), "count answer value None is not an int"),
+    (Answer("count", True), QuestionType("wh", (0,)), "count answer value True is not an int"),
+    (Answer("boolean", "no"), QuestionType("yesno", ()),
+     "boolean answer value 'no' is not a bool"),
+])
+def test_format_answer_value_mismatch(answer, qtype, message):
+    # a hand-built answer of a known kind whose value does not have its shape
+    with pytest.raises(EvaluationError) as caught:
+        format_answer(answer, qtype)
+    assert str(caught.value) == message
+
+
 #: a focused nested argument whose node holds a focused argument too
 _FOCUSED_NESTED = Argument("nested", focus=True, nested=SemanticNode(
     "is_of", False, ((Argument("entity", "book", focus=True), "rel_sub"),)))

@@ -154,7 +154,7 @@ def test_generate_corpus_is_pinned(capsys):
     ("toy_rules.bnf", "f5e81da0647a122d97e93822f57129287cdacffd021fd96762e0da556ce6dec1"),
     # two optional time phrases, one nested; a leading [","]; a repeated
     # group; a template part of two word classes
-    ("edge_rules.bnf", "dae94fe71a03b4a055a0713c0e5ac476c623b3878d92b8ec4443605d12c47f12"),
+    ("edge_rules.bnf", "180c99a2499b7592a0ef77566edac3bd356ca8c4be9a8a10daa46133fd55de7b"),
 ])
 def test_generate_is_pinned_for_other_grammars(capsys, toy_rules, name, expected):
     argv = ["--seed", "0", "--grammar", str(toy_rules.parent / name), "generate", "all", "20"]
@@ -306,6 +306,17 @@ def test_literal_not_in_normalized_form_is_load_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == 'error: line 1: literal "Sách" is not a normalized surface\n'
+
+
+def test_lexicon_year_that_is_not_a_year_is_one_error_line(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(data_path("lexicon_v1.tsv").read_text(encoding="utf-8")
+                       + "year\tkia\tkia\n", encoding="utf-8")
+    argv = ["--lexicon", str(lexicon), "ask", "Tác giả A có viết sách B vào năm kia không?"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("which", ["--grammar", "--lexicon", "--catalog", "batch"])

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import sys
 import types
 
@@ -232,6 +233,24 @@ def test_sample_at_most_one_time_phrase(rule_by_id, lexicon):
         preps = sum(sentence.split().count(p) for p in ("vào", "trước", "sau"))
         in_count = sentence.split().count("trong")
         assert preps + in_count <= 1
+
+
+def test_sample_nested_time_phrase_of_the_drawn_slot(lexicon, toy_rules):
+    # only a rule's top-level time slots exclude each other: Q1.3e samples the
+    # time phrase nested in [<vperfect> [<time_phrase>]] when that slot is
+    # drawn, and never two; the samples of Q1.1e, whose one time slot is
+    # nested, are pinned
+    text = (toy_rules.parent / "edge_rules.bnf").read_text(encoding="utf-8")
+    edge = {rule.id: rule for rule in parse_rule_dsl(text)}
+    nested = 0
+    for seed in range(200):
+        words = sample(edge["Q1.3e"], seed, lexicon).split()
+        assert sum(word.isdigit() for word in words) <= 1
+        nested += "đã" in words and words[words.index("đã") + 2:][:1] == ["năm"]
+    assert nested > 0
+    q11e = "\n".join(sample(edge["Q1.1e"], seed, lexicon) for seed in range(200))
+    assert hashlib.sha256(q11e.encode("utf-8")).hexdigest() == (
+        "f0290451d7f8292cdbc839457580ce78fe9568fadf26c7e47a5933ebd627c661")
 
 
 def test_sampling_leaves_no_cyclic_garbage(grammar, lexicon):

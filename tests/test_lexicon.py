@@ -82,6 +82,15 @@ def test_load_rejects_empty_surface():
     assert str(caught.value) == "line 1: empty surface"
 
 
+@pytest.mark.parametrize("canonical", ["kia", "0999", "20080", "2008a"])
+def test_load_rejects_year_that_is_not_a_year(canonical):
+    # a time phrase's year is read as an int, so a year entry's canonical
+    # must be one the tokenizer would take for a year
+    with pytest.raises(LexiconError) as caught:
+        load_lexicon(f"year\tnăm nay\t2008\nyear\tkia\t{canonical}\n")
+    assert str(caught.value) == f"line 2: year {canonical!r} is not a four-digit year"
+
+
 def test_load_rejects_duplicates():
     with pytest.raises(LexiconError, match="duplicate"):
         load_lexicon("vperfect\tđã\tđã\nvperfect\tđã\tđã\n")
