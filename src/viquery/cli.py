@@ -37,7 +37,7 @@ class _ReadError(Exception):
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _ReadError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 

@@ -133,7 +133,7 @@ _BODY_TOKEN_RE = re.compile(r'<([^<>\s]+)>|"([^"]*)"|([\[{])|([\]}])|(\S+)')
 _MAX_NESTING = 32
 
 
-def family_of(rule_id: str) -> str:
+def _family_of(rule_id: str) -> str:
     """Family = rule id with a trailing variant letter removed."""
     m = _FAMILY_RE.match(rule_id)
     return m.group(1) if m else rule_id
@@ -143,7 +143,7 @@ def _rule(rule_id: str, terms: tuple) -> SyntacticRule:
     program: list = []
     need, _, before = _emit(terms, program)
     program.append((MATCH, None))
-    return SyntacticRule(rule_id, family_of(rule_id), terms, tuple(program), need, before)
+    return SyntacticRule(rule_id, _family_of(rule_id), terms, tuple(program), need, before)
 
 
 def _parse_body(text: str, lineno: int) -> tuple:

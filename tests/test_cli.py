@@ -2,9 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,38 +31,11 @@ def test_parse_reports_rule_and_constituents(capsys):
         assert fragment in out
 
 
-def test_parse_blank_input_is_usage_error(capsys):
-    assert main(["parse", ""]) == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ["parse", "-x"], ["parse"], ["frob", "Ai viết sách B?"], ["generate", "all", "x"],
-    ["generate", "all", "-1"],
-])
-def test_usage_error_is_one_error_line(capsys, argv):
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
-    if "-x" in argv:
-        assert err == ("error: unrecognized arguments: -x"
-                       " (put -- before a query that starts with -)\n")
-
-
-def test_over_length_query_is_error(tmp_path, capsys):
+def test_over_length_query_is_error(capsys):
+    # a query of exactly MAX_QUERY_CHARS is not too long; longer ones are rows
     query = "sách " * (MAX_QUERY_CHARS // 5 + 1)
     assert main(["parse", query[:MAX_QUERY_CHARS]]) == 2
     assert capsys.readouterr().err == "no parse\n"
-    f = tmp_path / "queries.txt"
-    f.write_text(S1 + "\n" + "a" * (MAX_QUERY_CHARS + 1) + "\nxin chào\n", encoding="utf-8")
-    assert main(["batch", str(f)]) == 1
-    out, err = capsys.readouterr()
-    assert out.splitlines() == ["Q1.3a\t(verb_write? ((author, rel_sub), (book, rel_obj),"
-                                " (APT, rel_time2)))"]
-    assert err == "error: line 2: query is 100001 characters, longer than 100000\n"
-
-
-def test_parse_out_of_domain_exit_2(capsys):
-    assert main(["parse", "xin chào"]) == 2
 
 
 def test_parse_json_lines(capsys):
@@ -86,10 +62,6 @@ def test_semantics_s2(capsys):
     assert out[0] == "(verb_publish ((publisher?, rel_sub), (book, rel_obj), (APT, rel_time2)))"
 
 
-def test_semantics_no_parse(capsys):
-    assert main(["semantics", "xin chào"]) == 2
-
-
 def test_semantics_json(capsys):
     main(["--json", "semantics", S1])
     record = json.loads(capsys.readouterr().out)
@@ -107,10 +79,6 @@ def test_ask_wh(capsys):
     code = main(["ask", "Ai đã viết sách B?"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "A"
-
-
-def test_ask_no_parse(capsys):
-    assert main(["ask", "xin chào"]) == 2
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -163,25 +131,6 @@ def test_generate_is_pinned_for_other_grammars(capsys, toy_rules, name, expected
     assert digest == expected
 
 
-def test_generate_without_marker_entries_is_error(tmp_path, capsys):
-    lines = data_path("lexicon_v1.tsv").read_text(encoding="utf-8").splitlines()
-    f = tmp_path / "lexicon.tsv"
-    f.write_text("\n".join(line for line in lines
-                           if not line.startswith(("possessive\t", "agent\t"))),
-                 encoding="utf-8")
-    code = main(["--lexicon", str(f), "generate", "Q4.1a", "3"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and "possessive" in err
-    assert "Traceback" not in err
-
-
-def test_generate_unknown_rule(capsys):
-    for count in ("0", "1"):
-        assert main(["generate", "Q9.9x", count]) == 1
-        assert capsys.readouterr().err == "error: unknown rule id 'Q9.9x'\n"
-
-
 def test_closed_stdout_is_error(capsys, monkeypatch):
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -217,26 +166,10 @@ def test_json_leaves_batch_and_generate_unchanged(tmp_path, capsys):
 def test_batch_breaks_lines_at_line_feeds_only(tmp_path, capsys):
     # a form feed is whitespace inside a question, as it is for ask
     f = tmp_path / "queries.txt"
-    f.write_text("Ai viết sách B?\nAi viết\x0c sách B?\n", encoding="utf-8")
+    f.write_text("Ai viết sách B?\nAi viết\x0c sách B?\nAi viết\x0csách B?\n", encoding="utf-8")
     assert main(["batch", str(f)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split("\t")[0] for line in out] == ["Q1.1a", "Q1.1a", "2/2"]
-    f.write_text("ai\x0c ai\n" + "a" * 100_001, encoding="utf-8")
-    assert main(["batch", str(f)]) == 1
-    assert capsys.readouterr().err.startswith("error: line 2: ")
-
-
-def test_batch_names_the_line_of_a_transform_error(tmp_path, capsys):
-    # a time preposition the lexicon lists but no time relation maps
-    lexicon = tmp_path / "lexicon.tsv"
-    lexicon.write_text(data_path("lexicon_v1.tsv").read_text(encoding="utf-8")
-                       + "prep_time\ttừ\ttừ\n", encoding="utf-8")
-    f = tmp_path / "queries.txt"
-    f.write_text("ai viết sách B ?\nai viết sách B từ năm 2000 ?\n", encoding="utf-8")
-    assert main(["--lexicon", str(lexicon), "batch", str(f)]) == 1
-    out, err = capsys.readouterr()
-    assert out.splitlines() == ["Q1.1a\t(verb_write ((author?, rel_sub), (book, rel_obj)))"]
-    assert err == "error: line 2: unknown time preposition 'từ'\n"
+    assert [line.split("\t")[0] for line in out] == ["Q1.1a", "Q1.1a", "Q1.1a", "3/3"]
 
 
 def test_batch_empty_file(tmp_path, capsys):
@@ -244,10 +177,6 @@ def test_batch_empty_file(tmp_path, capsys):
     f.write_text("", encoding="utf-8")
     assert main(["batch", str(f)]) == 0
     assert capsys.readouterr().out.strip() == "0/0"
-
-
-def test_batch_unreadable_file(capsys):
-    assert main(["batch", "/no/such/file.txt"]) == 1
 
 
 def test_cli_imports_only_the_standard_library():
@@ -262,154 +191,275 @@ def test_cli_imports_only_the_standard_library():
     assert run.stdout.splitlines() == ["__main__ viquery", "False False"]
 
 
-def test_missing_data_file(tmp_path, capsys):
-    assert main(["--grammar", str(tmp_path / "nope.bnf"), "parse", S1]) == 1
+# Every error ``main`` can print: each row runs through ``main`` and, when
+# ``shutil.which`` finds the installed ``viquery`` script, through it too.
+LEXICON = data_path("lexicon_v1.tsv").read_text(encoding="utf-8")
+END = LEXICON.count("\n") + 1  # the number of a line appended to LEXICON
+NO_FAMILY = '<Q9.1a> = <what_author> <verb_write> <book> "?"\n'
+INPUTS = ("--grammar", "--lexicon", "--catalog", "batch")  # the files main reads
+UNREADABLE = {"missing": {}, "directory": {"input": None}, "undecodable": {"input": b"\xff\n"}}
+UNMAPPED_PREP = {"l.tsv": LEXICON + "prep_time\ttừ\ttừ\n"}  # listed, but no time relation maps it
+README = Path(__file__).parents[1] / "README.md"
 
 
-def test_ask_non_string_catalog_field_is_load_error(tmp_path, capsys):
+class Row(NamedTuple):
+    """``main(argv)`` exits ``code`` and prints ``out`` and one stderr line,
+    which is ``err`` when that ends in a line break, else starts with it.
+    ``files`` maps a name to the text (or bytes; None: a directory) written
+    under it in ``$TMP``, which stands for their directory in argv and err."""
+    id: str
+    argv: list
+    err: str
+    files: dict = {}
+    code: int = 1
+    out: str = ""
+
+
+def _catalog(**fields) -> str:
     records = json.loads(data_path("catalog_sample.json").read_text(encoding="utf-8"))
-    records[0]["publisher"] = 5
-    f = tmp_path / "catalog.json"
-    f.write_text(json.dumps(records), encoding="utf-8")
-    code = main(["--catalog", str(f), "ask", "Nhà xuất bản nào đã xuất bản sách B?"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: record 0: publisher must be a string")
-    assert "Traceback" not in err
+    records[0].update(fields)
+    return json.dumps(records)
 
 
-def test_ask_nan_price_is_load_error(tmp_path, capsys):
-    records = json.loads(data_path("catalog_sample.json").read_text(encoding="utf-8"))
-    records[0]["price"] = float("nan")
-    f = tmp_path / "catalog.json"
-    f.write_text(json.dumps(records), encoding="utf-8")
-    code = main(["--catalog", str(f), "ask", "Sách B giá bao nhiêu?"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: record 0: price must be a non-negative number")
+def _family_rows(name: str, rules: str, err: str):
+    """``err`` for ``rules`` as the grammar of each command that checks families."""
+    for command in ("semantics", "ask", "batch"):
+        query, files = "ai viết sách B ?", {"g.bnf": rules}
+        if command == "batch":
+            query, files = "$TMP/q.txt", {**files, "q.txt": query + "\n"}
+        yield Row(f"{name}-{command}", ["--grammar", "$TMP/g.bnf", command, query], err, files)
 
 
-def test_stray_word_in_grammar_is_load_error(tmp_path, capsys):
-    f = tmp_path / "g.bnf"
-    f.write_text('<Q1.1a> = <what_author> <verb_write> <book> foo "?"\n', encoding="utf-8")
-    code = main(["--grammar", str(f), "parse", "Ai viết sách B?"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: line 1: unexpected")
-    assert "Traceback" not in err
+ERRORS = [
+    # the command line
+    Row("unknown-option", ["parse", "-x"],
+        "error: unrecognized arguments: -x (put -- before a query that starts with -)\n"),
+    Row("line-break-after-dash", ["ask", "-\n"],
+        "error: unrecognized arguments: -\\n (put -- "),
+    Row("line-break-after-option", ["parse", "-x\ny"], "error: unrecognized arguments: -x\\ny "),
+    Row("extra-argument", ["parse", "a", "b"], "error: unrecognized arguments: b\n"),
+    Row("missing-command", [], "error: the following arguments are required: command\n"),
+    Row("missing-query", ["parse"], "error: the following arguments are required: query\n"),
+    Row("unknown-command", ["frob", "Ai viết sách B?"],
+        "error: argument command: invalid choice: 'frob' "),
+    Row("count-not-a-number", ["generate", "all", "x"],
+        "error: argument count: invalid int value: 'x'\n"),
+    Row("seed-not-a-number", ["--seed", "x", "parse", S1],
+        "error: argument --seed: invalid int value: 'x'\n"),
+    Row("negative-count", ["generate", "all", "-1"], "error: argument count: -1 is negative\n"),
+    # files that cannot be read; the first bad input in load order is reported
+    *(Row(f"{which}-{kind}",
+          ["batch", "$TMP/input"] if which == "batch" else [which, "$TMP/input", "ask", S1],
+          "error: cannot read $TMP/input: ", files)
+      for which in INPUTS for kind, files in UNREADABLE.items()),
+    Row("catalog-path-with-line-break", ["--catalog", "no\nsuch", "ask", S1],
+        "error: cannot read no\\nsuch: "),
+    Row("batch-path-with-line-breaks", ["batch", "no\r\nsuch\u2028"],
+        "error: cannot read no\\r\\nsuch\\u2028: "),
+    Row("grammar-before-lexicon",
+        ["--grammar", "$TMP/g.bnf", "--lexicon", "$TMP/none", "parse", S1],
+        "error: line 1: unexpected 'foo'\n", {"g.bnf": '<X> = <book> foo "?"\n'}),
+    # the query
+    Row("blank-query", ["parse", ""], "error: query is empty or blank\n"),
+    Row("long-query", ["parse", "a" * (MAX_QUERY_CHARS + 1)],
+        "error: query is 100001 characters, longer than 100000\n"),
+    Row("batch-long-query", ["batch", "$TMP/q.txt"],
+        "error: line 2: query is 100001 characters, longer than 100000\n",
+        {"q.txt": S1 + "\n" + "a" * (MAX_QUERY_CHARS + 1) + "\nxin chào\n"},
+        out="Q1.3a\t(verb_write? ((author, rel_sub), (book, rel_obj), (APT, rel_time2)))\n"),
+    # a form feed is whitespace inside a question, so the long line is line 2
+    Row("batch-long-query-after-form-feed", ["batch", "$TMP/q.txt"], "error: line 2: ",
+        {"q.txt": "ai\x0c ai\n" + "a" * (MAX_QUERY_CHARS + 1)}, out="NO-PARSE\n"),
+    *(Row(f"no-parse-{command}", [command, "xin chào"], "no parse\n", code=2)
+      for command in ("parse", "semantics", "ask")),
+    # a parse that cannot be transformed
+    Row("unknown-time-preposition",
+        ["--lexicon", "$TMP/l.tsv", "ask", "ai viết sách B từ năm 2000 ?"],
+        "error: unknown time preposition 'từ'\n", UNMAPPED_PREP),
+    Row("batch-unknown-time-preposition", ["--lexicon", "$TMP/l.tsv", "batch", "$TMP/q.txt"],
+        "error: line 2: unknown time preposition 'từ'\n",
+        {**UNMAPPED_PREP, "q.txt": "ai viết sách B ?\nai viết sách B từ năm 2000 ?\n"},
+        out="Q1.1a\t(verb_write ((author?, rel_sub), (book, rel_obj)))\n"),
+    # the grammar
+    *(Row(f"grammar-{name}", ["--grammar", "$TMP/g.bnf", "parse", "Ai viết sách B?"], err,
+          {"g.bnf": rules}) for name, rules, err in [
+        ("stray-word", '<Q1.1a> = <what_author> <verb_write> <book> foo "?"\n',
+         "error: line 1: unexpected 'foo'\n"),
+        ("unknown-category", '<X> = <nope> "?"\n', "error: line 1: unknown category <nope>\n"),
+        ("no-rule-id", "Q1.1a = <book>\n", "error: line 1: expected '<ID> = BODY'\n"),
+        ("duplicate-rule-id", '<Q1.1a> = <book> "?"\n<Q1.1a> = <book> "?"\n',
+         "error: line 2: duplicate rule id Q1.1a\n"),
+        ("empty-body", "<Q1.1a> =\n", "error: line 1: empty rule body\n"),
+        ("unbalanced-closer", '<Q1.1a> = <book> ] "?"\n', "error: line 1: unbalanced ']'\n"),
+        ("unbalanced-opener", '<Q1.1a> = <book> [ "?"\n', "error: line 1: unbalanced '['\n"),
+        ("empty-bracket", '<Q1.1a> = <book> [ ] "?"\n', "error: line 1: empty []\n"),
+        ("nesting", "<Q1.1a> = " + "[" * 33 + "<book>" + "]" * 33 + ' "?"\n',
+         "error: line 1: brackets nested deeper than 32\n"),
+    ]),
+    # a literal that normalization changes could never match
+    Row("grammar-literal", ["--grammar", "$TMP/g.bnf", "generate", "all", "2"],
+        'error: line 1: literal "Sách" is not a normalized surface\n',
+        {"g.bnf": '<Q1.1z> = <what_author> <verb_write> "Sách" <book> "?"\n'}),
+    *_family_rows("unregistered-family", NO_FAMILY, "error: Q9.1a: unregistered family 'Q9.1'\n"),
+    *_family_rows("optional-needed-category", '<Q1.3z> = [<author>] <verb_write> <book> "?"\n',
+                  "error: Q1.3z: family Q1.3 needs <author> outside [...] and {...}\n"),
+    *(Row(f"unknown-rule-id-{count}", ["generate", "Q9.9x", count],
+          "error: unknown rule id 'Q9.9x'\n") for count in ("0", "1")),
+    # the lexicon
+    *(Row(f"lexicon-{name}", ["--lexicon", "$TMP/l.tsv", "parse", S1], err, {"l.tsv": text})
+      for name, text, err in [
+        ("unknown-category", "nope\tai\tai\n", "error: line 1: unknown category 'nope'\n"),
+        ("fields", "name_author\tx\n", "error: line 1: expected 3 tab-separated fields, got 2\n"),
+        ("duplicate", "name_author\tx\tX\nname_author\tx\tX\n",
+         "error: line 2: duplicate entry (name_author, 'x')\n"),
+        ("empty-surface", "name_author\t \tX\n", "error: line 1: empty surface\n"),
+        # a line under a phrase template, which no rule reads as one token
+        ("phrase", LEXICON + "author\tlê văn x\tLê Văn X\n", f"error: line {END}: category"
+         " 'author' is a phrase, not a word class; list a name under a name_* category\n"),
+        # "?" is always a group of its own
+        ("punctuation", LEXICON + "verb_write\tviết ?\tviết\n", f"error: line {END}: surface"
+         " 'viết ?' holds \"?\" or \",\", which are always groups of their own\n"),
+        # a time phrase reads a year's canonical as a number
+        ("year", LEXICON + "year\tkia\tkia\n", f"error: line {END}: year 'kia' is not a"
+         " four-digit year\n"),
+    ]),
+    Row("lexicon-without-markers", ["--lexicon", "$TMP/l.tsv", "generate", "Q4.1a", "3"],
+        "error: category <possessive>|<agent> has no realizable surface\n",
+        {"l.tsv": "".join(line for line in LEXICON.splitlines(keepends=True)
+                          if not line.startswith(("possessive\t", "agent\t")))}),
+    # the catalog
+    *(Row(f"catalog-{name}", ["--catalog", "$TMP/c.json", "ask", S1], err, {"c.json": text})
+      for name, text, err in [
+        ("invalid-json", "[", "error: invalid JSON: "),
+        ("not-an-array", "{}", "error: top level must be an array of records\n"),
+        ("not-an-object", "[1]", "error: record 0: not an object\n"),
+        ("missing-field", "[{}]", "error: record 0: missing field 'title'\n"),
+        ("blank-title", _catalog(title=" "), "error: record 0: title must be a non-empty string\n"),
+        ("no-authors", _catalog(authors=[]), "error: record 0: authors must be a non-empty list\n"),
+        ("year", _catalog(year=208), "error: record 0: year must be a 4-digit integer\n"),
+        ("nan-price", _catalog(price=float("nan")),
+         "error: record 0: price must be a non-negative number\n"),
+        ("number-publisher", _catalog(publisher=5), "error: record 0: publisher must be a string\n"),
+        ("empty-place", _catalog(place=""), "error: record 0: place must not be empty\n"),
+    ]),
+]
+ROWS = {row.id: row for row in ERRORS}
+UNREADABLE_IDS = [f"{which}-{kind}" for which in INPUTS for kind in UNREADABLE]
 
 
-def test_literal_not_in_normalized_form_is_load_error(tmp_path, capsys):
-    f = tmp_path / "g.bnf"
-    f.write_text('<Q1.1z> = <what_author> <verb_write> "Sách" <book> "?"\n', encoding="utf-8")
-    assert main(["--grammar", str(f), "generate", "all", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == 'error: line 1: literal "Sách" is not a normalized surface\n'
+def _readme_forms() -> list:
+    """README §Errors' message forms as patterns: an upper-case word, such as
+    N or PATH, stands for any text, and a form may wrap across lines."""
+    section = README.read_text(encoding="utf-8").split("\n### Errors\n")[1].split("\n#")[0]
+    return [re.compile(re.sub(r"\b[A-Z]+\b", ".+", re.escape(form)))
+            for form in re.findall(r"`(error: [^`]+|no parse)`", " ".join(section.split()))]
 
 
-def test_lexicon_year_that_is_not_a_year_is_one_error_line(tmp_path, capsys):
-    lexicon = tmp_path / "lexicon.tsv"
-    lexicon.write_text(data_path("lexicon_v1.tsv").read_text(encoding="utf-8")
-                       + "year\tkia\tkia\n", encoding="utf-8")
-    argv = ["--lexicon", str(lexicon), "ask", "Tác giả A có viết sách B vào năm kia không?"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: line ") and err.count("\n") == 1
-    assert "Traceback" not in err
+def check_error(row: Row, tmp_path: Path, capsys) -> None:
+    for name, text in row.files.items():
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = [arg.replace("$TMP", str(tmp_path)) for arg in row.argv]
+    expected = row.err.replace("$TMP", str(tmp_path))
+    outcomes = [(main(argv), *capsys.readouterr())]
+    script = shutil.which("viquery")
+    if script:
+        run = subprocess.run([script, *argv], cwd=tmp_path,
+                             capture_output=True, encoding="utf-8")
+        outcomes.append((run.returncode, run.stdout, run.stderr))
+    forms = _readme_forms()
+    for code, out, err in outcomes:
+        assert (code, out) == (row.code, row.out), err
+        assert err == expected if expected.endswith("\n") else err.startswith(expected)
+        assert err.startswith("error: " if code == 1 else "no parse")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err and "usage:" not in err
+        assert any(form.match(err) for form in forms), f"README §Errors lacks {err!r}"
 
 
-@pytest.mark.parametrize("which", ["--grammar", "--lexicon", "--catalog", "batch"])
-def test_undecodable_data_file_is_load_error(tmp_path, capsys, which):
-    f = tmp_path / "data"
-    f.write_bytes(b"\xff\n")
-    if which == "batch":
-        argv = ["batch", str(f)]
-    else:
-        argv = [which, str(f), "ask", "Ai viết sách B?"]
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith(f"error: cannot read {f}: ")
-    assert "Traceback" not in err
+NAMED = set()  # rows that run under a test name of their own
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
-@pytest.mark.parametrize("which", ["--grammar", "--lexicon", "--catalog", "batch"])
-def test_unreadable_file_is_one_error_line(tmp_path, capsys, which, kind):
-    path = tmp_path / "input"
-    if kind == "directory":
-        path.mkdir()
-    elif kind == "undecodable":
-        path.write_bytes(b"\xff\n")
-    argv = ["batch", str(path)] if which == "batch" else [which, str(path), "ask", S1]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {path}: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert "Traceback" not in err
+def _named(*row_ids, ids=None):
+    """The check of ``row_ids`` under a test name the suite used before they
+    were rows: one test checking each in turn or, with ``ids``, one test per
+    row under those parameter ids."""
+    NAMED.update(row_ids)
+    rows = [ROWS[row_id] for row_id in row_ids]
+    if ids is None:
+        def test(tmp_path, capsys):
+            for row in rows:
+                check_error(row, tmp_path, capsys)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=ids)
+    def test_rows(row, tmp_path, capsys):
+        check_error(row, tmp_path, capsys)
+    return test_rows
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["--catalog", "no\nsuch", "ask", S1], "error: cannot read no\\nsuch: "),
-    (["batch", "no\r\nsuch\u2028"], "error: cannot read no\\r\\nsuch\\u2028: "),
-    (["ask", "-\n"], "error: unrecognized arguments: -\\n (put -- "),
-], ids=["catalog", "batch", "option"])
-def test_line_break_in_argument_keeps_one_error_line(capsys, argv, expected):
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(expected)
-    assert err.count("\n") == 1 and err.endswith("\n")
+test_parse_blank_input_is_usage_error = _named("blank-query")
+test_usage_error_is_one_error_line = _named(
+    "unknown-option", "missing-query", "unknown-command", "count-not-a-number", "negative-count",
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4"])
+test_parse_out_of_domain_exit_2 = _named("no-parse-parse")
+test_semantics_no_parse = _named("no-parse-semantics")
+test_ask_no_parse = _named("no-parse-ask")
+test_generate_without_marker_entries_is_error = _named("lexicon-without-markers")
+test_generate_unknown_rule = _named("unknown-rule-id-0", "unknown-rule-id-1")
+test_batch_names_the_line_of_a_transform_error = _named("batch-unknown-time-preposition")
+test_batch_unreadable_file = _named("batch-missing")
+test_missing_data_file = _named("--grammar-missing")
+test_ask_non_string_catalog_field_is_load_error = _named("catalog-number-publisher")
+test_ask_nan_price_is_load_error = _named("catalog-nan-price")
+test_stray_word_in_grammar_is_load_error = _named("grammar-stray-word")
+test_literal_not_in_normalized_form_is_load_error = _named("grammar-literal")
+test_lexicon_year_that_is_not_a_year_is_one_error_line = _named("lexicon-year")
+test_undecodable_data_file_is_load_error = _named(
+    "--grammar-undecodable", "--lexicon-undecodable", "--catalog-undecodable",
+    "batch-undecodable", ids=["--grammar", "--lexicon", "--catalog", "batch"])
+test_unreadable_file_is_one_error_line = _named(*UNREADABLE_IDS, ids=UNREADABLE_IDS)
+test_line_break_in_argument_keeps_one_error_line = _named(
+    "catalog-path-with-line-break", "batch-path-with-line-breaks", "line-break-after-dash",
+    ids=["catalog", "batch", "option"])
+test_first_bad_input_in_load_order_is_reported = _named("grammar-before-lexicon")
+test_unregistered_family_is_clean_error = _named(
+    "unregistered-family-semantics", "unregistered-family-ask", ids=["semantics", "ask"])
+test_unregistered_family_fails_at_load = _named(
+    *(f"unregistered-family-{c}" for c in ("semantics", "ask", "batch")),
+    ids=["semantics", "ask", "batch"])
+test_optional_needed_category_fails_at_load = _named(
+    *(f"optional-needed-category-{c}" for c in ("semantics", "ask", "batch")),
+    ids=["semantics", "ask", "batch"])
 
 
-def test_first_bad_input_in_load_order_is_reported(tmp_path, capsys):
+@pytest.mark.parametrize("row", [row for row in ERRORS if row.id not in NAMED],
+                         ids=lambda row: row.id)
+def test_documented_error(row, tmp_path, capsys):
+    check_error(row, tmp_path, capsys)
+
+
+def test_parse_skips_the_family_check(tmp_path, capsys):
     grammar = tmp_path / "g.bnf"
-    grammar.write_text('<X> = <book> foo "?"\n', encoding="utf-8")
-    code = main(["--grammar", str(grammar), "--lexicon", str(tmp_path / "none.tsv"), "parse", S1])
-    assert code == 1
-    assert capsys.readouterr().err == "error: line 1: unexpected 'foo'\n"
+    grammar.write_text(NO_FAMILY, encoding="utf-8")
+    assert main(["--grammar", str(grammar), "parse", "ai viết sách B ?"]) == 0
 
 
-@pytest.mark.parametrize("command", ["semantics", "ask"])
-def test_unregistered_family_is_clean_error(tmp_path, capsys, command):
-    f = tmp_path / "g.bnf"
-    f.write_text('<Q9.1a> = <author> "?"\n', encoding="utf-8")
-    code = main(["--grammar", str(f), command, "tác giả A ?"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and "Q9.1" in err
-    assert "Traceback" not in err
-
-
-def _run(tmp_path, rules, command, query):
-    grammar = tmp_path / "g.bnf"
-    grammar.write_text(rules, encoding="utf-8")
-    if command == "batch":
-        queries = tmp_path / "queries.txt"
-        queries.write_text(query + "\n", encoding="utf-8")
-        query = str(queries)
-    return main(["--grammar", str(grammar), command, query])
-
-
-@pytest.mark.parametrize("command", ["semantics", "ask", "batch"])
-def test_unregistered_family_fails_at_load(tmp_path, capsys, command):
-    rules = '<Q9.1a> = <what_author> <verb_write> <book> "?"\n'
-    code = _run(tmp_path, rules, command, "ai viết sách B ?")
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""  # no question answered
-    assert err == "error: Q9.1a: unregistered family 'Q9.1'\n"
-    assert _run(tmp_path, rules, "parse", "ai viết sách B ?") == 0
-
-
-@pytest.mark.parametrize("command", ["semantics", "ask", "batch"])
-def test_optional_needed_category_fails_at_load(tmp_path, capsys, command):
-    rules = '<Q1.3z> = [<author>] <verb_write> <book> "?"\n'
-    code = _run(tmp_path, rules, command, "tác giả A viết sách B ?")
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: Q1.3z: ") and "<author>" in err
+@pytest.mark.parametrize("which", INPUTS)
+def test_data_file_may_start_with_a_byte_order_mark(tmp_path, capsys, which):
+    name = {"--grammar": "rules_v1.bnf", "--lexicon": "lexicon_v1.tsv",
+            "--catalog": "catalog_sample.json"}.get(which)
+    text = data_path(name).read_text(encoding="utf-8") if name else S1 + "\n"
+    outcomes = []
+    for bom in ("", "\ufeff"):
+        f = tmp_path / f"data{len(bom)}"
+        f.write_text(bom + text, encoding="utf-8")
+        outcomes.append((main(["batch", str(f)] if name is None else [which, str(f), "ask", S1]),
+                         *capsys.readouterr()))
+    plain, with_bom = outcomes
+    assert plain[0] == 0 and with_bom == plain
 
 
 @pytest.mark.parametrize("query, answer", [
